@@ -1,5 +1,5 @@
-"""Sweep the extrapolation order m and the finest step count, then fit the
-error of the noiseless extrapolated estimate against the finest step size.
+"""Sweep the extrapolation order m and the coarsest node's step count, then fit
+the error of the noiseless extrapolated estimate against its step size.
 The fitted slope should track the order m.
 """
 
@@ -22,7 +22,7 @@ def main():
     parser.add_argument("--time", type=float, default=1.0)
     parser.add_argument("--orders", default="2,3,4")
     parser.add_argument("--n-base", type=int, default=8,
-                        help="finest step count at scale 1")
+                        help="coarsest node step count at scale 1")
     parser.add_argument("--scales", default="1,0.5,0.25,0.125")
     args = parser.parse_args()
 

@@ -7,7 +7,6 @@ from .analysis import fit_loglog_slope
 from .channel import (
     ObservableMeasurer,
     ShotResult,
-    StepConfig,
     Trajectory,
     channel_apply_exact,
     channel_iterate_exact,
@@ -17,6 +16,7 @@ from .channel import (
     expectation_exact,
     measure_observable,
     qdrift_run,
+    qdrift_shots,
     sample_trajectory,
     substream,
 )
@@ -31,6 +31,7 @@ from .generator import (
 from .hamiltonian import (
     HamiltonianDecomposition,
     HamiltonianFormatError,
+    PauliRotations,
     PauliString,
     WeightedTerm,
     load_hamiltonian,

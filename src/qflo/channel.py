@@ -1,6 +1,19 @@
 """The randomized-compilation channel: exact Kraus mixtures, iterated powers,
 seeded trajectory sampling of pure states, and projective measurement.
 
+Every trajectory path (``qdrift_run``, ``evolve_pure_state``, the CLI's
+``qdrift`` shots and the pipeline's shot-sampled nodes) runs one engine,
+``evolve_indexed_batch``: a batch of states, each under its own sequence of
+term indices, advanced by O(d) Pauli gates (a gather and an axpy per step)
+whatever the number of terms.  Where the term count and dimension are small
+(``_auto_group``), runs of consecutive steps are first folded into a table of
+dense step products.  Measured on a shared 2-core x86-64 host with one BLAS
+thread, batches of 176 and 4096 states and 4-17 terms, in ns/gate:
+
+    d          4        8        16        32          64
+    table   15-49   37-129   168-493   676-3729   3625-16846
+    Pauli   24-96    55-90   129-171    190-292      379-566
+
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
 spawn keys, so parallel trajectory generation is reproducible and
@@ -14,10 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import HamiltonianDecomposition
+from .hamiltonian import BoundedCache, HamiltonianDecomposition, PauliRotations
 from .linalg import check_density_matrix, hermitian_eig, require_hermitian, unitary_exp
 
 UNIT_NORM_TOL = 1e-10
+SHOT_CHUNK = 4096
+CHUNK_INDEX_BYTES = 2 ** 27
 DEGENERACY_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 
@@ -31,21 +46,6 @@ def derive_seed(seed: int, *path: int) -> int:
     """64-bit child seed for (seed, path); stable across processes."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class StepConfig:
-    total_time: float
-    steps: int
-    lam: float
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-
-    @property
-    def step_time(self) -> float:
-        return self.total_time / self.steps
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,18 @@ def sample_trajectory(H: HamiltonianDecomposition, N: int, seed: int) -> Traject
     return Trajectory(seed=seed, indices=indices)
 
 
-def evolve_pure_state(psi0, H: HamiltonianDecomposition, trajectory: Trajectory, t: float) -> np.ndarray:
-    """Apply exp(-i lam t H_j) for each sampled index in order."""
+def unit_state(psi0) -> np.ndarray:
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("initial state is not unit norm")
-    U = H.term_unitaries(H.lam * t)
-    for j in trajectory.indices:
-        psi = U[j] @ psi
     return psi
+
+
+def evolve_pure_state(psi0, H: HamiltonianDecomposition, trajectory: Trajectory, t: float) -> np.ndarray:
+    """Apply exp(-i lam t H_j) for each sampled index in order."""
+    psi = unit_state(psi0)
+    gates = H.pauli_rotations(H.lam * t)
+    return evolve_indexed_batch(psi[None, :], gates, trajectory.indices[None, :])[0]
 
 
 _GROUP_TABLE_CAP = 4096
@@ -140,6 +143,13 @@ def grouped_step_unitaries(unitaries, group: int) -> np.ndarray:
 
 
 def _auto_group(L: int, d: int, N: int) -> int:
+    """Steps folded into one table product; 1 means Pauli gates only.
+
+    A table product costs O(d^2) per group of steps and a Pauli gate O(d)
+    per step, so the table is kept only while d <= 2 * group: at d = 4 with
+    up to 64 terms and at d = 8 with up to 8.  Beyond that the Pauli gates
+    measured faster, 1.2-3.8x at d = 16 and 3.5-13x at d = 32.
+    """
     group = 1
     while (
         group < 6
@@ -148,38 +158,62 @@ def _auto_group(L: int, d: int, N: int) -> int:
         and N >= 4 * (group + 1)
     ):
         group += 1
-    return group
+    return group if d <= 2 * group else 1
 
 
-def evolve_indexed_batch(psis, unitaries, indices) -> np.ndarray:
+def _group_codes(indices, L: int, group: int, n_groups: int) -> np.ndarray:
+    """(B, n_groups) table codes of the first n_groups * group steps, in the
+    smallest integer type that holds L^group, read straight from ``indices``."""
+    codes = np.zeros((indices.shape[0], n_groups), dtype=np.min_scalar_type(L ** group - 1))
+    stop = n_groups * group
+    for k in range(group - 1, -1, -1):
+        codes *= L
+        np.add(codes, indices[:, k:stop:group], out=codes, casting="unsafe")
+    return codes
+
+
+def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     """Evolve a batch of states, each under its own index sequence.
 
-    psis: (B, d), unitaries: (L, d, d), indices: (B, N).  When the term
-    count and dimension are small, consecutive steps are folded into a
-    precomputed product table; the grouping is fixed by (L, d, N), so
-    results stay deterministic for given indices.
+    psis: (B, d), gates: the step's Pauli rotations over L terms, indices:
+    (B, N) in [0, L).  Each step is one batched gather plus an axpy.  When
+    the term count and dimension are small, consecutive steps are first
+    folded into a precomputed product table; the grouping is fixed by
+    (L, d, N), so results stay deterministic for given indices.
     """
     out = np.array(psis, dtype=complex, copy=True)
-    L = unitaries.shape[0]
-    d = unitaries.shape[1]
-    N = indices.shape[1]
+    L, d = gates.perm.shape
+    B, N = indices.shape
+    if indices.size and not 0 <= indices.min() <= indices.max() < L:
+        raise ValueError(f"term indices must lie in [0, {L})")
     group = _auto_group(L, d, N)
     start = 0
     if group > 1:
-        table = grouped_step_unitaries(unitaries, group)
+        table = gates.tables.get(group)
+        if table is None:
+            table = gates.tables[group] = grouped_step_unitaries(gates.dense(), group)
         n_groups = N // group
         start = n_groups * group
-        radix = L ** np.arange(group, dtype=np.int64)
-        codes = indices[:, :start].astype(np.int64).reshape(-1, n_groups, group) @ radix
+        codes = _group_codes(indices, L, group, n_groups)
         for i in range(n_groups):
             out = np.einsum("bij,bj->bi", table[codes[:, i]], out)
-    transposed = [U.T.copy() for U in unitaries]
+    if start == N:
+        return out
+    offsets = np.arange(0, B * d, d)[:, None]
+    src = np.empty((B, d), dtype=np.intp)
+    gathered = np.empty_like(out)
+    coef = np.empty_like(out)
+    # Indices are range-checked above, so "clip" only skips take's bounds
+    # buffering.
     for i in range(start, N):
         col = indices[:, i]
-        for j in range(L):
-            sel = col == j
-            if sel.any():
-                out[sel] = out[sel] @ transposed[j]
+        np.take(gates.perm, col, axis=0, out=src, mode="clip")
+        src += offsets
+        np.take(out, src, out=gathered, mode="clip")
+        np.take(gates.coef, col, axis=0, out=coef, mode="clip")
+        gathered *= coef
+        out *= gates.cos
+        out += gathered
     return out
 
 
@@ -222,22 +256,49 @@ class ObservableMeasurer:
         return self.values[idx]
 
 
-_measurer_cache: dict[tuple, ObservableMeasurer] = {}
+_measurer_cache = BoundedCache()
 
 
 def observable_measurer(A) -> ObservableMeasurer:
     A = np.asarray(A, dtype=complex)
-    key = (A.shape, A.tobytes())
-    m = _measurer_cache.get(key)
-    if m is None:
-        m = ObservableMeasurer(A)
-        _measurer_cache[key] = m
-    return m
+    return _measurer_cache.get_or_build((A.shape, A.tobytes()), lambda: ObservableMeasurer(A))
 
 
 def measure_observable(A, psi, rng) -> ShotResult:
     """One projective shot of A on psi."""
     return ShotResult(value=observable_measurer(A).sample(psi, rng))
+
+
+def index_dtype(L: int):
+    """Narrowest type the pipeline and CLI store term indices in."""
+    return np.uint8 if L < 256 else np.int64
+
+
+def shot_chunk(L: int, N: int) -> int:
+    """Shots evolved as one batch: at most SHOT_CHUNK, and few enough that
+    their (B, N) term indices fit in CHUNK_INDEX_BYTES."""
+    row_bytes = N * np.dtype(index_dtype(L)).itemsize
+    return max(1, min(SHOT_CHUNK, CHUNK_INDEX_BYTES // max(row_bytes, 1)))
+
+
+def qdrift_shots(H: HamiltonianDecomposition, psi0, A, T: float, t_step: float,
+                 seeds) -> np.ndarray:
+    """``qdrift_run(..., seed).value`` for every seed, evolved as one batch.
+
+    Shot ``seed`` draws its N term indices from substream(seed, 0) and its
+    measurement uniform from substream(seed, 1).
+    """
+    if t_step <= 0:
+        raise ValueError(f"t_step must be > 0, got {t_step}")
+    N = math.ceil(T / t_step)
+    psi = unit_state(psi0)
+    indices = np.empty((len(seeds), N), dtype=index_dtype(len(H)))
+    for b, seed in enumerate(seeds):
+        indices[b] = sample_trajectory(H, N, seed).indices
+    uniforms = np.array([substream(seed, 1).random() for seed in seeds])
+    finals = evolve_indexed_batch(np.broadcast_to(psi, (len(seeds), psi.size)),
+                                  H.pauli_rotations(H.lam * (T / N)), indices)
+    return observable_measurer(A).sample_batch(finals, uniforms)
 
 
 def qdrift_run(H: HamiltonianDecomposition, psi0, A, T: float, t_step: float, seed: int) -> ShotResult:
@@ -246,9 +307,4 @@ def qdrift_run(H: HamiltonianDecomposition, psi0, A, T: float, t_step: float, se
     N = ceil(T / t_step) steps, each using angle lam * (T / N); the realized
     per-step time is T/N, not t_step.
     """
-    if t_step <= 0:
-        raise ValueError(f"t_step must be > 0, got {t_step}")
-    N = math.ceil(T / t_step)
-    traj = sample_trajectory(H, N, seed)
-    psi = evolve_pure_state(psi0, H, traj, T / N)
-    return measure_observable(A, psi, substream(seed, 1))
+    return ShotResult(value=float(qdrift_shots(H, psi0, A, T, t_step, [seed])[0]))

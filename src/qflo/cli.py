@@ -24,10 +24,11 @@ from .channel import (
     derive_seed,
     exact_expectation,
     expectation_exact,
-    qdrift_run,
+    qdrift_shots,
+    shot_chunk,
 )
 from .generator import generator_probe, log_existence_check
-from .hamiltonian import HamiltonianFormatError, load_hamiltonian
+from .hamiltonian import DimensionCapError, HamiltonianFormatError, load_hamiltonian
 from .linalg import LogarithmError, NearDefectiveError, spectral_norm
 from .pipeline import QfloRequest, richardson_estimate_noiseless, run
 from .richardson import build_nodes, weights_from_steps
@@ -101,14 +102,21 @@ def _write_json(payload, json_path):
         fh.write("\n")
 
 
-def _parse_list(text, cast, flag):
+def _parse_list(text, cast, flag, positive=False):
     try:
         values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"{flag}: could not parse {text!r}") from None
     if not values:
         raise UsageError(f"{flag}: empty list")
+    if positive and not all(v > 0 and math.isfinite(v) for v in values):
+        raise UsageError(f"{flag}: every value must be positive and finite, got {text!r}")
     return values
+
+
+def _require_positive(value, flag):
+    if not (value > 0 and math.isfinite(value)):
+        raise UsageError(f"{flag} must be positive and finite, got {value!r}")
 
 
 def parse_state(spec: str, n_qubits: int) -> np.ndarray:
@@ -124,7 +132,7 @@ def parse_state(spec: str, n_qubits: int) -> np.ndarray:
         return psi
     base, _, power = spec.partition("^")
     if base == "plus":
-        if power and int(power) != n_qubits:
+        if power and (not power.isdigit() or int(power) != n_qubits):
             raise UsageError(
                 f"--state {spec!r} does not match the {n_qubits}-qubit Hamiltonian"
             )
@@ -142,6 +150,7 @@ def _load(path, what):
 
 
 def cmd_nodes(args) -> int:
+    _require_positive(args.m, "--m")
     nodes = build_nodes(args.m, squared=not args.pseudocode_schedule)
     weights = weights_from_steps(1.0 / nodes.y.astype(float))
     rows = [
@@ -164,14 +173,17 @@ def cmd_qdrift(args) -> int:
     H = _load(args.hamiltonian, "Hamiltonian")
     A = _load(args.observable, "observable").dense()
     psi0 = parse_state(args.state, H.n_qubits)
+    _require_positive(args.steps, "--steps")
+    _require_positive(args.shots, "--shots")
     seed = resolve_seed(args.seed)
     t_step = args.time / args.steps
-    rows = []
-    for shot in range(args.shots):
-        result = qdrift_run(H, psi0, A, args.time, t_step, derive_seed(seed, shot))
-        rows.append((shot, result.value))
-    values = np.array([r[1] for r in rows])
-    _write_csv(["shot", "value"], rows, args.out)
+    chunk = shot_chunk(len(H), math.ceil(args.time / t_step))
+    values = np.empty(args.shots)
+    for start in range(0, args.shots, chunk):
+        seeds = [derive_seed(seed, shot)
+                 for shot in range(start, min(start + chunk, args.shots))]
+        values[start:start + len(seeds)] = qdrift_shots(H, psi0, A, args.time, t_step, seeds)
+    _write_csv(["shot", "value"], enumerate(values.tolist()), args.out)
     _write_json(
         {
             "command": "qdrift",
@@ -199,7 +211,7 @@ def cmd_scan(args) -> int:
     A = _load(args.observable, "observable").dense()
     psi0 = parse_state(args.state, H.n_qubits)
     rho0 = np.outer(psi0, psi0.conj())
-    n_list = _parse_list(args.n_list, int, "--n-list")
+    n_list = _parse_list(args.n_list, int, "--n-list", positive=True)
     exact = exact_expectation(H, A, rho0, args.time)
     rows = []
     for N in n_list:
@@ -230,7 +242,7 @@ def cmd_scan(args) -> int:
 
 def cmd_generator(args) -> int:
     H = _load(args.hamiltonian, "Hamiltonian")
-    s_list = _parse_list(args.s_list, float, "--s-list")
+    s_list = _parse_list(args.s_list, float, "--s-list", positive=True)
     rows = []
     failed = False
     for s in s_list:
@@ -325,8 +337,9 @@ def cmd_orderfit(args) -> int:
     A = _load(args.observable, "observable").dense()
     psi0 = parse_state(args.state, H.n_qubits)
     rho0 = np.outer(psi0, psi0.conj())
-    m_list = _parse_list(args.m_list, int, "--m-list")
-    scale_list = _parse_list(args.scale_list, float, "--scale-list")
+    m_list = _parse_list(args.m_list, int, "--m-list", positive=True)
+    scale_list = _parse_list(args.scale_list, float, "--scale-list", positive=True)
+    _require_positive(args.n_base, "--n-base")
     exact = exact_expectation(H, A, rho0, args.time)
     rows = []
     slopes = {}
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_qflo)
 
-    p = sub.add_parser("orderfit", help="noiseless estimator error vs finest step size")
+    p = sub.add_parser("orderfit", help="noiseless estimator error vs coarsest step size")
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--observable", required=True)
     p.add_argument("--state", default=None)
@@ -445,10 +458,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         thread_cap()
+        if hasattr(args, "time"):
+            _require_positive(args.time, "--time")
         if getattr(args, "state", "skip") is None:
             args.state = "0" * _load(args.hamiltonian, "Hamiltonian").n_qubits
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DimensionCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (LogarithmError, NearDefectiveError, NumericalFailure, ArithmeticError) as exc:

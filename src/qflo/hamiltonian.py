@@ -8,7 +8,8 @@ term has spectral norm exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .linalg import spectral_norm
 
 QUBIT_CAP = 10
+CACHE_CAP = 8
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -31,6 +33,25 @@ class HamiltonianFormatError(ValueError):
 
 class DimensionCapError(ValueError):
     """Dense materialization above the configured qubit cap."""
+
+
+class BoundedCache(OrderedDict):
+    """Mapping that keeps at most ``cap`` entries, evicting the least
+    recently used, so sweeps over many step sizes use bounded memory."""
+
+    def __init__(self, cap: int = CACHE_CAP):
+        super().__init__()
+        self.cap = cap
+
+    def get_or_build(self, key, build):
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = build()
+        self[key] = value
+        if len(self) > self.cap:
+            self.popitem(last=False)
+        return value
 
 
 @dataclass(frozen=True)
@@ -53,6 +74,15 @@ class PauliString:
     def dense(self) -> np.ndarray:
         return reduce(np.kron, (_PAULI[c] for c in self.letters))
 
+    def masks(self) -> tuple[int, int, int]:
+        """(x mask, z mask, number of Y letters), qubit 0 the most
+        significant bit as in ``dense``: P|s> = i^#Y (-1)^popcount(s & z) |s ^ x>."""
+        x = z = 0
+        for c in self.letters:
+            x = (x << 1) | (c in "XY")
+            z = (z << 1) | (c in "YZ")
+        return x, z, self.letters.count("Y")
+
 
 @dataclass(frozen=True)
 class WeightedTerm:
@@ -68,6 +98,33 @@ class WeightedTerm:
 
     def dense(self) -> np.ndarray:
         return self.sign * self.pauli.dense()
+
+
+@dataclass(frozen=True)
+class PauliRotations:
+    """exp(-i angle sign_j P_j) for every term j as a gather and an axpy:
+
+        (U_j psi)[y] = cos * psi[y] + coef[j, y] * psi[perm[j, y]],
+
+    with perm[j, y] = y ^ x_j and coef[j, y] = -i sin(angle) sign_j i^#Y_j
+    (-1)^popcount(perm[j, y] & z_j), from the symplectic masks of each term
+    (Aaronson and Gottesman, quant-ph/0406196).  One gate costs O(d), not
+    the O(d^2) of a dense matvec.
+    """
+
+    cos: float
+    perm: np.ndarray   # (L, d) source index of each amplitude
+    coef: np.ndarray   # (L, d) complex phase times -i sin(angle) sign_j
+    tables: dict = field(default_factory=dict, compare=False, repr=False)  # group -> step products
+
+    def dense(self) -> np.ndarray:
+        """The same gates as stacked (L, d, d) unitaries."""
+        L, d = self.perm.shape
+        U = np.zeros((L, d, d), dtype=complex)
+        rows = np.arange(d)
+        U[:, rows, rows] = self.cos
+        U[np.arange(L)[:, None], rows, self.perm] += self.coef
+        return U
 
 
 class HamiltonianDecomposition:
@@ -92,7 +149,7 @@ class HamiltonianDecomposition:
         self._cdf = np.cumsum(self.probabilities)
         self._cdf[-1] = 1.0
         self._dense_terms = None
-        self._unitary_cache: dict[float, np.ndarray] = {}
+        self._rotation_cache = BoundedCache()
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -101,11 +158,14 @@ class HamiltonianDecomposition:
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
-    def dense_terms(self, qubit_cap: int = QUBIT_CAP) -> np.ndarray:
+    def _require_cap(self, qubit_cap: int):
         if self.n_qubits > qubit_cap:
             raise DimensionCapError(
                 f"{self.n_qubits} qubits exceeds the cap of {qubit_cap}"
             )
+
+    def dense_terms(self, qubit_cap: int = QUBIT_CAP) -> np.ndarray:
+        self._require_cap(qubit_cap)
         if self._dense_terms is None:
             self._dense_terms = np.stack([t.dense() for t in self.terms])
         return self._dense_terms
@@ -116,21 +176,30 @@ class HamiltonianDecomposition:
         return np.tensordot(weights, terms, axes=1)
 
     def term_unitaries(self, angle: float, qubit_cap: int = QUBIT_CAP) -> np.ndarray:
-        """exp(-i angle H_j) for every term, stacked (L, d, d).
+        """exp(-i angle H_j) for every term, stacked (L, d, d): the dense form
+        of ``pauli_rotations(angle)``.
 
         Pauli strings square to the identity, so the exponential is
-        cos(angle) I - i sin(angle) sign P exactly.  Cached per angle.
+        cos(angle) I - i sin(angle) sign P exactly.
         """
-        cached = self._unitary_cache.get(angle)
-        if cached is not None:
-            return cached
-        terms = self.dense_terms(qubit_cap)
-        eye = np.eye(self.dim)
-        c, s = np.cos(angle), np.sin(angle)
-        signs = np.array([t.sign for t in self.terms])
-        U = c * eye[None, :, :] - 1j * s * signs[:, None, None] * terms
-        self._unitary_cache[angle] = U
-        return U
+        self._require_cap(qubit_cap)
+        return self.pauli_rotations(angle).dense()
+
+    def pauli_rotations(self, angle: float) -> PauliRotations:
+        """exp(-i angle H_j) for every term as O(d) Pauli gates.  Cached per angle."""
+        def build():
+            x, z, n_y = (np.array(col)[:, None]
+                         for col in zip(*(t.pauli.masks() for t in self.terms)))
+            perm = np.arange(self.dim)[None, :] ^ x
+            parity = np.zeros_like(perm)
+            for bit in range(self.n_qubits):
+                parity ^= ((perm & z) >> bit) & 1
+            signs = np.array([t.sign for t in self.terms])[:, None]
+            phase = np.array([1, 1j, -1, -1j])[n_y % 4] * signs * (1 - 2 * parity)
+            return PauliRotations(cos=float(np.cos(angle)), perm=perm,
+                                  coef=(-1j * np.sin(angle)) * phase)
+
+        return self._rotation_cache.get_or_build(angle, build)
 
     def sample_term(self, rng) -> int:
         """Draw an index j with probability p_j = h_j / lambda.

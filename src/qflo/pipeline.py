@@ -12,8 +12,11 @@ import numpy as np
 from .channel import (
     evolve_indexed_batch,
     expectation_exact,
+    index_dtype,
     observable_measurer,
+    shot_chunk,
     substream,
+    unit_state,
 )
 from .hamiltonian import HamiltonianDecomposition
 from .linalg import check_density_matrix, require_hermitian, spectral_norm
@@ -25,8 +28,6 @@ from .richardson import (
     extrapolate,
     weights_from_steps,
 )
-
-SHOT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,9 @@ def select_order(epsilon: float, policy: str = "log") -> int:
 
 def base_step_count(lam: float, T: float, epsilon: float, m: int, one_norm: float,
                     schedule: str = "squared") -> int:
-    """Finest-node step count N_m = ceil(4 (8 lam T)^2 (|b|_1 / eps)^(1/m)).
+    """Step count N_m = ceil(4 (8 lam T)^2 (|b|_1 / eps)^(1/m)) of the last
+    node, ``step_counts[-1]``: the fewest steps, so the coarsest node, whose
+    step size s_m = 1/N_m the error bound is taken at.
 
     The "pseudocode" schedule swaps |b|_1 for ln(m) in the power factor.
     """
@@ -223,8 +226,7 @@ def _shot_node_mean(H, A, initial_state, T, N: int, shots: int,
     fixed draw order per shot is: measurement uniform, initial-state uniform
     (mixed states only), then the N trajectory uniforms.
     """
-    t = T / N
-    U = H.term_unitaries(H.lam * t)
+    gates = H.pauli_rotations(H.lam * (T / N))
     measurer = observable_measurer(A)
     mixed = _is_density_matrix(initial_state)
     if mixed:
@@ -236,13 +238,12 @@ def _shot_node_mean(H, A, initial_state, T, N: int, shots: int,
         pop_cdf[-1] = 1.0
         basis = evecs[:, keep]
     else:
-        psi0 = np.asarray(initial_state, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-            raise ValueError("initial state is not unit norm")
+        psi0 = unit_state(initial_state)
     values = np.empty(shots)
-    idx_dtype = np.uint8 if len(H) < 256 else np.int64
-    for start in range(0, shots, SHOT_CHUNK):
-        stop = min(start + SHOT_CHUNK, shots)
+    idx_dtype = index_dtype(len(H))
+    chunk = shot_chunk(len(H), N)
+    for start in range(0, shots, chunk):
+        stop = min(start + chunk, shots)
         B = stop - start
         indices = np.empty((B, N), dtype=idx_dtype)
         u_meas = np.empty(B)
@@ -259,7 +260,7 @@ def _shot_node_mean(H, A, initial_state, T, N: int, shots: int,
             psis = basis.T[choice]
         else:
             psis = np.broadcast_to(psi0, (B, psi0.size))
-        finals = evolve_indexed_batch(psis, U, indices)
+        finals = evolve_indexed_batch(psis, gates, indices)
         values[start:stop] = measurer.sample_batch(finals, u_meas)
     mean = float(np.mean(values))
     if shots > 1:
@@ -271,7 +272,7 @@ def _shot_node_mean(H, A, initial_state, T, N: int, shots: int,
 
 def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int,
                                   schedule: str = "squared"):
-    """Noiseless order-m estimate at finest step count N_m.
+    """Noiseless order-m estimate whose coarsest node takes N_m steps.
 
     Returns (estimate, StepSchedule, Weights); the backbone of the
     order-scaling experiments, where N_m is swept directly.

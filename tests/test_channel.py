@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qflo import channel
 from qflo.channel import (
     ObservableMeasurer,
     channel_apply_exact,
@@ -11,11 +14,13 @@ from qflo.channel import (
     exact_expectation,
     expectation_exact,
     measure_observable,
+    observable_measurer,
     qdrift_run,
+    qdrift_shots,
     sample_trajectory,
     substream,
 )
-from qflo.hamiltonian import parse_hamiltonian
+from qflo.hamiltonian import CACHE_CAP, parse_hamiltonian
 from qflo.linalg import conjugation_superoperator, unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,7 +175,8 @@ class TestBatchEvolution:
         t = 0.07
         U = H.term_unitaries(H.lam * t)
         indices = rng.integers(0, len(H), size=(B, N))
-        batch = evolve_indexed_batch(np.tile(psi0, (B, 1)), U, indices)
+        gates = H.pauli_rotations(H.lam * t)
+        batch = evolve_indexed_batch(np.tile(psi0, (B, 1)), gates, indices)
         for b in range(B):
             psi = psi0.copy()
             for j in indices[b]:
@@ -181,10 +187,101 @@ class TestBatchEvolution:
         H, _, psi0 = one_qubit
         U = H.term_unitaries(0.11)
         indices = rng.integers(0, 2, size=(3, 2))
-        batch = evolve_indexed_batch(np.tile(psi0, (3, 1)), U, indices)
+        batch = evolve_indexed_batch(np.tile(psi0, (3, 1)), H.pauli_rotations(0.11), indices)
         for b in range(3):
             psi = U[indices[b, 1]] @ (U[indices[b, 0]] @ psi0)
             assert np.abs(batch[b] - psi).max() <= 1e-12
+
+    def test_table_only_below_cutoff(self):
+        # the product table pays off while d <= 2 * group; else Pauli gates only
+        assert channel._auto_group(4, 4, 100) > 1
+        assert channel._auto_group(8, 8, 100) > 1
+        assert channel._auto_group(17, 8, 100) == 1
+        assert channel._auto_group(4, 16, 100) == 1
+        assert channel._auto_group(17, 32, 4207) == 1
+
+    def test_group_codes_fit_smallest_type(self):
+        indices = np.array([[3, 1, 2, 0, 1, 3, 2]], dtype=np.uint8)
+        codes = channel._group_codes(indices, 4, 3, 2)
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [[3 + 4 * 1 + 16 * 2, 0 + 4 * 1 + 16 * 3]]
+        assert channel._group_codes(indices, 16, 3, 2).dtype == np.uint16
+
+    def test_shot_chunk_bounds_index_bytes(self):
+        assert channel.shot_chunk(4, 17905) == channel.SHOT_CHUNK
+        assert channel.shot_chunk(4, 10**6) == channel.CHUNK_INDEX_BYTES // 10**6
+        assert channel.shot_chunk(300, 10**6) == channel.CHUNK_INDEX_BYTES // (8 * 10**6)
+        assert channel.shot_chunk(4, 10**10) == 1
+
+    def test_rejects_out_of_range_indices(self, one_qubit):
+        H, _, psi0 = one_qubit
+        with pytest.raises(ValueError):
+            evolve_indexed_batch(psi0[None, :], H.pauli_rotations(0.1), np.array([[0, 2]]))
+
+
+@st.composite
+def indexed_evolutions(draw):
+    """A random Pauli-sum Hamiltonian on 1-6 qubits (negative coefficients
+    included), a step angle and a batch of index sequences whose length
+    reaches both sides of the table cutoff and tails shorter than a group."""
+    n = draw(st.integers(1, 6))
+    L = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(L):
+        coeff = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1]))
+        letters = "".join(draw(st.sampled_from("IXYZ")) for _ in range(n))
+        lines.append(f"{coeff!r} {letters}")
+    H = parse_hamiltonian("\n".join(lines))
+    angle = draw(st.floats(-3.2, 3.2))
+    B = draw(st.integers(1, 4))
+    N = draw(st.integers(0, 31))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return H, angle, B, N, seed
+
+
+@given(case=indexed_evolutions())
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_sequential_dense_product(case):
+    H, angle, B, N, seed = case
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, len(H), size=(B, N)).astype(np.uint8)
+    psis = rng.normal(size=(B, H.dim)) + 1j * rng.normal(size=(B, H.dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    # oracle: exp(-i angle sign_j P_j) from the eigendecomposition of each term
+    U = [unitary_exp(term.dense(), angle) for term in H.terms]
+    batch = evolve_indexed_batch(psis, H.pauli_rotations(angle), indices)
+    for b in range(B):
+        psi = psis[b]
+        for j in indices[b]:
+            psi = U[j] @ psi
+        assert np.abs(batch[b] - psi).max() <= 1e-12
+
+
+class TestBoundedCaches:
+    def test_per_angle_caches_stay_bounded(self, two_qubit):
+        H, A, psi0 = two_qubit
+        rho = np.outer(psi0, psi0.conj())
+        H = parse_hamiltonian(H.serialize())   # fresh caches
+        for N in range(1, 60):   # distinct step angles, as scan and orderfit make
+            expectation_exact(H, A, rho, 1.0, N)
+            H.pauli_rotations(H.lam / N)
+        assert len(H._rotation_cache) <= CACHE_CAP
+
+    def test_measurer_cache_stays_bounded(self):
+        for k in range(40):
+            observable_measurer(np.diag([1.0, -1.0 - k]).astype(complex))
+        assert len(channel._measurer_cache) <= CACHE_CAP
+
+    def test_evicted_entry_is_rebuilt_equal(self, one_qubit):
+        H, _, _ = one_qubit
+        H = parse_hamiltonian(H.serialize())
+        first = H.pauli_rotations(0.3)
+        for k in range(CACHE_CAP + 1):
+            H.pauli_rotations(1.0 + k)
+        again = H.pauli_rotations(0.3)
+        assert again is not first
+        assert np.array_equal(again.coef, first.coef)
+        assert np.array_equal(again.perm, first.perm)
 
 
 class TestMeasurement:
@@ -220,6 +317,17 @@ class TestMeasurement:
         assert shot.value in (1.0, -1.0)
 
 
+class TestNegativeCoefficients:
+    def test_channel_converges_to_signed_evolution(self):
+        # a sign flip of -0.3 Z would converge to a different <A> (0.35 vs 0.93)
+        H = parse_hamiltonian("0.5 X\n-0.3 Z\n0.2 Y\n")
+        A = np.array([[0, 0.5 - 1j], [0.5 + 1j, 0]])
+        psi = np.array([0.6, 0.8j])
+        rho = np.outer(psi, psi.conj())
+        exact = exact_expectation(H, A, rho, 1.0)
+        assert abs(expectation_exact(H, A, rho, 1.0, 2000) - exact) <= 2e-3
+
+
 class TestQdriftRun:
     def test_deterministic_per_seed(self, one_qubit):
         H, A, psi0 = one_qubit
@@ -237,6 +345,13 @@ class TestQdriftRun:
         H, A, psi0 = one_qubit
         with pytest.raises(ValueError):
             qdrift_run(H, psi0, A, T=1.0, t_step=0.0, seed=1)
+
+    def test_batch_matches_single_runs(self, two_qubit):
+        H, A, psi0 = two_qubit
+        seeds = [3, 17, 29, 41, 58]
+        batch = qdrift_shots(H, psi0, A, 1.0, 0.05, seeds)
+        single = [qdrift_run(H, psi0, A, 1.0, 0.05, seed).value for seed in seeds]
+        assert batch.tolist() == single
 
     def test_mean_approximates_channel_expectation(self, one_qubit):
         H, A, psi0 = one_qubit

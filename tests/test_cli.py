@@ -100,6 +100,24 @@ class TestQdrift:
         assert code == 0
         assert "derived master seed:" in err
 
+    def test_pinned_shot_table(self, tmp_path, capsys):
+        # pinned before shots ran in batches: the per-shot seed layout holds
+        ham = tmp_path / "h3.txt"
+        ham.write_text("0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n")
+        obs = tmp_path / "o3.txt"
+        obs.write_text("1.0 ZIZ\n")
+        code, out, _ = run_cli(
+            [
+                "qdrift", "--hamiltonian", str(ham), "--observable", str(obs),
+                "--state", "plus^3", "--time", "0.8", "--steps", "30",
+                "--shots", "24", "--seed", "5",
+            ],
+            capsys,
+        )
+        assert code == 0
+        values = "-1 -1 -1 -1 1 -1 -1 -1 1 -1 1 -1 1 -1 -1 -1 1 1 -1 1 -1 1 -1 1".split()
+        assert out == "shot,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values))
+
     def test_default_state_is_all_zeros(self, ham_file, obs_file, tmp_path, capsys):
         json_path = tmp_path / "q.json"
         argv = self._argv(ham_file, obs_file) + ["--json", str(json_path)]
@@ -269,6 +287,76 @@ class TestErrorHandling:
         monkeypatch.setenv("QFLO_THREADS", "4")
         code, _, _ = run_cli(["nodes", "--m", "2"], capsys)
         assert code == 0
+
+    def test_zero_order_is_usage_error(self, capsys):
+        code, _, err = run_cli(["nodes", "--m", "0"], capsys)
+        assert code == 2
+        assert "error:" in err
+
+    def test_nonpositive_step_count_is_usage_error(self, ham_file, obs_file, capsys):
+        code, _, err = run_cli(
+            [
+                "scan", "--hamiltonian", ham_file, "--observable", obs_file,
+                "--time", "1.0", "--n-list", "0,2",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in err
+
+    def test_negative_step_size_is_usage_error(self, ham_file, capsys):
+        code, _, err = run_cli(
+            ["generator", "--hamiltonian", ham_file, "--time", "1.0", "--s-list", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in err
+
+    def _qdrift(self, ham_file, obs_file, **kw):
+        args = {"--time": "1.0", "--steps": "5", "--shots": "4", "--seed": "1"}
+        args.update(kw)
+        argv = ["qdrift", "--hamiltonian", ham_file, "--observable", obs_file]
+        for flag, value in args.items():
+            argv += [flag, value]
+        return argv
+
+    def test_nan_time_is_usage_error(self, ham_file, obs_file, capsys):
+        code, out, err = run_cli(self._qdrift(ham_file, obs_file, **{"--time": "nan"}), capsys)
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+
+    def test_bad_plus_power_is_usage_error(self, ham_file, obs_file, capsys):
+        code, _, err = run_cli(
+            self._qdrift(ham_file, obs_file, **{"--state": "plus^x"}), capsys
+        )
+        assert code == 2
+        assert "error:" in err
+
+    def test_zero_shots_is_usage_error(self, ham_file, obs_file, capsys):
+        code, out, err = run_cli(self._qdrift(ham_file, obs_file, **{"--shots": "0"}), capsys)
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+
+    def test_orderfit_bad_inputs_are_usage_errors(self, ham_file, obs_file, capsys):
+        base = ["orderfit", "--hamiltonian", ham_file, "--observable", obs_file,
+                "--m-list", "2", "--scale-list", "1,0.5,0.25,0.125"]
+        for extra in (["--time", "1.0", "--n-base", "0"], ["--time", "nan"]):
+            code, _, err = run_cli(base + extra, capsys)
+            assert code == 2
+            assert "error:" in err
+
+    def test_qubit_cap_is_usage_error(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("1.0 " + "Z" * 11 + "\n")
+        code, _, err = run_cli(
+            ["qdrift", "--hamiltonian", str(big), "--observable", str(big),
+             "--time", "1.0", "--steps", "2", "--shots", "1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "exceeds the cap" in err
 
     def test_missing_subcommand_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

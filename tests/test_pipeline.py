@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qflo import channel
 from qflo.channel import exact_expectation, expectation_exact
+from qflo.hamiltonian import parse_hamiltonian
 from qflo.pipeline import (
     QfloRequest,
     base_step_count,
@@ -266,6 +268,28 @@ class TestRunShotSampled:
         assert res.shots_per_node == 220
         assert [n.step_count for n in res.per_node] == [782, 125]
         assert res.estimate == pytest.approx(0.9346340113463402, abs=1e-12)
+
+    def test_five_qubit_fixture_regression(self):
+        # d = 32 runs Pauli gates only; pinned before the dense products went,
+        # so it holds the per-shot draw layout fixed
+        H = parse_hamiltonian(
+            "0.6 XXIII\n0.4 IYYII\n0.5 IIZZI\n0.3 IIIXY\n0.35 ZIIIZ\n0.25 YIXIZ\n"
+        )
+        A = parse_hamiltonian("1.0 IIZII").dense()
+        psi0 = np.zeros(32, dtype=complex)
+        psi0[0b01010] = 1.0
+        res = run(QfloRequest(H, psi0, A, total_time=0.5, epsilon=0.4, delta=0.3,
+                              master_seed=2024, mode="shot_sampled"))
+        assert res.shots_per_node == 124
+        assert [n.step_count for n in res.per_node] == [6057, 969]
+        assert [n.mean for n in res.per_node] == [108 / 124, 118 / 124]
+        assert res.estimate == pytest.approx(0.8556090231284235, abs=1e-12)
+
+    def test_chunking_does_not_change_estimate(self, one_qubit, monkeypatch):
+        full = run(self._request(one_qubit))
+        monkeypatch.setattr(channel, "SHOT_CHUNK", 7)
+        chunked = run(self._request(one_qubit))
+        assert [n.mean for n in chunked.per_node] == [n.mean for n in full.per_node]
 
     def test_error_within_target(self, one_qubit):
         H, A, psi0 = one_qubit
