@@ -6,18 +6,11 @@ __version__ = "0.1.0"
 from .analysis import fit_loglog_slope
 from .channel import (
     ObservableMeasurer,
-    ShotResult,
-    Trajectory,
     channel_apply_exact,
     channel_iterate_exact,
-    derive_seed,
-    evolve_pure_state,
     exact_expectation,
     expectation_exact,
-    measure_observable,
-    qdrift_run,
-    qdrift_shots,
-    sample_trajectory,
+    sample_shots,
     substream,
 )
 from .generator import (

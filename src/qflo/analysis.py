@@ -14,13 +14,6 @@ class SlopeFit:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    rows: tuple              # (x, y, label) triples
-    fitted_slope: float
-    r_squared: float
-
-
 def fit_loglog_slope(x, y) -> SlopeFit:
     """Ordinary least squares on (ln x, ln y).
 
@@ -42,16 +35,3 @@ def fit_loglog_slope(x, y) -> SlopeFit:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot < 1e-300 else 1.0 - ss_res / ss_tot
     return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
-
-
-def scan_result(xs, ys, labels=None) -> ScanResult:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if labels is None:
-        labels = [""] * xs.size
-    fit = fit_loglog_slope(xs, ys)
-    return ScanResult(
-        rows=tuple(zip(xs.tolist(), ys.tolist(), labels)),
-        fitted_slope=fit.slope,
-        r_squared=fit.r_squared,
-    )

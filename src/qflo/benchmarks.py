@@ -1,5 +1,6 @@
-"""Canonical desk-scale benchmark instances shared by the CLI examples,
-experiment scripts, and the verification suite."""
+"""Canonical desk-scale benchmark instances shared by the verification suite
+and ``perfbench``; the README's experiment commands use the same texts as
+Hamiltonian files."""
 
 from __future__ import annotations
 

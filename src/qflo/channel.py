@@ -1,14 +1,16 @@
 """The randomized-compilation channel: exact Kraus mixtures, iterated powers,
-seeded trajectory sampling of pure states, and projective measurement.
+seeded measurement shots of sampled trajectories, and projective measurement.
 
-Every trajectory path (``qdrift_run``, ``evolve_pure_state``, the CLI's
-``qdrift`` shots and the pipeline's shot-sampled nodes) runs one engine,
-``evolve_indexed_batch``: a batch of states, each under its own sequence of
-term indices, advanced by O(d) Pauli gates (a gather and an axpy per step)
-whatever the number of terms.  Where the term count and dimension are small
-(``_auto_group``), runs of consecutive steps are first folded into a table of
-dense step products.  Measured on a shared 2-core x86-64 host with one BLAS
-thread, batches of 176 and 4096 states and 4-17 terms, in ns/gate:
+A shot is one qDRIFT run followed by one measurement, and ``sample_shots``
+is the only shot sampler: the CLI's ``qdrift`` shots are the pipeline's
+node-0 shots for the same seed and step count.  Its trajectories run on one
+engine, ``evolve_indexed_batch``: a batch of states, each under its own
+sequence of term indices, advanced by O(d) Pauli gates (a gather and an axpy
+per step) whatever the number of terms.  Where the term count and dimension
+are small (``_auto_group``), runs of consecutive steps are first folded into
+a table of dense step products.  Measured on a shared 2-core x86-64 host
+with one BLAS thread, batches of 176 and 4096 states and 4-17 terms, in
+ns/gate:
 
     d          4        8        16        32          64
     table   15-49   37-129   168-493   676-3729   3625-16846
@@ -16,14 +18,11 @@ thread, batches of 176 and 4096 states and 4-17 terms, in ns/gate:
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
-spawn keys, so parallel trajectory generation is reproducible and
-order-independent.
+spawn keys.  Shot k of node j draws from substream(seed, j, k) alone, so a
+shot's outcome does not depend on the order or batching of the others.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,23 +39,6 @@ IMAG_RESIDUE_TOL = 1e-10
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for (seed, path) via SeedSequence spawn keys."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
-
-
-def derive_seed(seed: int, *path: int) -> int:
-    """64-bit child seed for (seed, path); stable across processes."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    seed: int
-    indices: np.ndarray = field(compare=False)
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    value: float
 
 
 def channel_apply_exact(H: HamiltonianDecomposition, rho, t: float) -> np.ndarray:
@@ -102,26 +84,11 @@ def exact_expectation(H: HamiltonianDecomposition, A, rho0, T: float) -> float:
     return val.real
 
 
-def sample_trajectory(H: HamiltonianDecomposition, N: int, seed: int) -> Trajectory:
-    """Sample the N term indices of one trajectory from substream(seed, 0)."""
-    rng = substream(seed, 0)
-    indices = H.sample_terms(rng, N)
-    indices.setflags(write=False)
-    return Trajectory(seed=seed, indices=indices)
-
-
 def unit_state(psi0) -> np.ndarray:
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("initial state is not unit norm")
     return psi
-
-
-def evolve_pure_state(psi0, H: HamiltonianDecomposition, trajectory: Trajectory, t: float) -> np.ndarray:
-    """Apply exp(-i lam t H_j) for each sampled index in order."""
-    psi = unit_state(psi0)
-    gates = H.pauli_rotations(H.lam * t)
-    return evolve_indexed_batch(psi[None, :], gates, trajectory.indices[None, :])[0]
 
 
 _GROUP_TABLE_CAP = 4096
@@ -238,10 +205,6 @@ class ObservableMeasurer:
             float(np.sum(np.abs(block.conj().T @ psi) ** 2)) for block in self._blocks
         ])
 
-    def sample(self, psi, rng) -> float:
-        return float(self.sample_batch(np.asarray(psi, complex).reshape(1, -1),
-                                       np.array([rng.random()]))[0])
-
     def sample_batch(self, psis, uniforms) -> np.ndarray:
         """One outcome per row of psis, driven by one uniform per row."""
         psis = np.asarray(psis, dtype=complex)
@@ -264,13 +227,8 @@ def observable_measurer(A) -> ObservableMeasurer:
     return _measurer_cache.get_or_build((A.shape, A.tobytes()), lambda: ObservableMeasurer(A))
 
 
-def measure_observable(A, psi, rng) -> ShotResult:
-    """One projective shot of A on psi."""
-    return ShotResult(value=observable_measurer(A).sample(psi, rng))
-
-
 def index_dtype(L: int):
-    """Narrowest type the pipeline and CLI store term indices in."""
+    """Narrowest type ``sample_shots`` stores term indices in."""
     return np.uint8 if L < 256 else np.int64
 
 
@@ -281,30 +239,55 @@ def shot_chunk(L: int, N: int) -> int:
     return max(1, min(SHOT_CHUNK, CHUNK_INDEX_BYTES // max(row_bytes, 1)))
 
 
-def qdrift_shots(H: HamiltonianDecomposition, psi0, A, T: float, t_step: float,
-                 seeds) -> np.ndarray:
-    """``qdrift_run(..., seed).value`` for every seed, evolved as one batch.
+def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int,
+                 shots: int, seed: int, node: int = 0) -> np.ndarray:
+    """One measured outcome of A for each of ``shots`` qDRIFT runs of N steps
+    of time T/N from ``initial_state`` (a unit vector or a density matrix).
 
-    Shot ``seed`` draws its N term indices from substream(seed, 0) and its
-    measurement uniform from substream(seed, 1).
+    Shot k draws from substream(seed, node, k) in a fixed order: the
+    measurement uniform, the initial-state uniform (used for mixed states
+    only), then the N term uniforms.  The pipeline's node j is ``node=j``;
+    the CLI's ``qdrift`` is node 0.  Shots are evolved in chunks of
+    ``shot_chunk(L, N)``, which does not change any outcome.
     """
-    if t_step <= 0:
-        raise ValueError(f"t_step must be > 0, got {t_step}")
-    N = math.ceil(T / t_step)
-    psi = unit_state(psi0)
-    indices = np.empty((len(seeds), N), dtype=index_dtype(len(H)))
-    for b, seed in enumerate(seeds):
-        indices[b] = sample_trajectory(H, N, seed).indices
-    uniforms = np.array([substream(seed, 1).random() for seed in seeds])
-    finals = evolve_indexed_batch(np.broadcast_to(psi, (len(seeds), psi.size)),
-                                  H.pauli_rotations(H.lam * (T / N)), indices)
-    return observable_measurer(A).sample_batch(finals, uniforms)
-
-
-def qdrift_run(H: HamiltonianDecomposition, psi0, A, T: float, t_step: float, seed: int) -> ShotResult:
-    """One randomized-compilation run followed by one measurement shot.
-
-    N = ceil(T / t_step) steps, each using angle lam * (T / N); the realized
-    per-step time is T/N, not t_step.
-    """
-    return ShotResult(value=float(qdrift_shots(H, psi0, A, T, t_step, [seed])[0]))
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    gates = H.pauli_rotations(H.lam * (T / N))
+    measurer = observable_measurer(A)
+    mixed = np.ndim(initial_state) == 2
+    if mixed:
+        rho0 = check_density_matrix(initial_state)
+        evals, evecs = np.linalg.eigh((rho0 + rho0.conj().T) / 2.0)
+        keep = evals > 1e-12
+        pops = evals[keep] / evals[keep].sum()
+        pop_cdf = np.cumsum(pops)
+        pop_cdf[-1] = 1.0
+        basis = evecs[:, keep]
+    else:
+        psi0 = unit_state(initial_state)
+    values = np.empty(shots)
+    idx_dtype = index_dtype(len(H))
+    chunk = shot_chunk(len(H), N)
+    for start in range(0, shots, chunk):
+        stop = min(start + chunk, shots)
+        B = stop - start
+        indices = np.empty((B, N), dtype=idx_dtype)
+        u_meas = np.empty(B)
+        u_init = np.empty(B)
+        for b in range(B):
+            rng = substream(seed, node, start + b)
+            u_meas[b] = rng.random()
+            u_init[b] = rng.random()
+            indices[b] = H.sample_terms(rng, N)
+        if mixed:
+            choice = np.minimum(
+                np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1
+            )
+            psis = basis.T[choice]
+        else:
+            psis = np.broadcast_to(psi0, (B, psi0.size))
+        finals = evolve_indexed_batch(psis, gates, indices)
+        values[start:stop] = measurer.sample_batch(finals, u_meas)
+    return values

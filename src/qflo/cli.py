@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import secrets
 import sys
 
@@ -20,13 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_loglog_slope
-from .channel import (
-    derive_seed,
-    exact_expectation,
-    expectation_exact,
-    qdrift_shots,
-    shot_chunk,
-)
+from .channel import exact_expectation, expectation_exact, sample_shots
 from .generator import generator_probe, log_existence_check
 from .hamiltonian import DimensionCapError, HamiltonianFormatError, load_hamiltonian
 from .linalg import LogarithmError, NearDefectiveError, spectral_norm
@@ -54,21 +47,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def thread_cap() -> int:
-    """Parallelism cap from QFLO_THREADS (execution is currently serial,
-    which trivially respects any positive cap)."""
-    raw = os.environ.get("QFLO_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"QFLO_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise UsageError(f"QFLO_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def resolve_seed(seed: int) -> int:
@@ -176,13 +154,7 @@ def cmd_qdrift(args) -> int:
     _require_positive(args.steps, "--steps")
     _require_positive(args.shots, "--shots")
     seed = resolve_seed(args.seed)
-    t_step = args.time / args.steps
-    chunk = shot_chunk(len(H), math.ceil(args.time / t_step))
-    values = np.empty(args.shots)
-    for start in range(0, args.shots, chunk):
-        seeds = [derive_seed(seed, shot)
-                 for shot in range(start, min(start + chunk, args.shots))]
-        values[start:start + len(seeds)] = qdrift_shots(H, psi0, A, args.time, t_step, seeds)
+    values = sample_shots(H, A, psi0, args.time, args.steps, args.shots, seed)
     _write_csv(["shot", "value"], enumerate(values.tolist()), args.out)
     _write_json(
         {
@@ -457,7 +429,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         if hasattr(args, "time"):
             _require_positive(args.time, "--time")
         if getattr(args, "state", "skip") is None:

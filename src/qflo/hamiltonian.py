@@ -14,8 +14,6 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import spectral_norm
-
 QUBIT_CAP = 10
 CACHE_CAP = 8
 
@@ -201,16 +199,10 @@ class HamiltonianDecomposition:
 
         return self._rotation_cache.get_or_build(angle, build)
 
-    def sample_term(self, rng) -> int:
-        """Draw an index j with probability p_j = h_j / lambda.
-
-        Binary search of one uniform draw against the cumulative distribution;
-        deterministic given the rng stream.
-        """
-        u = rng.random()
-        return int(np.searchsorted(self._cdf, u, side="right"))
-
     def sample_terms(self, rng, count: int) -> np.ndarray:
+        """Draw ``count`` indices, index j with probability p_j = h_j / lambda:
+        a binary search of each uniform draw against the cumulative
+        distribution, deterministic given the rng stream."""
         u = rng.random(count)
         return np.searchsorted(self._cdf, u, side="right")
 
@@ -219,10 +211,6 @@ class HamiltonianDecomposition:
             f"{t.sign * t.weight:.17g} {t.pauli.letters}" for t in self.terms
         ]
         return "\n".join(lines) + "\n"
-
-    def spectral_norm_bound_defect(self) -> float:
-        """spectral_norm(dense(H)) - lambda; should never exceed ~1e-9."""
-        return spectral_norm(self.dense()) - self.lam
 
 
 def parse_hamiltonian(text: str) -> HamiltonianDecomposition:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_RTOL = 1e-12
 PSD_TOL = 1e-10
@@ -156,11 +155,6 @@ def matrix_log_principal(S, eig_tol: float = LOG_EIG_TOL, cond_cap: float = LOG_
             f"near-defective superoperator: eigenvector condition number {cond:.3e} > {cond_cap:.1e}"
         )
     return (V * np.log(w)) @ np.linalg.inv(V)
-
-
-def matrix_exp(M) -> np.ndarray:
-    """Scaling-and-squaring matrix exponential (round-trip partner of the log)."""
-    return scipy.linalg.expm(_as_square(M))
 
 
 def choi_matrix(S) -> np.ndarray:

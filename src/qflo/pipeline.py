@@ -9,15 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    evolve_indexed_batch,
-    expectation_exact,
-    index_dtype,
-    observable_measurer,
-    shot_chunk,
-    substream,
-    unit_state,
-)
+from .channel import expectation_exact, sample_shots
 from .hamiltonian import HamiltonianDecomposition
 from .linalg import check_density_matrix, require_hermitian, spectral_norm
 from .richardson import (
@@ -204,70 +196,13 @@ def richardson_error_bound(lam: float, T: float, s_m: float, m: int,
     return norm_A * one_norm * inner * total, True
 
 
-def _is_density_matrix(state) -> bool:
-    state = np.asarray(state)
-    return state.ndim == 2
-
-
 def _noiseless_node_values(H, A, initial_state, T, schedule: StepSchedule) -> list:
-    if _is_density_matrix(initial_state):
+    if np.ndim(initial_state) == 2:
         rho0 = check_density_matrix(initial_state)
     else:
         psi = np.asarray(initial_state, dtype=complex).reshape(-1)
         rho0 = np.outer(psi, psi.conj())
     return [expectation_exact(H, A, rho0, T, int(N)) for N in schedule.step_counts]
-
-
-def _shot_node_mean(H, A, initial_state, T, N: int, shots: int,
-                    master_seed: int, node_index: int):
-    """Mean and standard error over ``shots`` independent trajectories.
-
-    Each shot uses the substream (master_seed, node_index, shot_index); the
-    fixed draw order per shot is: measurement uniform, initial-state uniform
-    (mixed states only), then the N trajectory uniforms.
-    """
-    gates = H.pauli_rotations(H.lam * (T / N))
-    measurer = observable_measurer(A)
-    mixed = _is_density_matrix(initial_state)
-    if mixed:
-        rho0 = check_density_matrix(initial_state)
-        evals, evecs = np.linalg.eigh((rho0 + rho0.conj().T) / 2.0)
-        keep = evals > 1e-12
-        pops = evals[keep] / evals[keep].sum()
-        pop_cdf = np.cumsum(pops)
-        pop_cdf[-1] = 1.0
-        basis = evecs[:, keep]
-    else:
-        psi0 = unit_state(initial_state)
-    values = np.empty(shots)
-    idx_dtype = index_dtype(len(H))
-    chunk = shot_chunk(len(H), N)
-    for start in range(0, shots, chunk):
-        stop = min(start + chunk, shots)
-        B = stop - start
-        indices = np.empty((B, N), dtype=idx_dtype)
-        u_meas = np.empty(B)
-        u_init = np.empty(B)
-        for b in range(B):
-            rng = substream(master_seed, node_index, start + b)
-            u_meas[b] = rng.random()
-            u_init[b] = rng.random()
-            indices[b] = H.sample_terms(rng, N)
-        if mixed:
-            choice = np.minimum(
-                np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1
-            )
-            psis = basis.T[choice]
-        else:
-            psis = np.broadcast_to(psi0, (B, psi0.size))
-        finals = evolve_indexed_batch(psis, gates, indices)
-        values[start:stop] = measurer.sample_batch(finals, u_meas)
-    mean = float(np.mean(values))
-    if shots > 1:
-        se = float(np.std(values, ddof=1) / math.sqrt(shots))
-    else:
-        se = 0.0
-    return mean, se
 
 
 def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int,
@@ -313,12 +248,11 @@ def run(request: QfloRequest) -> QfloResult:
         shots = shots_per_node(norm_A, budget.data, request.delta, m)
         stats = []
         for node_index, N in enumerate(sched.step_counts):
-            mean, se = _shot_node_mean(
-                H, A, request.initial_state, T, int(N), shots,
-                request.master_seed, node_index,
-            )
+            outcomes = sample_shots(H, A, request.initial_state, T, int(N), shots,
+                                    request.master_seed, node_index)
+            se = float(np.std(outcomes, ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
             stats.append(NodeStats(step_count=int(N), shots=shots,
-                                   mean=mean, standard_error=se))
+                                   mean=float(np.mean(outcomes)), standard_error=se))
         per_node = tuple(stats)
         values = [n.mean for n in per_node]
 

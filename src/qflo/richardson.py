@@ -118,20 +118,13 @@ def vandermonde_residuals(weights: Weights, step_sizes, max_power: int) -> np.nd
 
 
 def extrapolate(values, weights: Weights) -> float:
-    """sum_j b_j f_j in fixed descending-|b| order with compensated summation."""
+    """sum_j b_j f_j, the sum of the rounded products correctly rounded
+    (``math.fsum``), so independent of the order of the nodes."""
     f = np.asarray(values, dtype=float)
     b = weights.b
     if f.size != b.size:
         raise ValueError(f"got {f.size} values for {b.size} weights")
-    order = np.argsort(-np.abs(b), kind="stable")
-    total = 0.0
-    comp = 0.0
-    for i in order:
-        term = b[i] * f[i] - comp
-        new_total = total + term
-        comp = (new_total - total) - term
-        total = new_total
-    return total
+    return math.fsum(b * f)
 
 
 def conditioning_report(weights: Weights) -> dict:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflo.analysis import fit_loglog_slope, scan_result
+from qflo.analysis import fit_loglog_slope
 
 
 class TestFitLoglogSlope:
@@ -46,15 +46,3 @@ class TestFitLoglogSlope:
         fit = fit_loglog_slope(x, amp * x**slope)
         assert fit.slope == pytest.approx(slope, abs=1e-8)
 
-
-class TestScanResult:
-    def test_rows_and_slope(self):
-        x = [1.0, 2.0, 4.0, 8.0]
-        y = [1.0, 4.0, 16.0, 64.0]
-        res = scan_result(x, y, labels=["a", "b", "c", "d"])
-        assert res.fitted_slope == pytest.approx(2.0, abs=1e-12)
-        assert res.rows[1] == (2.0, 4.0, "b")
-
-    def test_default_labels(self):
-        res = scan_result([1, 2, 4, 8], [1, 2, 4, 8])
-        assert all(row[2] == "" for row in res.rows)

@@ -8,16 +8,11 @@ from qflo.channel import (
     ObservableMeasurer,
     channel_apply_exact,
     channel_iterate_exact,
-    derive_seed,
     evolve_indexed_batch,
-    evolve_pure_state,
     exact_expectation,
     expectation_exact,
-    measure_observable,
     observable_measurer,
-    qdrift_run,
-    qdrift_shots,
-    sample_trajectory,
+    sample_shots,
     substream,
 )
 from qflo.hamiltonian import CACHE_CAP, parse_hamiltonian
@@ -39,10 +34,6 @@ class TestSubstreams:
         a = substream(7, 0).random(5)
         b = substream(7, 1).random(5)
         assert not np.array_equal(a, b)
-
-    def test_derive_seed_stable(self):
-        assert derive_seed(11, 2, 5) == derive_seed(11, 2, 5)
-        assert derive_seed(11, 2, 5) != derive_seed(11, 2, 6)
 
 
 class TestExactChannel:
@@ -124,48 +115,74 @@ class TestExpectations:
         assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
 
 
+def sampled_indices(H, N, seed):
+    """The N term indices of one trajectory, from substream(seed, 0)."""
+    return H.sample_terms(substream(seed, 0), N)
+
+
+def evolve(psi0, H, indices, t):
+    """One trajectory of step time t through the batched engine."""
+    return evolve_indexed_batch(psi0[None, :], H.pauli_rotations(H.lam * t),
+                                np.asarray(indices)[None, :])[0]
+
+
 class TestTrajectories:
     def test_deterministic_for_seed(self, one_qubit):
-        H, _, _ = one_qubit
-        a = sample_trajectory(H, 50, seed=123)
-        b = sample_trajectory(H, 50, seed=123)
-        assert np.array_equal(a.indices, b.indices)
-        assert a.indices.shape == (50,)
-        assert set(np.unique(a.indices)) <= {0, 1}
+        H, A, psi0 = one_qubit
+        a = sample_shots(H, A, psi0, 1.0, 50, 16, seed=123)
+        b = sample_shots(H, A, psi0, 1.0, 50, 16, seed=123)
+        assert np.array_equal(a, b)
+        assert a.shape == (16,)
+        assert set(np.unique(a)) <= {1.0, -1.0}
+        indices = sampled_indices(H, 50, seed=123)
+        assert np.array_equal(indices, sampled_indices(H, 50, seed=123))
+        assert indices.shape == (50,)
+        assert set(np.unique(indices)) <= {0, 1}
 
     def test_evolve_single_term_closed_form(self):
         H = parse_hamiltonian("1.0 Z")
-        traj = sample_trajectory(H, 4, seed=9)
         t = 0.2
-        psi = evolve_pure_state(KET0, H, traj, t)
+        psi = evolve(KET0, H, sampled_indices(H, 4, seed=9), t)
         oracle = np.linalg.matrix_power(unitary_exp(Z, t), 4) @ KET0
         assert np.abs(psi - oracle).max() <= 1e-12
 
     def test_evolution_preserves_norm(self, two_qubit):
         H, _, psi0 = two_qubit
-        traj = sample_trajectory(H, 40, seed=77)
-        psi = evolve_pure_state(psi0, H, traj, 0.05)
+        psi = evolve(psi0, H, sampled_indices(H, 40, seed=77), 0.05)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_unnormalized_state(self, one_qubit):
-        H, _, _ = one_qubit
-        traj = sample_trajectory(H, 3, seed=1)
+        H, A, _ = one_qubit
         with pytest.raises(ValueError):
-            evolve_pure_state(2 * KET0, H, traj, 0.1)
+            sample_shots(H, A, 2 * KET0, 0.3, 3, 1, seed=1)
 
     def test_trajectory_average_approximates_channel(self, one_qubit, rng):
         # empirical mixture over sampled trajectories vs the exact channel
         H, _, psi0 = one_qubit
         T, N, runs = 0.6, 5, 4000
         t = T / N
-        acc = np.zeros((2, 2), dtype=complex)
-        for s in range(runs):
-            psi = evolve_pure_state(psi0, H, sample_trajectory(H, N, seed=s), t)
-            acc += np.outer(psi, psi.conj())
-        acc /= runs
+        indices = np.array([sampled_indices(H, N, seed=s) for s in range(runs)])
+        psis = evolve_indexed_batch(np.tile(psi0, (runs, 1)),
+                                    H.pauli_rotations(H.lam * t), indices)
+        acc = np.einsum("bi,bj->ij", psis, psis.conj()) / runs
         exact = channel_iterate_exact(H, np.outer(psi0, psi0.conj()), T, N)
         # Monte Carlo error ~ 1/sqrt(runs)
         assert np.abs(acc - exact).max() <= 5.0 / np.sqrt(runs)
+
+    def test_shot_draw_layout(self, two_qubit):
+        # shot k of node j: measurement uniform, initial-state uniform, then
+        # the N term uniforms, all from substream(seed, j, k)
+        H, A, psi0 = two_qubit
+        T, N, seed, node = 0.7, 9, 31, 2
+        measurer = observable_measurer(A)
+        expected = []
+        for k in range(12):
+            rng = substream(seed, node, k)
+            u_meas = rng.random()
+            rng.random()
+            psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
+            expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
+        assert sample_shots(H, A, psi0, T, N, 12, seed, node).tolist() == expected
 
 
 class TestBatchEvolution:
@@ -287,9 +304,9 @@ class TestBoundedCaches:
 class TestMeasurement:
     def test_eigenstate_is_deterministic(self, rng):
         m = ObservableMeasurer(Z)
-        for _ in range(10):
-            assert m.sample(KET0, rng) == 1.0
-            assert m.sample(np.array([0, 1], dtype=complex), rng) == -1.0
+        u = rng.random(10)
+        assert np.all(m.sample_batch(np.tile(KET0, (10, 1)), u) == 1.0)
+        assert np.all(m.sample_batch(np.tile(np.array([0, 1], dtype=complex), (10, 1)), u) == -1.0)
 
     def test_outcome_probabilities_plus_state(self):
         m = ObservableMeasurer(Z)
@@ -311,11 +328,6 @@ class TestMeasurement:
         se = np.std(vals, ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - mean_true) <= 4 * se
 
-    def test_measure_observable_value_in_spectrum(self, rng):
-        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        shot = measure_observable(Z, plus, rng)
-        assert shot.value in (1.0, -1.0)
-
 
 class TestNegativeCoefficients:
     def test_channel_converges_to_signed_evolution(self):
@@ -331,35 +343,29 @@ class TestNegativeCoefficients:
 class TestQdriftRun:
     def test_deterministic_per_seed(self, one_qubit):
         H, A, psi0 = one_qubit
-        a = qdrift_run(H, psi0, A, T=1.0, t_step=0.1, seed=42)
-        b = qdrift_run(H, psi0, A, T=1.0, t_step=0.1, seed=42)
-        assert a.value == b.value
-
-    def test_step_count_ceiling(self, one_qubit):
-        # t_step > T still performs one full step
-        H, A, psi0 = one_qubit
-        shot = qdrift_run(H, psi0, A, T=0.5, t_step=2.0, seed=3)
-        assert shot.value in (1.0, -1.0)
+        a = sample_shots(H, A, psi0, 1.0, 10, 8, seed=42)
+        b = sample_shots(H, A, psi0, 1.0, 10, 8, seed=42)
+        assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_step(self, one_qubit):
         H, A, psi0 = one_qubit
         with pytest.raises(ValueError):
-            qdrift_run(H, psi0, A, T=1.0, t_step=0.0, seed=1)
+            sample_shots(H, A, psi0, 1.0, 0, 8, seed=1)
+        with pytest.raises(ValueError):
+            sample_shots(H, A, psi0, 1.0, 10, 0, seed=1)
 
-    def test_batch_matches_single_runs(self, two_qubit):
+    def test_batch_matches_single_runs(self, two_qubit, monkeypatch):
         H, A, psi0 = two_qubit
-        seeds = [3, 17, 29, 41, 58]
-        batch = qdrift_shots(H, psi0, A, 1.0, 0.05, seeds)
-        single = [qdrift_run(H, psi0, A, 1.0, 0.05, seed).value for seed in seeds]
-        assert batch.tolist() == single
+        batch = sample_shots(H, A, psi0, 1.0, 20, 5, seed=3)
+        monkeypatch.setattr(channel, "SHOT_CHUNK", 1)
+        single = sample_shots(H, A, psi0, 1.0, 20, 5, seed=3)
+        assert batch.tolist() == single.tolist()
 
     def test_mean_approximates_channel_expectation(self, one_qubit):
         H, A, psi0 = one_qubit
         T, N, runs = 1.0, 10, 3000
         rho = np.outer(psi0, psi0.conj())
         target = expectation_exact(H, A, rho, T, N)
-        vals = np.array([
-            qdrift_run(H, psi0, A, T, T / N, seed=s).value for s in range(runs)
-        ])
+        vals = sample_shots(H, A, psi0, T, N, runs, seed=0)
         se = np.std(vals, ddof=1) / np.sqrt(runs)
         assert abs(vals.mean() - target) <= 4 * se

@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from qflo import channel
+from qflo.channel import sample_shots
 from qflo.cli import main
+from qflo.hamiltonian import parse_hamiltonian
 
 ONE_QUBIT = "0.5 X\n0.5 Z\n"
 OBS_Z = "1.0 Z\n"
 DEPOLARIZING = "0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n"
+THREE_QUBIT = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n"
+OBS_ZIZ = "1.0 ZIZ\n"
 
 
 @pytest.fixture
@@ -100,23 +105,46 @@ class TestQdrift:
         assert code == 0
         assert "derived master seed:" in err
 
-    def test_pinned_shot_table(self, tmp_path, capsys):
-        # pinned before shots ran in batches: the per-shot seed layout holds
+    def _three_qubit_argv(self, tmp_path, time, steps, shots):
         ham = tmp_path / "h3.txt"
-        ham.write_text("0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n")
+        ham.write_text(THREE_QUBIT)
         obs = tmp_path / "o3.txt"
-        obs.write_text("1.0 ZIZ\n")
-        code, out, _ = run_cli(
-            [
-                "qdrift", "--hamiltonian", str(ham), "--observable", str(obs),
-                "--state", "plus^3", "--time", "0.8", "--steps", "30",
-                "--shots", "24", "--seed", "5",
-            ],
-            capsys,
-        )
+        obs.write_text(OBS_ZIZ)
+        return [
+            "qdrift", "--hamiltonian", str(ham), "--observable", str(obs),
+            "--state", "plus^3", "--time", time, "--steps", str(steps),
+            "--shots", str(shots), "--seed", "5",
+        ]
+
+    def test_pinned_shot_table(self, tmp_path, capsys):
+        # pinned under the shot layout the pipeline's nodes use
+        code, out, _ = run_cli(self._three_qubit_argv(tmp_path, "0.8", 30, 24), capsys)
         assert code == 0
-        values = "-1 -1 -1 -1 1 -1 -1 -1 1 -1 1 -1 1 -1 -1 -1 1 1 -1 1 -1 1 -1 1".split()
+        values = "-1 1 1 1 1 -1 1 -1 -1 -1 1 -1 -1 1 1 1 1 -1 -1 -1 -1 -1 -1 1".split()
         assert out == "shot,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values))
+
+    @pytest.mark.parametrize("time,steps", [("0.8", 30), ("1.0", 49), ("0.1", 95)])
+    def test_shots_are_pipeline_node_zero(self, tmp_path, capsys, monkeypatch,
+                                          time, steps):
+        # --steps is the step count N (time / steps once ran 50 steps for
+        # 1.0 / 49 and 96 for 0.1 / 95), and the shots are sample_shots' node 0
+        evolved = []
+        engine = channel.evolve_indexed_batch
+
+        def spy(psis, gates, indices):
+            evolved.append(indices.shape[1])
+            return engine(psis, gates, indices)
+
+        monkeypatch.setattr(channel, "evolve_indexed_batch", spy)
+        code, out, _ = run_cli(self._three_qubit_argv(tmp_path, time, steps, 24), capsys)
+        assert code == 0
+        assert set(evolved) == {steps}
+        values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        psi0 = np.full(8, 1 / math.sqrt(8), dtype=complex)
+        expected = sample_shots(parse_hamiltonian(THREE_QUBIT),
+                                parse_hamiltonian(OBS_ZIZ).dense(),
+                                psi0, float(time), steps, 24, seed=5, node=0)
+        assert values == expected.tolist()
 
     def test_default_state_is_all_zeros(self, ham_file, obs_file, tmp_path, capsys):
         json_path = tmp_path / "q.json"
@@ -276,17 +304,6 @@ class TestErrorHandling:
         )
         assert code == 2
         assert "--state" in err
-
-    def test_invalid_thread_cap(self, ham_file, capsys, monkeypatch):
-        monkeypatch.setenv("QFLO_THREADS", "zero")
-        code, _, err = run_cli(["nodes", "--m", "2"], capsys)
-        assert code == 2
-        assert "QFLO_THREADS" in err
-
-    def test_valid_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("QFLO_THREADS", "4")
-        code, _, _ = run_cli(["nodes", "--m", "2"], capsys)
-        assert code == 0
 
     def test_zero_order_is_usage_error(self, capsys):
         code, _, err = run_cli(["nodes", "--m", "0"], capsys)

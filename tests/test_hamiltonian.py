@@ -85,22 +85,21 @@ class TestDense:
 
 class _FixedUniform:
     def __init__(self, values):
-        self._values = iter(values)
+        self._values = np.asarray(values, dtype=float)
 
-    def random(self):
-        return next(self._values)
+    def random(self, count):
+        assert count == self._values.size
+        return self._values
 
 
 class TestSampleTerm:
     def test_single_term(self, rng):
         H = parse_hamiltonian("2.5 Z")
-        assert all(H.sample_term(rng) == 0 for _ in range(20))
+        assert np.all(H.sample_terms(rng, 20) == 0)
 
     def test_cdf_boundaries(self):
         H = parse_hamiltonian("0.3 X\n0.7 Z")
-        fixed = _FixedUniform([0.29, 0.31])
-        assert H.sample_term(fixed) == 0
-        assert H.sample_term(fixed) == 1
+        assert H.sample_terms(_FixedUniform([0.29, 0.31]), 2).tolist() == [0, 1]
 
     def test_empirical_frequencies(self, rng):
         H = parse_hamiltonian("0.3 X\n0.7 Z")
