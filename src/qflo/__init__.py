@@ -43,7 +43,6 @@ from .linalg import (
     hermitian_eig,
     matrix_log_principal,
     spectral_norm,
-    trace_norm,
     unitary_exp,
     vectorize,
 )
@@ -66,7 +65,6 @@ from .richardson import (
     Weights,
     build_nodes,
     chebyshev_x,
-    conditioning_report,
     extrapolate,
     vandermonde_residuals,
     weights_from_steps,

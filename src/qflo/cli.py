@@ -97,9 +97,12 @@ def _require_positive(value, flag):
         raise UsageError(f"{flag} must be positive and finite, got {value!r}")
 
 
-def parse_state(spec: str, n_qubits: int) -> np.ndarray:
-    """Computational basis labels ('0...0', '01', ...) or 'plus' / 'plus^n'."""
+def parse_state(spec, n_qubits: int) -> np.ndarray:
+    """Computational basis labels ('0...0', '01', ...) or 'plus' / 'plus^n';
+    None is the all-zeros basis state."""
     dim = 2 ** n_qubits
+    if spec is None:
+        spec = "0" * n_qubits
     if set(spec) <= {"0", "1"} and spec:
         if len(spec) != n_qubits:
             raise UsageError(
@@ -162,7 +165,7 @@ def cmd_qdrift(args) -> int:
             "inputs": {
                 "hamiltonian": args.hamiltonian,
                 "observable": args.observable,
-                "state": args.state,
+                "state": args.state or "0" * H.n_qubits,
                 "time": args.time,
                 "steps": args.steps,
                 "shots": args.shots,
@@ -201,7 +204,7 @@ def cmd_scan(args) -> int:
             "inputs": {
                 "hamiltonian": args.hamiltonian,
                 "observable": args.observable,
-                "state": args.state,
+                "state": args.state or "0" * H.n_qubits,
                 "time": args.time,
                 "n_list": n_list,
             },
@@ -283,7 +286,7 @@ def cmd_qflo(args) -> int:
             "inputs": {
                 "hamiltonian": args.hamiltonian,
                 "observable": args.observable,
-                "state": args.state,
+                "state": args.state or "0" * H.n_qubits,
                 "time": args.time,
                 "epsilon": args.epsilon,
                 "delta": args.delta,
@@ -337,7 +340,7 @@ def cmd_orderfit(args) -> int:
             "inputs": {
                 "hamiltonian": args.hamiltonian,
                 "observable": args.observable,
-                "state": args.state,
+                "state": args.state or "0" * H.n_qubits,
                 "time": args.time,
                 "m_list": m_list,
                 "scale_list": scale_list,
@@ -431,8 +434,6 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "time"):
             _require_positive(args.time, "--time")
-        if getattr(args, "state", "skip") is None:
-            args.state = "0" * _load(args.hamiltonian, "Hamiltonian").n_qubits
         return args.func(args)
     except (UsageError, DimensionCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

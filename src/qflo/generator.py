@@ -41,12 +41,11 @@ class SeriesProbeResult:
     condition_number: float
 
 
-def channel_superoperator(H: HamiltonianDecomposition, t: float,
-                          qubit_cap: int = SUPEROP_QUBIT_CAP) -> np.ndarray:
+def channel_superoperator(H: HamiltonianDecomposition, t: float) -> np.ndarray:
     """sum_j p_j conj(U_j) (x) U_j with U_j = exp(-i lam t H_j)."""
-    if H.n_qubits > qubit_cap:
+    if H.n_qubits > SUPEROP_QUBIT_CAP:
         raise DimensionCapError(
-            f"superoperator construction capped at {qubit_cap} qubits, got {H.n_qubits}"
+            f"superoperator construction capped at {SUPEROP_QUBIT_CAP} qubits, got {H.n_qubits}"
         )
     U = H.term_unitaries(H.lam * t)
     d2 = H.dim ** 2
@@ -69,13 +68,12 @@ def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
     return {"min_eig_modulus": min_mod, "exists": min_mod > LOG_EIG_TOL}
 
 
-def generator_probe(H: HamiltonianDecomposition, s: float, T: float,
-                    qubit_cap: int = SUPEROP_QUBIT_CAP) -> GeneratorProbe:
+def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> GeneratorProbe:
     """G(s) = log(E_s) / (-i s T) and its spectral-norm distance to ad_H."""
     if s <= 0:
         raise ValueError(f"inverse step count s must be > 0, got {s}")
     t = s * T
-    S = channel_superoperator(H, t, qubit_cap=qubit_cap)
+    S = channel_superoperator(H, t)
     G = matrix_log_principal(S) / (-1j * s * T)
     ad_H = adjoint_superoperator(H.dense())
     deviation = spectral_norm(G - ad_H)

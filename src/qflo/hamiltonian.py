@@ -8,14 +8,12 @@ term has spectral norm exactly 1.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 QUBIT_CAP = 10
-CACHE_CAP = 8
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -30,26 +28,7 @@ class HamiltonianFormatError(ValueError):
 
 
 class DimensionCapError(ValueError):
-    """Dense materialization above the configured qubit cap."""
-
-
-class BoundedCache(OrderedDict):
-    """Mapping that keeps at most ``cap`` entries, evicting the least
-    recently used, so sweeps over many step sizes use bounded memory."""
-
-    def __init__(self, cap: int = CACHE_CAP):
-        super().__init__()
-        self.cap = cap
-
-    def get_or_build(self, key, build):
-        if key in self:
-            self.move_to_end(key)
-            return self[key]
-        value = build()
-        self[key] = value
-        if len(self) > self.cap:
-            self.popitem(last=False)
-        return value
+    """Dense materialization above QUBIT_CAP qubits."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +92,6 @@ class PauliRotations:
     cos: float
     perm: np.ndarray   # (L, d) source index of each amplitude
     coef: np.ndarray   # (L, d) complex phase times -i sin(angle) sign_j
-    tables: dict = field(default_factory=dict, compare=False, repr=False)  # group -> step products
 
     def dense(self) -> np.ndarray:
         """The same gates as stacked (L, d, d) unitaries."""
@@ -142,12 +120,10 @@ class HamiltonianDecomposition:
         self.n_qubits = n
         weights = np.array([t.weight for t in terms], dtype=float)
         self.lam = float(weights.sum())
-        self.lam_max = float(weights.max())
         self.probabilities = weights / self.lam
         self._cdf = np.cumsum(self.probabilities)
         self._cdf[-1] = 1.0
         self._dense_terms = None
-        self._rotation_cache = BoundedCache()
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -156,48 +132,45 @@ class HamiltonianDecomposition:
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
-    def _require_cap(self, qubit_cap: int):
-        if self.n_qubits > qubit_cap:
+    def _require_cap(self):
+        if self.n_qubits > QUBIT_CAP:
             raise DimensionCapError(
-                f"{self.n_qubits} qubits exceeds the cap of {qubit_cap}"
+                f"{self.n_qubits} qubits exceeds the cap of {QUBIT_CAP}"
             )
 
-    def dense_terms(self, qubit_cap: int = QUBIT_CAP) -> np.ndarray:
-        self._require_cap(qubit_cap)
+    def dense_terms(self) -> np.ndarray:
+        self._require_cap()
         if self._dense_terms is None:
             self._dense_terms = np.stack([t.dense() for t in self.terms])
         return self._dense_terms
 
-    def dense(self, qubit_cap: int = QUBIT_CAP) -> np.ndarray:
-        terms = self.dense_terms(qubit_cap)
+    def dense(self) -> np.ndarray:
+        terms = self.dense_terms()
         weights = np.array([t.weight for t in self.terms])
         return np.tensordot(weights, terms, axes=1)
 
-    def term_unitaries(self, angle: float, qubit_cap: int = QUBIT_CAP) -> np.ndarray:
+    def term_unitaries(self, angle: float) -> np.ndarray:
         """exp(-i angle H_j) for every term, stacked (L, d, d): the dense form
         of ``pauli_rotations(angle)``.
 
         Pauli strings square to the identity, so the exponential is
         cos(angle) I - i sin(angle) sign P exactly.
         """
-        self._require_cap(qubit_cap)
+        self._require_cap()
         return self.pauli_rotations(angle).dense()
 
     def pauli_rotations(self, angle: float) -> PauliRotations:
-        """exp(-i angle H_j) for every term as O(d) Pauli gates.  Cached per angle."""
-        def build():
-            x, z, n_y = (np.array(col)[:, None]
-                         for col in zip(*(t.pauli.masks() for t in self.terms)))
-            perm = np.arange(self.dim)[None, :] ^ x
-            parity = np.zeros_like(perm)
-            for bit in range(self.n_qubits):
-                parity ^= ((perm & z) >> bit) & 1
-            signs = np.array([t.sign for t in self.terms])[:, None]
-            phase = np.array([1, 1j, -1, -1j])[n_y % 4] * signs * (1 - 2 * parity)
-            return PauliRotations(cos=float(np.cos(angle)), perm=perm,
-                                  coef=(-1j * np.sin(angle)) * phase)
-
-        return self._rotation_cache.get_or_build(angle, build)
+        """exp(-i angle H_j) for every term as O(d) Pauli gates."""
+        x, z, n_y = (np.array(col)[:, None]
+                     for col in zip(*(t.pauli.masks() for t in self.terms)))
+        perm = np.arange(self.dim)[None, :] ^ x
+        parity = np.zeros_like(perm)
+        for bit in range(self.n_qubits):
+            parity ^= ((perm & z) >> bit) & 1
+        signs = np.array([t.sign for t in self.terms])[:, None]
+        phase = np.array([1, 1j, -1, -1j])[n_y % 4] * signs * (1 - 2 * parity)
+        return PauliRotations(cos=float(np.cos(angle)), perm=perm,
+                              coef=(-1j * np.sin(angle)) * phase)
 
     def sample_terms(self, rng, count: int) -> np.ndarray:
         """Draw ``count`` indices, index j with probability p_j = h_j / lambda:

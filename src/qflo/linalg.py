@@ -50,12 +50,12 @@ def hermiticity_defect(M) -> float:
     return float(np.abs(M - M.conj().T).max() / scale)
 
 
-def require_hermitian(M, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(M) -> np.ndarray:
     M = _as_square(M)
     defect = hermiticity_defect(M)
-    if defect > rtol:
+    if defect > HERMITICITY_RTOL:
         raise NonHermitianError(
-            f"matrix is not Hermitian: relative defect {defect:.3e} > {rtol:.1e}"
+            f"matrix is not Hermitian: relative defect {defect:.3e} > {HERMITICITY_RTOL:.1e}"
         )
     return M
 
@@ -134,25 +134,25 @@ def apply_superoperator(S, B) -> np.ndarray:
     return devectorize(S @ vectorize(B))
 
 
-def matrix_log_principal(S, eig_tol: float = LOG_EIG_TOL, cond_cap: float = LOG_COND_CAP) -> np.ndarray:
+def matrix_log_principal(S) -> np.ndarray:
     """Principal matrix logarithm of a diagonalizable superoperator.
 
     Diagonalizes S and takes the principal log of each eigenvalue
     (arguments in (-pi, pi]).  Raises LogarithmError when an eigenvalue
-    modulus falls at or below ``eig_tol`` and NearDefectiveError when the
-    eigenvector matrix condition number exceeds ``cond_cap``.
+    modulus falls at or below LOG_EIG_TOL and NearDefectiveError when the
+    eigenvector matrix condition number exceeds LOG_COND_CAP.
     """
     S = _as_square(S)
     w, V = np.linalg.eig(S)
     min_mod = float(np.abs(w).min())
-    if min_mod <= eig_tol:
+    if min_mod <= LOG_EIG_TOL:
         raise LogarithmError(
-            f"logarithm does not exist: minimum eigenvalue modulus {min_mod:.3e} <= {eig_tol:.1e}"
+            f"logarithm does not exist: minimum eigenvalue modulus {min_mod:.3e} <= {LOG_EIG_TOL:.1e}"
         )
     cond = float(np.linalg.cond(V))
-    if cond > cond_cap:
+    if cond > LOG_COND_CAP:
         raise NearDefectiveError(
-            f"near-defective superoperator: eigenvector condition number {cond:.3e} > {cond_cap:.1e}"
+            f"near-defective superoperator: eigenvector condition number {cond:.3e} > {LOG_COND_CAP:.1e}"
         )
     return (V * np.log(w)) @ np.linalg.inv(V)
 
@@ -187,11 +187,3 @@ def spectral_norm(M) -> float:
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
-
-
-def trace_norm(M) -> float:
-    """Sum of singular values."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False).sum())

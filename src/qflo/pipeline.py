@@ -169,10 +169,10 @@ def shots_per_node(norm_A: float, eps_data: float, delta: float, m: int) -> int:
 
 
 def richardson_error_bound(lam: float, T: float, s_m: float, m: int,
-                           norm_A: float, one_norm: float,
-                           term_tol: float = 1e-16, max_terms: int = 200):
+                           norm_A: float, one_norm: float):
     """Extrapolation-error series |A| |b|_1 sum_{j>=m} (8 lam T s_m)^j
-    * sum_{l=1}^m (8 lam T)^l / l!.
+    * sum_{l=1}^m (8 lam T)^l / l!, with the geometric tail summed in
+    closed form, q^m / (1 - q) for q = 8 lam T s_m.
 
     Returns (bound, convergent); non-convergent (ratio >= 1) is reported,
     never summed.
@@ -186,14 +186,7 @@ def richardson_error_bound(lam: float, T: float, s_m: float, m: int,
     for l in range(1, m + 1):
         fact *= l
         inner += x ** l / fact
-    total = 0.0
-    term = q ** m
-    for _ in range(max_terms):
-        total += term
-        term *= q
-        if term < term_tol:
-            break
-    return norm_A * one_norm * inner * total, True
+    return norm_A * one_norm * inner * q ** m / (1.0 - q), True
 
 
 def _noiseless_node_values(H, A, initial_state, T, schedule: StepSchedule) -> list:
@@ -205,15 +198,14 @@ def _noiseless_node_values(H, A, initial_state, T, schedule: StepSchedule) -> li
     return [expectation_exact(H, A, rho0, T, int(N)) for N in schedule.step_counts]
 
 
-def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int,
-                                  schedule: str = "squared"):
-    """Noiseless order-m estimate whose coarsest node takes N_m steps.
+def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int):
+    """Noiseless order-m estimate on the squared schedule whose coarsest node
+    takes N_m steps.
 
     Returns (estimate, StepSchedule, Weights); the backbone of the
     order-scaling experiments, where N_m is swept directly.
     """
-    nodes = build_nodes(m, squared=(schedule == "squared"))
-    sched = step_counts(nodes, N_m, T)
+    sched = step_counts(build_nodes(m), N_m, T)
     weights = weights_from_steps(sched.step_times)
     values = _noiseless_node_values(H, require_hermitian(A), initial_state, T, sched)
     return extrapolate(values, weights), sched, weights

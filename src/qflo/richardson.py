@@ -125,19 +125,3 @@ def extrapolate(values, weights: Weights) -> float:
     if f.size != b.size:
         raise ValueError(f"got {f.size} values for {b.size} weights")
     return math.fsum(b * f)
-
-
-def conditioning_report(weights: Weights) -> dict:
-    """One-norm of the weights with a diagnostic amplification warning.
-
-    The 4*ln(m+2) threshold is an artifact constant chosen for the
-    logarithmically-growing Chebyshev schedules; it is not a derived bound.
-    """
-    m = weights.b.size
-    threshold = 4.0 * math.log(m + 2)
-    one_norm = weights.one_norm
-    return {
-        "one_norm": one_norm,
-        "threshold": threshold,
-        "amplification_warning": one_norm > threshold,
-    }

@@ -11,11 +11,10 @@ from qflo.channel import (
     evolve_indexed_batch,
     exact_expectation,
     expectation_exact,
-    observable_measurer,
     sample_shots,
     substream,
 )
-from qflo.hamiltonian import CACHE_CAP, parse_hamiltonian
+from qflo.hamiltonian import parse_hamiltonian
 from qflo.linalg import conjugation_superoperator, unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -174,7 +173,7 @@ class TestTrajectories:
         # the N term uniforms, all from substream(seed, j, k)
         H, A, psi0 = two_qubit
         T, N, seed, node = 0.7, 9, 31, 2
-        measurer = observable_measurer(A)
+        measurer = ObservableMeasurer(A)
         expected = []
         for k in range(12):
             rng = substream(seed, node, k)
@@ -274,44 +273,12 @@ def test_engine_matches_sequential_dense_product(case):
         assert np.abs(batch[b] - psi).max() <= 1e-12
 
 
-class TestBoundedCaches:
-    def test_per_angle_caches_stay_bounded(self, two_qubit):
-        H, A, psi0 = two_qubit
-        rho = np.outer(psi0, psi0.conj())
-        H = parse_hamiltonian(H.serialize())   # fresh caches
-        for N in range(1, 60):   # distinct step angles, as scan and orderfit make
-            expectation_exact(H, A, rho, 1.0, N)
-            H.pauli_rotations(H.lam / N)
-        assert len(H._rotation_cache) <= CACHE_CAP
-
-    def test_measurer_cache_stays_bounded(self):
-        for k in range(40):
-            observable_measurer(np.diag([1.0, -1.0 - k]).astype(complex))
-        assert len(channel._measurer_cache) <= CACHE_CAP
-
-    def test_evicted_entry_is_rebuilt_equal(self, one_qubit):
-        H, _, _ = one_qubit
-        H = parse_hamiltonian(H.serialize())
-        first = H.pauli_rotations(0.3)
-        for k in range(CACHE_CAP + 1):
-            H.pauli_rotations(1.0 + k)
-        again = H.pauli_rotations(0.3)
-        assert again is not first
-        assert np.array_equal(again.coef, first.coef)
-        assert np.array_equal(again.perm, first.perm)
-
-
 class TestMeasurement:
     def test_eigenstate_is_deterministic(self, rng):
         m = ObservableMeasurer(Z)
         u = rng.random(10)
         assert np.all(m.sample_batch(np.tile(KET0, (10, 1)), u) == 1.0)
         assert np.all(m.sample_batch(np.tile(np.array([0, 1], dtype=complex), (10, 1)), u) == -1.0)
-
-    def test_outcome_probabilities_plus_state(self):
-        m = ObservableMeasurer(Z)
-        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        assert np.allclose(m.outcome_probabilities(plus), [0.5, 0.5])
 
     def test_degenerate_eigenvalues_merge(self):
         m = ObservableMeasurer(np.eye(4))

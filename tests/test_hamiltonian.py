@@ -20,7 +20,6 @@ class TestParse:
         H = parse_hamiltonian("0.3 X\n0.7 Z")
         assert H.lam == pytest.approx(1.0)
         assert np.allclose(H.probabilities, [0.3, 0.7])
-        assert H.lam_max == pytest.approx(0.7)
 
     def test_sign_folding(self):
         H = parse_hamiltonian("-0.5 XY")
@@ -139,7 +138,6 @@ class TestInvariants:
         for _ in range(20):
             H = random_hamiltonian(rng, 1, int(rng.integers(1, 6)))
             assert abs(H.probabilities.sum() - 1.0) <= 1e-12
-            assert H.lam >= H.lam_max > 0
 
 
 @st.composite

@@ -17,7 +17,6 @@ from qflo.linalg import (
     hermitian_eig,
     matrix_log_principal,
     spectral_norm,
-    trace_norm,
     unitary_exp,
     vectorize,
 )
@@ -195,13 +194,10 @@ class TestCptpCheck:
 class TestNorms:
     def test_pauli_x(self):
         assert spectral_norm(X) == pytest.approx(1.0)
-        assert trace_norm(X) == pytest.approx(2.0)
 
     def test_zero(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
-        assert trace_norm(np.zeros((3, 3))) == 0.0
 
     def test_diagonal(self):
         M = np.diag([3.0, -4.0])
         assert spectral_norm(M) == pytest.approx(4.0)
-        assert trace_norm(M) == pytest.approx(7.0)

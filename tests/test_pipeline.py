@@ -97,6 +97,17 @@ class TestErrorBound:
         assert not convergent
         assert bound == math.inf
 
+    def test_full_tail_near_unit_ratio(self):
+        # q = 8 lam T s_m = 0.996: the tail sum_{j>=m} q^j needs thousands of
+        # terms, summed here directly as the oracle
+        bound, convergent = richardson_error_bound(
+            lam=1.0, T=1.0, s_m=0.1245, m=2, norm_A=1.0, one_norm=1.4
+        )
+        q = 8.0 * 0.1245
+        tail = math.fsum(q ** j for j in range(2, 20000))
+        assert convergent
+        assert bound == pytest.approx(1.4 * (8.0 + 32.0) * tail, rel=1e-12)
+
     def test_convergent_small_step(self):
         bound, convergent = richardson_error_bound(
             lam=1.0, T=1.0, s_m=1e-3, m=3, norm_A=1.0, one_norm=1.4

@@ -10,7 +10,6 @@ from qflo.richardson import (
     Weights,
     build_nodes,
     chebyshev_x,
-    conditioning_report,
     extrapolate,
     vandermonde_residuals,
     weights_from_steps,
@@ -170,19 +169,6 @@ class TestExtrapolate:
         w = weights_from_steps([0.2, 0.1])
         with pytest.raises(ValueError):
             extrapolate([1.0], w)
-
-
-class TestConditioning:
-    def test_chebyshev_schedules_unflagged(self):
-        for m in (2, 4, 8, 16):
-            w = weights_from_steps(1.0 / build_nodes(m).y)
-            assert not conditioning_report(w)["amplification_warning"]
-
-    def test_equispaced_schedule_flagged(self):
-        w = weights_from_steps([1.0 / j for j in range(8, 0, -1)])
-        report = conditioning_report(w)
-        assert report["one_norm"] > 1000
-        assert report["amplification_warning"]
 
 
 @given(
