@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .analysis import fit_loglog_slope
 from .channel import (
     ObservableMeasurer,
-    channel_apply_exact,
     channel_iterate_exact,
     exact_expectation,
     expectation_exact,

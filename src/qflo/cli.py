@@ -51,6 +51,8 @@ def _fmt(value) -> str:
 
 def resolve_seed(seed: int) -> int:
     """Seed 0 means: derive from entropy and report the derived value."""
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     if seed != 0:
         return seed
     derived = secrets.randbits(63)
@@ -66,18 +68,22 @@ def _write_csv(header, rows, out_path):
         writer.writerow([_fmt(v) for v in row])
     data = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+        _write_file(out_path, "--out", data)
     else:
         sys.stdout.write(data)
 
 
 def _write_json(payload, json_path):
-    if not json_path:
-        return
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if json_path:
+        _write_file(json_path, "--json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_file(path, flag, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_list(text, cast, flag, positive=False):
@@ -130,6 +136,15 @@ def _load(path, what):
         raise UsageError(f"{what} {path}: {exc}") from None
 
 
+def _load_observable(path, H) -> np.ndarray:
+    A = _load(path, "observable")
+    if A.n_qubits != H.n_qubits:
+        raise UsageError(
+            f"observable {path} has {A.n_qubits} qubits, Hamiltonian has {H.n_qubits}"
+        )
+    return A.dense()
+
+
 def cmd_nodes(args) -> int:
     _require_positive(args.m, "--m")
     nodes = build_nodes(args.m, squared=not args.pseudocode_schedule)
@@ -152,7 +167,7 @@ def cmd_nodes(args) -> int:
 
 def cmd_qdrift(args) -> int:
     H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load(args.observable, "observable").dense()
+    A = _load_observable(args.observable, H)
     psi0 = parse_state(args.state, H.n_qubits)
     _require_positive(args.steps, "--steps")
     _require_positive(args.shots, "--shots")
@@ -183,7 +198,7 @@ def cmd_qdrift(args) -> int:
 
 def cmd_scan(args) -> int:
     H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load(args.observable, "observable").dense()
+    A = _load_observable(args.observable, H)
     psi0 = parse_state(args.state, H.n_qubits)
     rho0 = np.outer(psi0, psi0.conj())
     n_list = _parse_list(args.n_list, int, "--n-list", positive=True)
@@ -252,7 +267,7 @@ def cmd_generator(args) -> int:
 
 def cmd_qflo(args) -> int:
     H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load(args.observable, "observable").dense()
+    A = _load_observable(args.observable, H)
     psi0 = parse_state(args.state, H.n_qubits)
     seed = resolve_seed(args.seed)
     try:
@@ -309,7 +324,7 @@ def cmd_qflo(args) -> int:
 
 def cmd_orderfit(args) -> int:
     H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load(args.observable, "observable").dense()
+    A = _load_observable(args.observable, H)
     psi0 = parse_state(args.state, H.n_qubits)
     rho0 = np.outer(psi0, psi0.conj())
     m_list = _parse_list(args.m_list, int, "--m-list", positive=True)

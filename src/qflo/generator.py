@@ -1,6 +1,7 @@
 """Spectral analysis of the channel superoperator: logarithm existence,
 the effective generator G(s) with E_s = exp(-i s T G(s)), its convergence
-to ad_H, and finite-difference probes of the series coefficients.
+to ad_H, and finite-difference probes of the series coefficients.  The
+superoperator itself is built by ``channel.channel_superoperator``.
 """
 
 from __future__ import annotations
@@ -10,15 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import DimensionCapError, HamiltonianDecomposition
+from .channel import channel_superoperator
+from .hamiltonian import HamiltonianDecomposition
 from .linalg import (
     LOG_EIG_TOL,
     adjoint_superoperator,
     matrix_log_principal,
     spectral_norm,
 )
-
-SUPEROP_QUBIT_CAP = 4
 
 
 class ConditioningError(ArithmeticError):
@@ -39,20 +39,6 @@ class SeriesProbeResult:
     coefficients: np.ndarray
     fit_residual: float
     condition_number: float
-
-
-def channel_superoperator(H: HamiltonianDecomposition, t: float) -> np.ndarray:
-    """sum_j p_j conj(U_j) (x) U_j with U_j = exp(-i lam t H_j)."""
-    if H.n_qubits > SUPEROP_QUBIT_CAP:
-        raise DimensionCapError(
-            f"superoperator construction capped at {SUPEROP_QUBIT_CAP} qubits, got {H.n_qubits}"
-        )
-    U = H.term_unitaries(H.lam * t)
-    d2 = H.dim ** 2
-    S = np.zeros((d2, d2), dtype=complex)
-    for p, Uj in zip(H.probabilities, U):
-        S += p * np.kron(Uj.conj(), Uj)
-    return S
 
 
 def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qflo import channel
 from qflo.channel import (
     ObservableMeasurer,
-    channel_apply_exact,
     channel_iterate_exact,
     evolve_indexed_batch,
     exact_expectation,
@@ -40,7 +39,7 @@ class TestExactChannel:
         H = parse_hamiltonian("0.7 X")
         t = 0.3
         U = unitary_exp(0.7 * X, t)
-        out = channel_apply_exact(H, RHO0, t)
+        out = channel_iterate_exact(H, RHO0, t, 1)
         assert np.abs(out - U @ RHO0 @ U.conj().T).max() <= 1e-12
 
     def test_depolarizing_fixed_point(self, depolarizing):
@@ -50,7 +49,7 @@ class TestExactChannel:
         v /= np.linalg.norm(v)
         rho = np.outer(v, v.conj())
         t = (np.pi / 2) / depolarizing.lam
-        out = channel_apply_exact(depolarizing, rho, t)
+        out = channel_iterate_exact(depolarizing, rho, t, 1)
         assert np.abs(out - np.eye(2) / 2).max() <= 1e-12
 
     def test_trace_and_hermiticity_preserved(self, two_qubit):
@@ -67,7 +66,7 @@ class TestExactChannel:
         iterated = channel_iterate_exact(H, rho, T, N)
         stepped = rho
         for _ in range(N):
-            stepped = channel_apply_exact(H, stepped, T / N)
+            stepped = channel_iterate_exact(H, stepped, T / N, 1)
         assert np.abs(iterated - stepped).max() <= 1e-12
 
     def test_iterate_matches_superoperator_power(self, one_qubit):
@@ -85,6 +84,23 @@ class TestExactChannel:
         H, _, psi0 = one_qubit
         with pytest.raises(ValueError):
             channel_iterate_exact(H, np.outer(psi0, psi0.conj()), 1.0, 0)
+
+    def test_powers_up_to_the_cap_and_loops_above(self):
+        # the path is chosen by qubit count alone
+        H4 = parse_hamiltonian("0.7 XZIY\n-0.4 ZZXI")
+        H5 = parse_hamiltonian("0.7 XZIYZ\n-0.4 ZZXIX")
+        for H, path in ((H4, channel._power_iterate), (H5, channel._kraus_iterate)):
+            rho = np.zeros((H.dim, H.dim), dtype=complex)
+            rho[0, 0] = 1.0
+            assert np.array_equal(channel_iterate_exact(H, rho, 0.8, 5),
+                                  path(H, rho, 0.8 / 5, 5))
+
+    def test_single_term_oracle_at_a_billion_steps(self):
+        # every step is exp(-i 0.7 T/N X), so E^N is the exact evolution;
+        # the Kraus loop could not finish 10**9 steps
+        H = parse_hamiltonian("0.7 X")
+        T = 1.0
+        assert abs(expectation_exact(H, Z, RHO0, T, 10**9) - np.cos(1.4 * T)) <= 1e-9
 
 
 class TestExpectations:
@@ -236,18 +252,25 @@ class TestBatchEvolution:
 
 
 @st.composite
-def indexed_evolutions(draw):
-    """A random Pauli-sum Hamiltonian on 1-6 qubits (negative coefficients
-    included), a step angle and a batch of index sequences whose length
-    reaches both sides of the table cutoff and tails shorter than a group."""
-    n = draw(st.integers(1, 6))
+def pauli_sums(draw, max_qubits):
+    """A random Pauli-sum Hamiltonian of 1-5 terms on 1-max_qubits qubits,
+    negative coefficients included."""
+    n = draw(st.integers(1, max_qubits))
     L = draw(st.integers(1, 5))
     lines = []
     for _ in range(L):
         coeff = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1]))
         letters = "".join(draw(st.sampled_from("IXYZ")) for _ in range(n))
         lines.append(f"{coeff!r} {letters}")
-    H = parse_hamiltonian("\n".join(lines))
+    return parse_hamiltonian("\n".join(lines))
+
+
+@st.composite
+def indexed_evolutions(draw):
+    """A random Pauli-sum Hamiltonian on 1-6 qubits, a step angle and a batch
+    of index sequences whose length reaches both sides of the table cutoff
+    and tails shorter than a group."""
+    H = draw(pauli_sums(6))
     angle = draw(st.floats(-3.2, 3.2))
     B = draw(st.integers(1, 4))
     N = draw(st.integers(0, 31))
@@ -271,6 +294,39 @@ def test_engine_matches_sequential_dense_product(case):
         for j in indices[b]:
             psi = U[j] @ psi
         assert np.abs(batch[b] - psi).max() <= 1e-12
+
+
+@st.composite
+def powering_cases(draw):
+    """A random Pauli-sum Hamiltonian on 1-4 qubits, a total time, a step
+    count, a pure or mixed initial state and the seed of the state and the
+    observable."""
+    H = draw(pauli_sums(4))
+    T = draw(st.floats(0.05, 3.0))
+    N = draw(st.integers(1, 2000))
+    mixed = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return H, T, N, mixed, seed
+
+
+@given(case=powering_cases())
+@settings(max_examples=60, deadline=None)
+def test_powering_matches_kraus_loop(case):
+    H, T, N, mixed, seed = case
+    rng = np.random.default_rng(seed)
+    d = H.dim
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if mixed:
+        rho0 = M @ M.conj().T
+        rho0 /= np.trace(rho0).real
+    else:
+        psi = M[:, 0] / np.linalg.norm(M[:, 0])
+        rho0 = np.outer(psi, psi.conj())
+    A = 2.0 * (M + M.conj().T)
+    powered = channel._power_iterate(H, rho0, T / N, N)
+    looped = channel._kraus_iterate(H, rho0, T / N, N)
+    tol = 1e-12 * max(1.0, np.abs(np.linalg.eigvalsh(A)).max())
+    assert abs(np.trace(A @ powered) - np.trace(A @ looped)) <= tol
 
 
 class TestMeasurement:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflo import channel
 from qflo.channel import sample_shots
@@ -375,7 +379,153 @@ class TestErrorHandling:
         assert code == 2
         assert "exceeds the cap" in err
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        missing_dir = tmp_path / "no" / "such" / "dir"
+        for flag in ("--out", "--json"):
+            code, _, err = run_cli(
+                ["nodes", "--m", "3", flag, str(missing_dir / "table")], capsys
+            )
+            assert code == 2
+            assert f"error: {flag}: cannot write" in err
+
+    def test_observable_qubit_mismatch_is_usage_error(self, ham_file, tmp_path, capsys):
+        obs = tmp_path / "zi.txt"
+        obs.write_text("1.0 ZI\n")
+        code, _, err = run_cli(
+            ["scan", "--hamiltonian", ham_file, "--observable", str(obs),
+             "--time", "1.0", "--n-list", "1,2"],
+            capsys,
+        )
+        assert code == 2
+        assert "has 2 qubits, Hamiltonian has 1" in err
+
+    def test_negative_seed_is_usage_error(self, ham_file, obs_file, capsys):
+        code, out, err = run_cli(self._qdrift(ham_file, obs_file, **{"--seed": "-5"}), capsys)
+        assert code == 2
+        assert "--seed must be >= 0" in err
+        assert out == ""
+
     def test_missing_subcommand_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Argument pools for the fuzz of main: well-formed values mixed with
+# malformed and out-of-range ones.  Sizes are bounded so that no case plans
+# more than about 1e6 trajectory gates; noiseless values at <= 4 qubits are
+# computed by superoperator powering, so a large --time stays cheap there.
+BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "-0", "x", "", "1e400", "0x10"]
+FUZZ_FILES = {
+    "one": ONE_QUBIT,
+    "two": "0.3 ZZ\n0.3 XI\n0.2 IX\n-0.2 YZ\n",
+    "three": THREE_QUBIT,
+    "z": OBS_Z,
+    "zi": "1.0 ZI\n",
+    "ziz": OBS_ZIZ,
+    "cap": "1.0 " + "Z" * 11 + "\n",
+    "malformed": "0.5 XQ\n",
+    "empty": "",
+    "complex": "0.5j X\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / f"{name}.txt").write_text(text)
+    return root
+
+
+@st.composite
+def cli_argvs(draw, root):
+    """An argv for one subcommand of main.  Each value is well formed nine
+    times in ten and otherwise drawn from malformed and out-of-range tokens,
+    so that one bad value at a time reaches the code past the others; a flag
+    is sometimes left out."""
+    def pick(good, bad=BAD_NUMBERS):
+        pool = bad if draw(st.integers(0, 9)) == 0 else good
+        return draw(st.sampled_from(pool))
+
+    ham, obs = pick([("one", "z"), ("two", "zi"), ("three", "ziz")],
+                    [(h, o) for h in ("one", "two", "cap", "malformed", "empty",
+                                      "complex", "missing")
+                     for o in ("z", "zi", "ziz", "malformed", "missing")])
+    ham, obs = str(root / f"{ham}.txt"), str(root / f"{obs}.txt")
+    seed = pick(["1", "0", "12345678901234567890"], BAD_NUMBERS + ["-5"])
+    command = draw(st.sampled_from(
+        ["nodes", "qdrift", "scan", "generator", "qflo", "orderfit", "bogus"]))
+    flags = {}
+    if command == "nodes":
+        flags["--m"] = pick(["1", "3", "40", "300"], BAD_NUMBERS + ["-2", "2.5"])
+        if draw(st.booleans()):
+            flags["--pseudocode-schedule"] = None
+    elif command == "qdrift":
+        flags.update({
+            "--hamiltonian": ham, "--observable": obs, "--time": pick(["0.3", "1.0"]),
+            "--steps": pick(["1", "7", "1000"]), "--shots": pick(["1", "3", "500"]),
+            "--seed": seed,
+        })
+    elif command == "scan":
+        flags.update({
+            "--hamiltonian": ham, "--observable": obs, "--time": pick(["0.3", "1.0", "1e6"]),
+            "--n-list": pick(["1,2,4,8", "8,16,32,64,128", "1000000000",
+                              "10000000000000000000000"],
+                             ["3,1e3", "0,2", "-4", ",", "2,,3", "nan", "x"]),
+        })
+    elif command == "generator":
+        flags.update({
+            "--hamiltonian": ham, "--time": pick(["0.3", "1.0"]),
+            "--s-list": pick(["0.1,0.05,0.025,0.0125", "0.4,1.5707963267948966", "0.1"],
+                             ["1e-300", "1e300", "-1", "nan", "0.1,0.1", "", "x"]),
+        })
+    elif command == "qflo":
+        mode = pick(["noiseless", "shot_sampled"], ["both", ""])
+        shots = mode == "shot_sampled"
+        flags.update({
+            "--hamiltonian": ham, "--observable": obs,
+            "--time": pick(["0.3"] if shots else ["0.3", "1.0", "1e6", "1e12"]),
+            "--epsilon": pick(["0.5", "0.9"] if shots else ["0.5", "0.05", "1e-3", "1e-12"],
+                              BAD_NUMBERS + ["1", "2"]),
+            "--delta": pick(["0.1", "0.9"], BAD_NUMBERS + ["1"]),
+            "--seed": seed,
+            "--mode": mode,
+            "--order-policy": pick(["log", "loglog"], ["cubic"]),
+            "--schedule": pick(["squared", "pseudocode"], ["flat"]),
+        })
+    elif command == "orderfit":
+        flags.update({
+            "--hamiltonian": ham, "--observable": obs, "--time": pick(["0.3", "1.0"]),
+            "--m-list": pick(["2,3", "1", "12"], ["0", "2.5", "-3", "x"]),
+            "--scale-list": pick(["1,0.5,0.25,0.125", "1e-12", "1e300"],
+                                 ["1e-320", "-1", "x", "nan"]),
+            "--n-base": pick(["8", "1000000"]),
+        })
+    if command in ("qdrift", "scan", "qflo") and draw(st.booleans()):
+        flags["--state"] = pick(["plus", "plus^2", "0", "01", "110"], ["plus^x", "2", "^"])
+    for flag in ("--out", "--json"):
+        if draw(st.booleans()):
+            flags[flag] = str(root / pick([f"out{flag}"], [f"no/such/dir/out{flag}"]))
+    argv = [command]
+    for flag, value in flags.items():
+        if draw(st.integers(0, 29)) == 0:
+            continue   # a required flag left out
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def test_main_fuzz_exits_cleanly(fuzz_dir):
+    @given(argv=cli_argvs(fuzz_dir))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse's own usage errors
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
