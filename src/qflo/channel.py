@@ -267,6 +267,7 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
                  shots: int, seed: int, node: int = 0) -> np.ndarray:
     """One measured outcome of A for each of ``shots`` qDRIFT runs of N steps
     of time T/N from ``initial_state`` (a unit vector or a density matrix).
+    A is a Hermitian matrix or its ``ObservableMeasurer``.
 
     Shot k draws from substream(seed, node, k) in a fixed order: the
     measurement uniform, the initial-state uniform (used for mixed states
@@ -279,7 +280,7 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     gates = H.pauli_rotations(H.lam * (T / N))
-    measurer = ObservableMeasurer(A)
+    measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
     mixed = np.ndim(initial_state) == 2
     if mixed:
         rho0 = check_density_matrix(initial_state)

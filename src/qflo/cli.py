@@ -2,7 +2,7 @@
 generator probes, order-scaling fits, and full pipeline estimates.
 
 Exit codes: 0 success, 2 usage errors, 3 numerical failures (logarithm
-nonexistence, non-convergent error bound).
+nonexistence, non-convergent error bound, step counts past int64).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .analysis import fit_loglog_slope
 from .channel import exact_expectation, expectation_exact, sample_shots
-from .generator import generator_probe, log_existence_check
+from .generator import generator_probe
 from .hamiltonian import DimensionCapError, HamiltonianFormatError, load_hamiltonian
-from .linalg import LogarithmError, NearDefectiveError, spectral_norm
+from .linalg import LogarithmError, NearDefectiveError
 from .pipeline import QfloRequest, richardson_estimate_noiseless, run
 from .richardson import build_nodes, weights_from_steps
 
@@ -234,17 +234,12 @@ def cmd_generator(args) -> int:
     H = _load(args.hamiltonian, "Hamiltonian")
     s_list = _parse_list(args.s_list, float, "--s-list", positive=True)
     rows = []
-    failed = False
     for s in s_list:
-        t = s * args.time
-        report = log_existence_check(H, t)
-        if report["exists"]:
+        try:
             probe = generator_probe(H, s, args.time)
-            deviation = probe.deviation
-        else:
-            deviation = math.nan
-            failed = True
-        rows.append((s, t, report["min_eig_modulus"], report["exists"], deviation))
+            rows.append((s, probe.t, probe.min_eig_modulus, True, probe.deviation))
+        except LogarithmError as exc:
+            rows.append((s, s * args.time, exc.min_eig_modulus, False, math.nan))
     _write_csv(["s", "t", "min_eig_modulus", "log_exists", "deviation"], rows, args.out)
     summary = {}
     devs = [r[4] for r in rows if not math.isnan(r[4])]
@@ -260,7 +255,7 @@ def cmd_generator(args) -> int:
         },
         args.json,
     )
-    if failed:
+    if not all(r[3] for r in rows):
         raise NumericalFailure("logarithm does not exist at one or more probed step sizes")
     return EXIT_OK
 
@@ -285,7 +280,10 @@ def cmd_qflo(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    result = run(request)
+    try:
+        result = run(request)
+    except OverflowError as exc:
+        raise NumericalFailure(f"{exc}; lower --time or raise --epsilon") from None
     rows = [
         (i, n.step_count, n.shots, n.mean, n.standard_error, result.weights.b[i])
         for i, n in enumerate(result.per_node)

@@ -2,6 +2,8 @@
 the effective generator G(s) with E_s = exp(-i s T G(s)), its convergence
 to ad_H, and finite-difference probes of the series coefficients.  The
 superoperator itself is built by ``channel.channel_superoperator``.
+Each probed step builds and diagonalizes its superoperator once, and both
+the minimum eigenvalue modulus and the logarithm are read off that ``eig``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ import numpy as np
 
 from .channel import channel_superoperator
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import (
-    LOG_EIG_TOL,
-    adjoint_superoperator,
-    matrix_log_principal,
-    spectral_norm,
-)
+from .linalg import LOG_EIG_TOL, _log_from_eig, adjoint_superoperator, spectral_norm
 
 
 class ConditioningError(ArithmeticError):
@@ -31,6 +28,7 @@ class GeneratorProbe:
     t: float
     generator: np.ndarray
     deviation: float  # spectral norm of G(s) - ad_H
+    min_eig_modulus: float  # smallest eigenvalue modulus of E_s
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,12 @@ class SeriesProbeResult:
     condition_number: float
 
 
+def _channel_spectrum(H: HamiltonianDecomposition, t: float):
+    """Eigenpairs (w, V) of E_t and its minimum eigenvalue modulus."""
+    w, V = np.linalg.eig(channel_superoperator(H, t))
+    return w, V, float(np.abs(w).min())
+
+
 def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
     """Minimum eigenvalue modulus of the channel superoperator.
 
@@ -48,22 +52,21 @@ def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
     modulus stays above the logarithm tolerance.  For t < 1/(2 lambda)
     existence is guaranteed.
     """
-    S = channel_superoperator(H, t)
-    w = np.linalg.eigvals(S)
-    min_mod = float(np.abs(w).min())
+    _, _, min_mod = _channel_spectrum(H, t)
     return {"min_eig_modulus": min_mod, "exists": min_mod > LOG_EIG_TOL}
 
 
 def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> GeneratorProbe:
-    """G(s) = log(E_s) / (-i s T) and its spectral-norm distance to ad_H."""
+    """G(s) = log(E_s) / (-i s T) and its spectral-norm distance to ad_H; raises
+    LogarithmError, carrying E_s's ``min_eig_modulus``, when no logarithm exists."""
     if s <= 0:
         raise ValueError(f"inverse step count s must be > 0, got {s}")
     t = s * T
-    S = channel_superoperator(H, t)
-    G = matrix_log_principal(S) / (-1j * s * T)
+    w, V, min_mod = _channel_spectrum(H, t)
+    G = _log_from_eig(w, V) / (-1j * s * T)
     ad_H = adjoint_superoperator(H.dense())
     deviation = spectral_norm(G - ad_H)
-    return GeneratorProbe(s=s, t=t, generator=G, deviation=deviation)
+    return GeneratorProbe(s=s, t=t, generator=G, deviation=deviation, min_eig_modulus=min_mod)
 
 
 def series_probe(s_values, f_values, f_zero: float, max_order: int,

@@ -123,7 +123,6 @@ class HamiltonianDecomposition:
         self.probabilities = weights / self.lam
         self._cdf = np.cumsum(self.probabilities)
         self._cdf[-1] = 1.0
-        self._dense_terms = None
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -138,14 +137,9 @@ class HamiltonianDecomposition:
                 f"{self.n_qubits} qubits exceeds the cap of {QUBIT_CAP}"
             )
 
-    def dense_terms(self) -> np.ndarray:
-        self._require_cap()
-        if self._dense_terms is None:
-            self._dense_terms = np.stack([t.dense() for t in self.terms])
-        return self._dense_terms
-
     def dense(self) -> np.ndarray:
-        terms = self.dense_terms()
+        self._require_cap()
+        terms = np.stack([t.dense() for t in self.terms])
         weights = np.array([t.weight for t in self.terms])
         return np.tensordot(weights, terms, axes=1)
 

@@ -27,6 +27,11 @@ class NonHermitianError(ValueError):
 class LogarithmError(ArithmeticError):
     """The matrix logarithm does not exist (eigenvalue at/near zero)."""
 
+    def __init__(self, min_eig_modulus: float):
+        super().__init__(f"logarithm does not exist: minimum eigenvalue modulus "
+                         f"{min_eig_modulus:.3e} <= {LOG_EIG_TOL:.1e}")
+        self.min_eig_modulus = min_eig_modulus
+
 
 class NearDefectiveError(ArithmeticError):
     """Eigenvector matrix too ill-conditioned for a reliable logarithm."""
@@ -134,6 +139,19 @@ def apply_superoperator(S, B) -> np.ndarray:
     return devectorize(S @ vectorize(B))
 
 
+def _log_from_eig(w, V) -> np.ndarray:
+    """V diag(log w) V^-1 from eigenpairs, with ``matrix_log_principal``'s checks."""
+    min_mod = float(np.abs(w).min())
+    if min_mod <= LOG_EIG_TOL:
+        raise LogarithmError(min_mod)
+    cond = float(np.linalg.cond(V))
+    if cond > LOG_COND_CAP:
+        raise NearDefectiveError(
+            f"near-defective superoperator: eigenvector condition number {cond:.3e} > {LOG_COND_CAP:.1e}"
+        )
+    return (V * np.log(w)) @ np.linalg.inv(V)
+
+
 def matrix_log_principal(S) -> np.ndarray:
     """Principal matrix logarithm of a diagonalizable superoperator.
 
@@ -142,19 +160,7 @@ def matrix_log_principal(S) -> np.ndarray:
     modulus falls at or below LOG_EIG_TOL and NearDefectiveError when the
     eigenvector matrix condition number exceeds LOG_COND_CAP.
     """
-    S = _as_square(S)
-    w, V = np.linalg.eig(S)
-    min_mod = float(np.abs(w).min())
-    if min_mod <= LOG_EIG_TOL:
-        raise LogarithmError(
-            f"logarithm does not exist: minimum eigenvalue modulus {min_mod:.3e} <= {LOG_EIG_TOL:.1e}"
-        )
-    cond = float(np.linalg.cond(V))
-    if cond > LOG_COND_CAP:
-        raise NearDefectiveError(
-            f"near-defective superoperator: eigenvector condition number {cond:.3e} > {LOG_COND_CAP:.1e}"
-        )
-    return (V * np.log(w)) @ np.linalg.inv(V)
+    return _log_from_eig(*np.linalg.eig(_as_square(S)))
 
 
 def choi_matrix(S) -> np.ndarray:

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import expectation_exact, sample_shots
+from .channel import ObservableMeasurer, expectation_exact, sample_shots
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import check_density_matrix, require_hermitian, spectral_norm
+from .linalg import check_density_matrix, require_hermitian
 from .richardson import (
     ChebyshevNodes,
     StepSchedule,
@@ -144,13 +144,14 @@ def step_counts(nodes: ChebyshevNodes, N_m: int, total_time: float) -> StepSched
     if N_m < 1:
         raise ValueError(f"N_m must be >= 1, got {N_m}")
     y = nodes.y
-    N = np.array([math.ceil(N_m * int(yj) / int(y[-1])) for yj in y], dtype=np.int64)
+    N = [math.ceil(N_m * int(yj) / int(y[-1])) for yj in y]
     # y decreasing along the node order => N decreasing; dedup upward.
-    for i in range(N.size - 2, -1, -1):
+    for i in range(len(N) - 2, -1, -1):
         if N[i] <= N[i + 1]:
             N[i] = N[i + 1] + 1
-    return StepSchedule(step_counts=N, total_time=total_time,
-                        scale=float(int(y[-1])) / float(N[-1]))
+    if max(N) > np.iinfo(np.int64).max:
+        raise OverflowError(f"step count {max(N):.3e} does not fit in int64")
+    return StepSchedule(step_counts=np.array(N, dtype=np.int64), total_time=total_time)
 
 
 def budget_split(epsilon: float, one_norm: float) -> ErrorBudget:
@@ -228,7 +229,8 @@ def run(request: QfloRequest) -> QfloResult:
     sched = step_counts(nodes, N_m, T)
     weights = weights_from_steps(sched.step_times)
 
-    norm_A = spectral_norm(A)
+    measurer = ObservableMeasurer(A)
+    norm_A = measurer.norm
     if request.mode == "noiseless":
         shots = 0
         values = _noiseless_node_values(H, A, request.initial_state, T, sched)
@@ -240,8 +242,8 @@ def run(request: QfloRequest) -> QfloResult:
         shots = shots_per_node(norm_A, budget.data, request.delta, m)
         stats = []
         for node_index, N in enumerate(sched.step_counts):
-            outcomes = sample_shots(H, A, request.initial_state, T, int(N), shots,
-                                    request.master_seed, node_index)
+            outcomes = sample_shots(H, measurer, request.initial_state, T, int(N),
+                                    shots, request.master_seed, node_index)
             se = float(np.std(outcomes, ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
             stats.append(NodeStats(step_count=int(N), shots=shots,
                                    mean=float(np.mean(outcomes)), standard_error=se))

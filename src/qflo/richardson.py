@@ -32,11 +32,6 @@ class ChebyshevNodes:
 class StepSchedule:
     step_counts: np.ndarray  # distinct positive integers N_j, node order
     total_time: float
-    scale: float             # the free parameter l with s_j = l / y_j before rounding
-
-    @property
-    def step_sizes(self) -> np.ndarray:
-        return 1.0 / self.step_counts
 
     @property
     def step_times(self) -> np.ndarray:

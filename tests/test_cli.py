@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflo import channel
+from qflo import channel, generator
 from qflo.channel import sample_shots
 from qflo.cli import main
 from qflo.hamiltonian import parse_hamiltonian
@@ -17,6 +17,7 @@ ONE_QUBIT = "0.5 X\n0.5 Z\n"
 OBS_Z = "1.0 Z\n"
 DEPOLARIZING = "0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n"
 THREE_QUBIT = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n"
+TWO_QUBIT = "0.3 ZZ\n0.3 XI\n0.2 IX\n0.2 YZ\n"
 OBS_ZIZ = "1.0 ZIZ\n"
 
 
@@ -221,6 +222,68 @@ class TestGenerator:
         assert "numerical failure" in err
         row = out.strip().split("\n")[1].split(",")
         assert row[3] == "false"
+        assert row[4] == "nan"
+        assert float(row[2]) <= 1e-10
+
+    def test_one_build_and_one_eig_per_step(self, ham_file, monkeypatch, capsys):
+        counts = {"build": 0, "eig": 0}
+        build, eig = generator.channel_superoperator, np.linalg.eig
+
+        def counting_build(*args):
+            counts["build"] += 1
+            return build(*args)
+
+        def counting_eig(*args):
+            counts["eig"] += 1
+            return eig(*args)
+
+        def no_eigvals(*args):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(generator, "channel_superoperator", counting_build)
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        code, out, _ = run_cli(
+            ["generator", "--hamiltonian", ham_file, "--time", "1.0",
+             "--s-list", "0.125,0.0625,0.03125"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 4
+        assert counts == {"build": 3, "eig": 3}
+
+    @pytest.mark.parametrize("text, time", [(TWO_QUBIT, "2.0"), (DEPOLARIZING, repr(math.pi / 2))])
+    def test_modulus_matches_existence_check(self, text, time, tmp_path, capsys):
+        # the depolarizing row at s = 1 has no logarithm
+        path = tmp_path / "ham.txt"
+        path.write_text(text)
+        H = parse_hamiltonian(text)
+        _, out, _ = run_cli(
+            ["generator", "--hamiltonian", str(path), "--time", time, "--s-list", "1.0,0.25,0.1"],
+            capsys,
+        )
+        for line in out.strip().split("\n")[1:]:
+            _, t, modulus = (float(v) for v in line.split(",")[:3])
+            assert modulus == generator.log_existence_check(H, t)["min_eig_modulus"]
+
+    def test_pinned_two_qubit_table(self, tmp_path, capsys):
+        # The README's two-qubit generator experiment.
+        path = tmp_path / "two_qubit.txt"
+        path.write_text(TWO_QUBIT)
+        code, out, _ = run_cli(
+            ["generator", "--hamiltonian", str(path), "--time", "1.0",
+             "--s-list", "0.0625,0.03125,0.015625,0.0078125,0.00390625"],
+            capsys,
+        )
+        assert code == 0
+        assert out == (
+            "s,t,min_eig_modulus,log_exists,deviation\n"
+            "0.0625,0.0625,0.99442684786603519,true,0.09302297441018198\n"
+            "0.03125,0.03125,0.99860536120941867,true,0.046455086475810682\n"
+            "0.015625,0.015625,0.99965125583736381,true,0.023220511000011566\n"
+            "0.0078125,0.0078125,0.99991280867961274,true,0.011609377026396641\n"
+            "0.00390625,0.00390625,0.99997820183990893,true,0.0058045787215062266\n"
+        )
 
 
 class TestQflo:
@@ -252,6 +315,18 @@ class TestQflo:
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
+
+    def test_int64_overflow_names_step_count_and_flags(self, tmp_path, capsys):
+        ham = tmp_path / "two_qubit.txt"
+        ham.write_text(TWO_QUBIT)
+        obs = tmp_path / "zi.txt"
+        obs.write_text("1.0 ZI\n")
+        argv = ["qflo", "--hamiltonian", str(ham), "--observable", str(obs),
+                "--time", "1e12", "--epsilon", "0.05", "--delta", "0.1", "--seed", "1"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3
+        assert "step count 1.790e+28 does not fit in int64" in err
+        assert "--time" in err and "--epsilon" in err
 
     def test_bad_epsilon_is_usage_error(self, ham_file, obs_file, capsys):
         argv = self._argv(ham_file, obs_file, **{"--epsilon": "2.0"})

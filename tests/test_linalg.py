@@ -145,8 +145,9 @@ class TestMatrixLog:
         from qflo.generator import channel_superoperator
 
         S = channel_superoperator(depolarizing, (np.pi / 2) / depolarizing.lam)
-        with pytest.raises(LogarithmError):
+        with pytest.raises(LogarithmError, match="logarithm does not exist") as info:
             matrix_log_principal(S)
+        assert 0.0 <= info.value.min_eig_modulus <= 1e-10
 
     def test_near_defective_rejected(self):
         S = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # Jordan block

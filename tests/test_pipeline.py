@@ -70,6 +70,10 @@ class TestStepBudgeting:
         assert np.all(N >= raw)
         assert N[-1] == 1
 
+    def test_step_counts_int64_overflow_names_count(self):
+        with pytest.raises(OverflowError, match="step count 6.250e\\+19 does not fit"):
+            step_counts(build_nodes(2), 10 ** 19, 1.0)
+
     def test_step_counts_validation(self):
         with pytest.raises(ValueError):
             step_counts(build_nodes(2), 0, 1.0)
@@ -295,6 +299,14 @@ class TestRunShotSampled:
         assert [n.step_count for n in res.per_node] == [6057, 969]
         assert [n.mean for n in res.per_node] == [108 / 124, 118 / 124]
         assert res.estimate == pytest.approx(0.8556090231284235, abs=1e-12)
+
+    def test_one_observable_decomposition_per_run(self, one_qubit, monkeypatch):
+        calls = []
+        eig = channel.hermitian_eig
+        monkeypatch.setattr(channel, "hermitian_eig", lambda A: calls.append(1) or eig(A))
+        res = run(self._request(one_qubit))
+        assert len(res.per_node) == 2
+        assert len(calls) == 1
 
     def test_chunking_does_not_change_estimate(self, one_qubit, monkeypatch):
         full = run(self._request(one_qubit))
