@@ -1,9 +1,22 @@
-"""Spectral analysis of the channel superoperator: logarithm existence,
-the effective generator G(s) with E_s = exp(-i s T G(s)), its convergence
-to ad_H, and finite-difference probes of the series coefficients.  The
-superoperator itself is built by ``channel.channel_superoperator``.
-Each probed step builds and diagonalizes its superoperator once, and both
-the minimum eigenvalue modulus and the logarithm are read off that ``eig``.
+"""Spectral analysis of the qDRIFT channel E_t: logarithm existence, the
+effective generator G(s) with E_s = exp(-i s T G(s)), its convergence to
+ad_H, and finite-difference probes of the series coefficients.
+
+Everything here works in the normalized Pauli basis, where E_t is the real
+matrix I + Delta built by ``channel.channel_delta`` in O(L d^2).  Delta
+couples a Pauli q only to q ^ p_j for the terms' masks p_j, so it is block
+diagonal over the cosets of the GF(2) span of those masks (``pauli_cosets``;
+2 blocks of 128 on the 4-qubit Heisenberg chain), and so is ad_H.  Each probed
+step builds Delta once and takes one real ``eig`` per block: the eigenvalues
+of E_s are 1 + mu, and both the minimum eigenvalue modulus and the logarithm,
+log1p(mu), are read off them.  Working on mu keeps the digits that 1 + mu
+would round away: on the 4-qubit chain at s = 2^-12 the deviation's relative
+error against an 80-bit extended-precision series for log(I + Delta) is
+2.8e-13, where the complex superoperator's eigenvalues gave 1.8e-8.  The
+basis change is unitary, so spectral norms, and with them the deviation, are
+those of the vec-basis superoperators; ``GeneratorProbe.generator`` is G(s)
+in the Pauli basis.  ``channel_superoperator`` (the vec-basis form of E_t)
+stays exported here for callers that want it.
 """
 
 from __future__ import annotations
@@ -13,9 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import channel_superoperator
+from .channel import channel_delta, channel_superoperator, pauli_term_matrix
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import LOG_EIG_TOL, _log_from_eig, adjoint_superoperator, spectral_norm
+from .linalg import LOG_EIG_TOL, _log_from_eig, spectral_norm
+
+__all__ = [
+    "ConditioningError", "GeneratorProbe", "SeriesProbeResult", "channel_superoperator",
+    "ek_bound_probe", "generator_probe", "log_existence_check", "pauli_adjoint",
+    "pauli_cosets", "series_probe",
+]
 
 
 class ConditioningError(ArithmeticError):
@@ -26,7 +45,7 @@ class ConditioningError(ArithmeticError):
 class GeneratorProbe:
     s: float
     t: float
-    generator: np.ndarray
+    generator: np.ndarray  # G(s) in the normalized Pauli basis
     deviation: float  # spectral norm of G(s) - ad_H
     min_eig_modulus: float  # smallest eigenvalue modulus of E_s
 
@@ -39,14 +58,43 @@ class SeriesProbeResult:
     condition_number: float
 
 
+def pauli_cosets(H: HamiltonianDecomposition) -> list:
+    """Ascending Pauli indices q = x d + z of each coset of the GF(2) span of
+    the term masks p_j = x_j d + z_j."""
+    basis = []   # distinct leading bits, kept in descending order
+    for term in H.terms:
+        x, z, _ = term.pauli.masks()
+        v = x * H.dim + z
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    labels = np.arange(H.dim ** 2)
+    for b in basis:
+        labels = np.minimum(labels, labels ^ b)   # the coset's reduced representative
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def pauli_adjoint(H: HamiltonianDecomposition) -> np.ndarray:
+    """ad_H : B -> [H, B] in the normalized Pauli basis: [h_j s_j P_j, sigma_q]
+    is 2i h_j times -i s_j P_j sigma_q where they anticommute, 0 elsewhere."""
+    weights = np.array([t.weight for t in H.terms])
+    return 1j * pauli_term_matrix(H, np.zeros(len(H)), 2.0 * weights)
+
+
 def _channel_spectrum(H: HamiltonianDecomposition, t: float):
-    """Eigenpairs (w, V) of E_t and its minimum eigenvalue modulus."""
-    w, V = np.linalg.eig(channel_superoperator(H, t))
-    return w, V, float(np.abs(w).min())
+    """Coset blocks of the Pauli basis, the eigenpairs (mu, V) of each block
+    of Delta = E_t - I, and E_t's minimum eigenvalue modulus."""
+    delta = channel_delta(H, t)
+    blocks = pauli_cosets(H)
+    spectra = [np.linalg.eig(delta[np.ix_(b, b)]) for b in blocks]
+    min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
+    return blocks, spectra, min_mod
 
 
 def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
-    """Minimum eigenvalue modulus of the channel superoperator.
+    """Minimum eigenvalue modulus of the channel E_t.
 
     Reports rather than throws; existence holds whenever the smallest
     modulus stays above the logarithm tolerance.  For t < 1/(2 lambda)
@@ -57,15 +105,22 @@ def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
 
 
 def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> GeneratorProbe:
-    """G(s) = log(E_s) / (-i s T) and its spectral-norm distance to ad_H; raises
-    LogarithmError, carrying E_s's ``min_eig_modulus``, when no logarithm exists."""
+    """G(s) = log(E_s) / (-i s T), blockwise in the Pauli basis, and its
+    spectral-norm distance to ad_H, the largest over the blocks; raises
+    LogarithmError, carrying E_s's ``min_eig_modulus``, when no logarithm
+    exists."""
     if s <= 0:
         raise ValueError(f"inverse step count s must be > 0, got {s}")
     t = s * T
-    w, V, min_mod = _channel_spectrum(H, t)
-    G = _log_from_eig(w, V) / (-1j * s * T)
-    ad_H = adjoint_superoperator(H.dense())
-    deviation = spectral_norm(G - ad_H)
+    blocks, spectra, min_mod = _channel_spectrum(H, t)
+    logs = _log_from_eig(spectra)
+    ad_H = pauli_adjoint(H)
+    G = np.zeros_like(ad_H)
+    deviation = 0.0
+    for b, log_block in zip(blocks, logs):
+        block = np.ix_(b, b)
+        G[block] = log_block / (-1j * t)
+        deviation = max(deviation, spectral_norm(G[block] - ad_H[block]))
     return GeneratorProbe(s=s, t=t, generator=G, deviation=deviation, min_eig_modulus=min_mod)
 
 
@@ -127,7 +182,7 @@ def ek_bound_probe(H: HamiltonianDecomposition, T: float, k: int) -> dict:
         raise ValueError(f"probe supports k in {{2, 3, 4}}, got {k}")
     h = 0.1 / (T * H.lam * 2 ** k)
     nodes = np.array([i * h for i in range(1, k + 1)])
-    ad_H = adjoint_superoperator(H.dense())
+    ad_H = pauli_adjoint(H)
     deltas = [generator_probe(H, s, T).generator - ad_H for s in nodes]
     dd = _divided_difference(nodes, deltas)
     estimate = spectral_norm(dd) / T ** (k - 1)

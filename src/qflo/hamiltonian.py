@@ -23,6 +23,11 @@ _PAULI = {
 }
 
 
+def popcount(m, n_bits: int) -> np.ndarray:
+    """Set bits of each entry of the integer array m below bit n_bits."""
+    return sum((m >> k) & 1 for k in range(n_bits))
+
+
 class HamiltonianFormatError(ValueError):
     """Malformed Hamiltonian text."""
 
@@ -158,9 +163,7 @@ class HamiltonianDecomposition:
         x, z, n_y = (np.array(col)[:, None]
                      for col in zip(*(t.pauli.masks() for t in self.terms)))
         perm = np.arange(self.dim)[None, :] ^ x
-        parity = np.zeros_like(perm)
-        for bit in range(self.n_qubits):
-            parity ^= ((perm & z) >> bit) & 1
+        parity = popcount(perm & z, self.n_qubits) & 1
         signs = np.array([t.sign for t in self.terms])[:, None]
         phase = np.array([1, 1j, -1, -1j])[n_y % 4] * signs * (1 - 2 * parity)
         return PauliRotations(cos=float(np.cos(angle)), perm=perm,

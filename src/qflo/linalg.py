@@ -139,17 +139,35 @@ def apply_superoperator(S, B) -> np.ndarray:
     return devectorize(S @ vectorize(B))
 
 
-def _log_from_eig(w, V) -> np.ndarray:
-    """V diag(log w) V^-1 from eigenpairs, with ``matrix_log_principal``'s checks."""
-    min_mod = float(np.abs(w).min())
+def _log1p(mu) -> np.ndarray:
+    """Principal log(1 + mu) for complex mu, without rounding 1 + mu where
+    |1 + mu| is near 1 (numpy's complex log1p loses the real part there)."""
+    w = 1.0 + mu
+    r2m1 = mu.real * (2.0 + mu.real) + mu.imag ** 2   # |1 + mu|^2 - 1
+    near = r2m1 > -0.5
+    log_mod = np.where(near, 0.5 * np.log1p(np.where(near, r2m1, 0.0)), np.log(np.abs(w)))
+    return log_mod + 1j * np.angle(w)
+
+
+def _log_from_eig(spectra) -> list:
+    """V diag(log(1 + mu)) V^-1 for each block's eigenpairs (mu, V) of S - I.
+
+    ``matrix_log_principal``'s checks run over all blocks at once, as on the
+    block-diagonal matrix they make up: the smallest |1 + mu| against
+    LOG_EIG_TOL, and max sigma_max / min sigma_min of the eigenvector blocks
+    against LOG_COND_CAP.
+    """
+    min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
     if min_mod <= LOG_EIG_TOL:
         raise LogarithmError(min_mod)
-    cond = float(np.linalg.cond(V))
+    sv = [np.linalg.svd(V, compute_uv=False) for _, V in spectra]
+    with np.errstate(divide="ignore"):
+        cond = float(max(s[0] for s in sv) / min(s[-1] for s in sv))
     if cond > LOG_COND_CAP:
         raise NearDefectiveError(
             f"near-defective superoperator: eigenvector condition number {cond:.3e} > {LOG_COND_CAP:.1e}"
         )
-    return (V * np.log(w)) @ np.linalg.inv(V)
+    return [(V * _log1p(mu)) @ np.linalg.inv(V) for mu, V in spectra]
 
 
 def matrix_log_principal(S) -> np.ndarray:
@@ -160,7 +178,8 @@ def matrix_log_principal(S) -> np.ndarray:
     modulus falls at or below LOG_EIG_TOL and NearDefectiveError when the
     eigenvector matrix condition number exceeds LOG_COND_CAP.
     """
-    return _log_from_eig(*np.linalg.eig(_as_square(S)))
+    w, V = np.linalg.eig(_as_square(S))
+    return _log_from_eig([(w - 1.0, V)])[0]
 
 
 def choi_matrix(S) -> np.ndarray:

@@ -136,7 +136,13 @@ def base_step_count(lam: float, T: float, epsilon: float, m: int, one_norm: floa
     if lam * T <= 0:
         raise ValueError("lambda * T must be > 0")
     factor = one_norm if schedule == "squared" else math.log(m)
-    return math.ceil(4.0 * (8.0 * lam * T) ** 2 * (factor / epsilon) ** (1.0 / m))
+    try:
+        count = 4.0 * (8.0 * lam * T) ** 2 * (factor / epsilon) ** (1.0 / m)
+    except OverflowError:   # float ** raises where float * returns inf
+        count = math.inf
+    if math.isinf(count):
+        raise OverflowError(f"step count {count:.3e} does not fit in int64")
+    return math.ceil(count)
 
 
 def step_counts(nodes: ChebyshevNodes, N_m: int, total_time: float) -> StepSchedule:

@@ -102,6 +102,17 @@ class TestExactChannel:
         T = 1.0
         assert abs(expectation_exact(H, Z, RHO0, T, 10**9) - np.cos(1.4 * T)) <= 1e-9
 
+    @pytest.mark.parametrize("N, reference", [
+        (806, 0.75875592606033380),
+        (105345, 0.75948274648915988),
+    ])
+    def test_two_qubit_benchmark_at_forty_digits(self, two_qubit, N, reference):
+        # tr[A E^N(rho0)] by square-and-multiply on the kron-built
+        # superoperator in 40-digit mpmath arithmetic, rounded to 17 digits
+        H, A, psi0 = two_qubit
+        value = expectation_exact(H, A, np.outer(psi0, psi0.conj()), 1.0, N)
+        assert abs(value - reference) <= 1e-14
+
 
 class TestExpectations:
     def test_exact_expectation_rabi_oracle(self, one_qubit):
@@ -327,6 +338,37 @@ def test_powering_matches_kraus_loop(case):
     looped = channel._kraus_iterate(H, rho0, T / N, N)
     tol = 1e-12 * max(1.0, np.abs(np.linalg.eigvalsh(A)).max())
     assert abs(np.trace(A @ powered) - np.trace(A @ looped)) <= tol
+
+
+@given(H=pauli_sums(4), t=st.floats(0.01, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_pauli_channel_matches_kron_oracle(H, t):
+    # sum_j p_j conj(U_j) (x) U_j with U_j from the eigendecomposition of each term
+    U = [unitary_exp(term.dense(), H.lam * t) for term in H.terms]
+    oracle = sum(p * np.kron(Uj.conj(), Uj) for p, Uj in zip(H.probabilities, U))
+    assert np.abs(channel.channel_superoperator(H, t) - oracle).max() <= 1e-13
+
+
+def test_shot_outcomes_follow_exact_distribution():
+    # Chi-square of sample_shots' outcome counts against
+    # p_k = tr[Pi_k E^N(rho0)] from the exact channel, Pi_k the measurer's
+    # eigenprojectors.
+    from scipy.stats import chi2
+
+    H = parse_hamiltonian("0.5 XYI\n0.3 IZZ\n0.4 YIX\n-0.2 ZXY\n0.6 XII\n")
+    A = parse_hamiltonian("1.0 ZII\n0.5 IZI\n0.25 IIZ\n").dense()
+    psi0 = np.zeros(H.dim, dtype=complex)
+    psi0[0] = 1.0
+    T, N, shots = 1.5, 12, 20000
+    measurer = ObservableMeasurer(A)
+    rho = channel_iterate_exact(H, np.outer(psi0, psi0.conj()), T, N)
+    p = np.array([np.trace(V.conj().T @ rho @ V).real for V in measurer._blocks])
+    assert abs(p.sum() - 1.0) <= 1e-12 and p.min() * shots >= 5
+    outcomes = sample_shots(H, measurer, psi0, T, N, shots, seed=2024)
+    counts = np.array([np.sum(outcomes == v) for v in measurer.values])
+    assert counts.sum() == shots
+    statistic = np.sum((counts - shots * p) ** 2 / (shots * p))
+    assert chi2.sf(statistic, p.size - 1) >= 1e-3
 
 
 class TestMeasurement:

@@ -225,9 +225,14 @@ class TestGenerator:
         assert row[4] == "nan"
         assert float(row[2]) <= 1e-10
 
-    def test_one_build_and_one_eig_per_step(self, ham_file, monkeypatch, capsys):
+    def test_one_build_and_one_eig_per_step(self, tmp_path, monkeypatch, capsys):
+        # the two-qubit terms span 8 of the 16 Paulis: two coset blocks
+        path = tmp_path / "two_qubit.txt"
+        path.write_text(TWO_QUBIT)
+        blocks = len(generator.pauli_cosets(parse_hamiltonian(TWO_QUBIT)))
+        assert blocks == 2
         counts = {"build": 0, "eig": 0}
-        build, eig = generator.channel_superoperator, np.linalg.eig
+        build, eig = generator.channel_delta, np.linalg.eig
 
         def counting_build(*args):
             counts["build"] += 1
@@ -240,17 +245,17 @@ class TestGenerator:
         def no_eigvals(*args):
             raise AssertionError("eigvals called")
 
-        monkeypatch.setattr(generator, "channel_superoperator", counting_build)
+        monkeypatch.setattr(generator, "channel_delta", counting_build)
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         code, out, _ = run_cli(
-            ["generator", "--hamiltonian", ham_file, "--time", "1.0",
+            ["generator", "--hamiltonian", str(path), "--time", "1.0",
              "--s-list", "0.125,0.0625,0.03125"],
             capsys,
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 4
-        assert counts == {"build": 3, "eig": 3}
+        assert counts == {"build": 3, "eig": 3 * blocks}
 
     @pytest.mark.parametrize("text, time", [(TWO_QUBIT, "2.0"), (DEPOLARIZING, repr(math.pi / 2))])
     def test_modulus_matches_existence_check(self, text, time, tmp_path, capsys):
@@ -266,8 +271,18 @@ class TestGenerator:
             _, t, modulus = (float(v) for v in line.split(",")[:3])
             assert modulus == generator.log_existence_check(H, t)["min_eig_modulus"]
 
+    # (min_eig_modulus, deviation) of the README's two-qubit generator
+    # experiment, computed from the complex vec-basis superoperator.
+    PINNED_VEC_BASIS = [
+        (0.99442684786603519, 0.09302297441018198),
+        (0.99860536120941867, 0.046455086475810682),
+        (0.99965125583736381, 0.023220511000011566),
+        (0.99991280867961274, 0.011609377026396641),
+        (0.99997820183990893, 0.0058045787215062266),
+    ]
+
     def test_pinned_two_qubit_table(self, tmp_path, capsys):
-        # The README's two-qubit generator experiment.
+        # The README's two-qubit generator experiment, in the Pauli basis.
         path = tmp_path / "two_qubit.txt"
         path.write_text(TWO_QUBIT)
         code, out, _ = run_cli(
@@ -278,12 +293,16 @@ class TestGenerator:
         assert code == 0
         assert out == (
             "s,t,min_eig_modulus,log_exists,deviation\n"
-            "0.0625,0.0625,0.99442684786603519,true,0.09302297441018198\n"
-            "0.03125,0.03125,0.99860536120941867,true,0.046455086475810682\n"
-            "0.015625,0.015625,0.99965125583736381,true,0.023220511000011566\n"
-            "0.0078125,0.0078125,0.99991280867961274,true,0.011609377026396641\n"
-            "0.00390625,0.00390625,0.99997820183990893,true,0.0058045787215062266\n"
+            "0.0625,0.0625,0.99442684786603475,true,0.093022974410185352\n"
+            "0.03125,0.03125,0.9986053612094189,true,0.046455086475804423\n"
+            "0.015625,0.015625,0.9996512558373627,true,0.023220511000072365\n"
+            "0.0078125,0.0078125,0.99991280867961174,true,0.011609377026532686\n"
+            "0.00390625,0.00390625,0.99997820183990949,true,0.0058045787214473623\n"
         )
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        for row, (modulus, deviation) in zip(rows, self.PINNED_VEC_BASIS):
+            assert float(row[2]) == pytest.approx(modulus, rel=1e-9)
+            assert float(row[4]) == pytest.approx(deviation, rel=1e-9)
 
 
 class TestQflo:
@@ -316,17 +335,27 @@ class TestQflo:
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
 
-    def test_int64_overflow_names_step_count_and_flags(self, tmp_path, capsys):
+    def _overflow(self, time, tmp_path, capsys):
         ham = tmp_path / "two_qubit.txt"
         ham.write_text(TWO_QUBIT)
         obs = tmp_path / "zi.txt"
         obs.write_text("1.0 ZI\n")
         argv = ["qflo", "--hamiltonian", str(ham), "--observable", str(obs),
-                "--time", "1e12", "--epsilon", "0.05", "--delta", "0.1", "--seed", "1"]
+                "--time", time, "--epsilon", "0.05", "--delta", "0.1", "--seed", "1",
+                "--mode", "noiseless"]
         code, _, err = run_cli(argv, capsys)
         assert code == 3
-        assert "step count 1.790e+28 does not fit in int64" in err
         assert "--time" in err and "--epsilon" in err
+        return err
+
+    def test_int64_overflow_names_step_count_and_flags(self, tmp_path, capsys):
+        err = self._overflow("1e12", tmp_path, capsys)
+        assert "step count 1.790e+28 does not fit in int64" in err
+
+    def test_float_overflow_names_step_count_and_flags(self, tmp_path, capsys):
+        # (8 lam T)^2 leaves the float range before step_counts is reached
+        err = self._overflow("1e200", tmp_path, capsys)
+        assert "step count inf does not fit in int64" in err
 
     def test_bad_epsilon_is_usage_error(self, ham_file, obs_file, capsys):
         argv = self._argv(ham_file, obs_file, **{"--epsilon": "2.0"})

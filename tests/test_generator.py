@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qflo.channel import exact_expectation, expectation_exact
+from qflo.channel import channel_delta, exact_expectation, expectation_exact, pauli_basis
 from qflo.generator import (
     ConditioningError,
     _divided_difference,
@@ -9,6 +9,8 @@ from qflo.generator import (
     ek_bound_probe,
     generator_probe,
     log_existence_check,
+    pauli_adjoint,
+    pauli_cosets,
     series_probe,
 )
 from qflo.hamiltonian import DimensionCapError, parse_hamiltonian
@@ -52,6 +54,38 @@ class TestChannelSuperoperator:
             channel_superoperator(H, 0.1)
 
 
+HEISENBERG_CHAIN_4 = "".join(
+    f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
+) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
+
+
+class TestPauliBasis:
+    def test_adjoint_matches_vec_basis(self, two_qubit):
+        H, _, _ = two_qubit
+        B = pauli_basis(H.n_qubits)
+        assert np.abs(B @ pauli_adjoint(H) @ B.conj().T
+                      - adjoint_superoperator(H.dense())).max() <= 1e-13
+
+    def test_chain_splits_into_two_cosets(self):
+        H = parse_hamiltonian(HEISENBERG_CHAIN_4)
+        assert [b.size for b in pauli_cosets(H)] == [128, 128]
+
+    @pytest.mark.parametrize("text", [
+        HEISENBERG_CHAIN_4, "0.3 ZZ\n0.3 XI\n0.2 IX\n0.2 YZ\n", "0.7 XZIY\n-0.4 ZZXI\n",
+        "0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n", "0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n",
+    ])
+    def test_delta_vanishes_between_cosets(self, text):
+        H = parse_hamiltonian(text)
+        blocks = pauli_cosets(H)
+        label = np.empty(H.dim ** 2, dtype=int)
+        for k, b in enumerate(blocks):
+            label[b] = k
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(H.dim ** 2))
+        between = label[:, None] != label[None, :]
+        for M in (channel_delta(H, 0.37), pauli_adjoint(H)):
+            assert np.all(M[between] == 0.0)
+
+
 class TestLogExistence:
     def test_exists_below_half_inverse_lambda(self, one_qubit):
         H, _, _ = one_qubit
@@ -90,9 +124,9 @@ class TestGeneratorProbe:
         H, _, _ = one_qubit
         s, T = 1 / 32, 1.0
         probe = generator_probe(H, s, T)
-        S = channel_superoperator(H, s * T)
+        R = np.eye(4) + channel_delta(H, s * T)
         back = scipy.linalg.expm(-1j * s * T * probe.generator)
-        assert np.abs(back - S).max() <= 1e-10
+        assert np.abs(back - R).max() <= 1e-10
 
     def test_rejects_nonpositive_s(self, one_qubit):
         H, _, _ = one_qubit
