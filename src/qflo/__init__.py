@@ -9,6 +9,7 @@ from .channel import (
     channel_iterate_exact,
     exact_expectation,
     expectation_exact,
+    node_values_exact,
     sample_shots,
     substream,
 )

@@ -12,13 +12,18 @@ The diagonal is stored as -2 sin^2(theta), not as cos(2 theta) - 1, which
 would round to 0 for theta below about 1e-8.  The vec-basis superoperator,
 ``channel_superoperator``, is B (I + Delta) B^dag with B = ``pauli_basis``.
 
-An exact node value tr[A E^N(rho0)] (``expectation_exact``) takes one of two
-paths, chosen by qubit count alone.  Up to SUPEROP_QUBIT_CAP qubits it
-raises I + Delta to the N-th power by square-and-multiply on Delta, at
-O(L d^2 + d^6 log N) in real arithmetic.  Above the cap it runs the Kraus
-loop rho -> sum_j p_j U_j rho U_j^dag N times, at O(N L d^3).  On the
-two-qubit benchmark the powered values agree with 40-digit references to
-2e-16 at N = 806 and N = 105345.
+Exact node values tr[A E^N(rho0)] (``node_values_exact``, one call for all
+nodes of a run) take one of two paths, chosen by qubit count alone.  Up to
+SUPEROP_QUBIT_CAP qubits every Delta is block diagonal over the cosets of the
+GF(2) span of the term masks (``pauli_cosets``; 2 blocks of 128 on the
+4-qubit Heisenberg chain), and one square-and-multiply, Delta <- 2 Delta +
+Delta^2 in real arithmetic, runs over the stack of (node x coset) blocks, at
+O(L d^2 + (d^6 / C^2) log N) per node for C cosets.  Each value is read
+off the powered Pauli vector as a . v.  ``expectation_exact`` and
+``channel_iterate_exact`` are the one-node cases.  Above the cap each node
+runs the Kraus loop rho -> sum_j p_j U_j rho U_j^dag N times, at
+O(N L d^3).  On the two-qubit benchmark the powered values agree with
+40-digit references to 2e-16 at N = 806 and N = 105345.
 
 A shot is one qDRIFT run followed by one measurement, and ``sample_shots``
 is the only shot sampler: the CLI's ``qdrift`` shots are the pipeline's
@@ -94,23 +99,47 @@ def _pauli_action(H: HamiltonianDecomposition):
 def pauli_term_matrix(H: HamiltonianDecomposition, diag, off) -> np.ndarray:
     """Real d^2 x d^2 matrix in the normalized Pauli basis: for each term j
     and each Pauli q that anticommutes with P_j, diag[j] at (q, q) and
-    off[j] times the sign of -i s_j P_j sigma_q at (q ^ p_j, q).  O(L d^2)."""
+    off[j] times the sign of -i s_j P_j sigma_q at (q ^ p_j, q).  O(L d^2).
+
+    diag and off may carry leading axes, (..., L), for a stack of matrices
+    of shape (..., d^2, d^2)."""
     if H.n_qubits > SUPEROP_QUBIT_CAP:
         raise DimensionCapError(
             f"superoperator construction capped at {SUPEROP_QUBIT_CAP} qubits, got {H.n_qubits}"
         )
     target, sign = _pauli_action(H)
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
     d2 = H.dim ** 2
     cols = np.arange(d2)
-    M = np.zeros((d2, d2))
-    M[cols, cols] = np.abs(sign).T @ np.asarray(diag, dtype=float)
+    M = np.zeros(diag.shape[:-1] + (d2, d2))
+    M[..., cols, cols] = diag @ np.abs(sign)
     for j in range(len(H)):
-        M[target[j], cols] += off[j] * sign[j]
+        M[..., target[j], cols] += off[..., j, None] * sign[j]
     return M
 
 
-def channel_delta(H: HamiltonianDecomposition, t: float) -> np.ndarray:
-    """Delta = R - I, with R the Pauli transfer matrix of one step of time t.
+def pauli_cosets(H: HamiltonianDecomposition) -> np.ndarray:
+    """(C, 2^r) Pauli indices q = x d + z: row c holds, ascending, the c-th
+    coset of the GF(2) span, of rank r, of the term masks p_j = x_j d + z_j.
+    Every matrix ``pauli_term_matrix`` builds is block diagonal over them."""
+    basis = []   # distinct leading bits, kept in descending order
+    for term in H.terms:
+        x, z, _ = term.pauli.masks()
+        v = x * H.dim + z
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    labels = np.arange(H.dim ** 2)
+    for b in basis:
+        labels = np.minimum(labels, labels ^ b)   # the coset's reduced representative
+    return np.argsort(labels, kind="stable").reshape(-1, 1 << len(basis))
+
+
+def channel_delta(H: HamiltonianDecomposition, t) -> np.ndarray:
+    """Delta = R - I, with R the Pauli transfer matrix of one step of time t;
+    an array of step times gives the stack of their Deltas.
 
     exp(-i theta s P) sigma_q exp(i theta s P) is sigma_q where P commutes
     with sigma_q, and cos(2 theta) sigma_q + sin(2 theta) (-i s P sigma_q)
@@ -118,7 +147,7 @@ def channel_delta(H: HamiltonianDecomposition, t: float) -> np.ndarray:
     -2 sin^2(theta), which keeps its digits where cos(2 theta) rounds to 1.
     """
     p = H.probabilities
-    theta = H.lam * t
+    theta = H.lam * np.asarray(t, dtype=float)[..., None]
     return pauli_term_matrix(H, -2.0 * p * np.sin(theta) ** 2, p * np.sin(2.0 * theta))
 
 
@@ -156,21 +185,37 @@ def _kraus_iterate(H: HamiltonianDecomposition, rho, t: float, N: int) -> np.nda
     return rho
 
 
-def _power_iterate(H: HamiltonianDecomposition, rho, t: float, N: int) -> np.ndarray:
-    """(I + Delta)^N on rho's Pauli coefficients by square-and-multiply:
+def _pauli_powers(H: HamiltonianDecomposition, rho, T: float, counts: list):
+    """B = ``pauli_basis`` and the rows (I + Delta_N)^N v0, Delta_N =
+    ``channel_delta(H, T/N)``, for each N of ``counts`` (which must not
+    increase), with v0 rho's Pauli coefficients.
+
+    Every Delta_N is block diagonal over ``pauli_cosets``, so one
+    square-and-multiply runs over the (node x coset) stack of blocks:
     R^(2^k) = I + Delta_k, so each squaring is Delta <- 2 Delta + Delta^2 and
-    each set bit of N one v <- v + Delta v."""
-    delta = channel_delta(H, t)
+    each set bit of N one v <- v + Delta v.  N only shrinks as its bits are
+    shifted out, so the nodes with bits left stay a prefix of the stack, and
+    the stack is cut to them before each squaring.
+    """
+    cosets = pauli_cosets(H)
     B = pauli_basis(H.n_qubits)
     # rho is Hermitian, so its Pauli coefficients are real
-    v = (B.conj().T @ vectorize(rho)).real
+    v0 = (B.conj().T @ vectorize(rho)).real
+    delta = channel_delta(H, np.array([T / N for N in counts]))
+    delta = delta[:, cosets[:, :, None], cosets[:, None, :]]
+    v = np.repeat(v0[cosets][None], len(counts), axis=0)
+    n = list(counts)
     while True:
-        if N & 1:
-            v = v + delta @ v
-        N >>= 1
-        if not N:
-            return devectorize(B @ v)
-        delta = 2.0 * delta + delta @ delta
+        bit = np.array([N & 1 for N in n], dtype=float)[:, None, None]
+        v[:len(n)] += bit * np.matmul(delta, v[:len(n), ..., None])[..., 0]
+        n = [N >> 1 for N in n if N > 1]
+        if not n:
+            break
+        delta = delta[:len(n)]
+        delta = 2.0 * delta + np.matmul(delta, delta)
+    out = np.empty((len(counts), v0.size))
+    out[:, cosets] = v
+    return B, out
 
 
 def channel_iterate_exact(H: HamiltonianDecomposition, rho0, T: float, N: int) -> np.ndarray:
@@ -178,19 +223,41 @@ def channel_iterate_exact(H: HamiltonianDecomposition, rho0, T: float, N: int) -
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     rho = check_density_matrix(rho0)
+    if H.n_qubits > SUPEROP_QUBIT_CAP:
+        return _kraus_iterate(H, rho, T / N, N)
+    B, v = _pauli_powers(H, rho, T, [N])
+    return devectorize(B @ v[0])
+
+
+def node_values_exact(H: HamiltonianDecomposition, A, rho0, T: float, step_counts) -> np.ndarray:
+    """Noiseless f_A(1/N) = tr[A E^N(rho0)] with step time T/N for each N of
+    ``step_counts``, in the order given; a repeated N is evaluated once.
+
+    Up to SUPEROP_QUBIT_CAP qubits all nodes share one stacked powering
+    (``_pauli_powers``) and each value is a . v with a_q = tr(A sigma_q) /
+    sqrt(d); above it each distinct N runs its own Kraus loop.
+    """
+    A = require_hermitian(A)
+    counts = [int(N) for N in step_counts]
+    if not counts or min(counts) < 1:
+        raise ValueError(f"N must be >= 1, got {counts}")
+    rho = check_density_matrix(rho0)
+    distinct = sorted(set(counts), reverse=True)
     if H.n_qubits <= SUPEROP_QUBIT_CAP:
-        return _power_iterate(H, rho, T / N, N)
-    return _kraus_iterate(H, rho, T / N, N)
+        B, v = _pauli_powers(H, rho, T, distinct)
+        values = v @ (B.T @ vectorize(A.T))
+    else:
+        values = np.array([np.trace(A @ _kraus_iterate(H, rho, T / N, N)) for N in distinct])
+    bad = np.abs(values.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values))
+    if bad.any():
+        raise ArithmeticError(f"expectation has imaginary residue {values.imag[bad][0]:.3e}")
+    position = {N: k for k, N in enumerate(distinct)}
+    return values.real[[position[N] for N in counts]]
 
 
 def expectation_exact(H: HamiltonianDecomposition, A, rho0, T: float, N: int) -> float:
     """Noiseless f_A(1/N) = tr[A E^N(rho0)] with step time T/N."""
-    A = require_hermitian(A)
-    rho = channel_iterate_exact(H, rho0, T, N)
-    val = complex(np.trace(A @ rho))
-    if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val)):
-        raise ArithmeticError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
+    return float(node_values_exact(H, A, rho0, T, [N])[0])
 
 
 def exact_expectation(H: HamiltonianDecomposition, A, rho0, T: float) -> float:

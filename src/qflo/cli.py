@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_loglog_slope
-from .channel import exact_expectation, expectation_exact, sample_shots
+from .channel import exact_expectation, node_values_exact, sample_shots
 from .generator import generator_probe
 from .hamiltonian import DimensionCapError, HamiltonianFormatError, load_hamiltonian
 from .linalg import LogarithmError, NearDefectiveError
@@ -203,10 +203,8 @@ def cmd_scan(args) -> int:
     rho0 = np.outer(psi0, psi0.conj())
     n_list = _parse_list(args.n_list, int, "--n-list", positive=True)
     exact = exact_expectation(H, A, rho0, args.time)
-    rows = []
-    for N in n_list:
-        value = expectation_exact(H, A, rho0, args.time, N)
-        rows.append((N, 1.0 / N, value, exact, abs(value - exact)))
+    values = node_values_exact(H, A, rho0, args.time, n_list).tolist()
+    rows = [(N, 1.0 / N, value, exact, abs(value - exact)) for N, value in zip(n_list, values)]
     _write_csv(["N", "s", "value", "exact", "abs_error"], rows, args.out)
     errors = [r[4] for r in rows]
     summary = {"exact": exact}

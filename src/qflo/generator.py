@@ -5,8 +5,9 @@ ad_H, and finite-difference probes of the series coefficients.
 Everything here works in the normalized Pauli basis, where E_t is the real
 matrix I + Delta built by ``channel.channel_delta`` in O(L d^2).  Delta
 couples a Pauli q only to q ^ p_j for the terms' masks p_j, so it is block
-diagonal over the cosets of the GF(2) span of those masks (``pauli_cosets``;
-2 blocks of 128 on the 4-qubit Heisenberg chain), and so is ad_H.  Each probed
+diagonal over the cosets of the GF(2) span of those masks
+(``channel.pauli_cosets``, which also splits the noiseless powering; 2 blocks
+of 128 on the 4-qubit Heisenberg chain), and so is ad_H.  Each probed
 step builds Delta once and takes one real ``eig`` per block: the eigenvalues
 of E_s are 1 + mu, and both the minimum eigenvalue modulus and the logarithm,
 log1p(mu), are read off them.  Working on mu keeps the digits that 1 + mu
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import channel_delta, channel_superoperator, pauli_term_matrix
+from .channel import channel_delta, channel_superoperator, pauli_cosets, pauli_term_matrix
 from .hamiltonian import HamiltonianDecomposition
 from .linalg import LOG_EIG_TOL, _log_from_eig, spectral_norm
 
@@ -56,24 +57,6 @@ class SeriesProbeResult:
     coefficients: np.ndarray
     fit_residual: float
     condition_number: float
-
-
-def pauli_cosets(H: HamiltonianDecomposition) -> list:
-    """Ascending Pauli indices q = x d + z of each coset of the GF(2) span of
-    the term masks p_j = x_j d + z_j."""
-    basis = []   # distinct leading bits, kept in descending order
-    for term in H.terms:
-        x, z, _ = term.pauli.masks()
-        v = x * H.dim + z
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = sorted(basis + [v], reverse=True)
-    labels = np.arange(H.dim ** 2)
-    for b in basis:
-        labels = np.minimum(labels, labels ^ b)   # the coset's reduced representative
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def pauli_adjoint(H: HamiltonianDecomposition) -> np.ndarray:

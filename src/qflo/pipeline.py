@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ObservableMeasurer, expectation_exact, sample_shots
+from .channel import ObservableMeasurer, node_values_exact, sample_shots
 from .hamiltonian import HamiltonianDecomposition
 from .linalg import check_density_matrix, require_hermitian
 from .richardson import (
@@ -202,7 +202,7 @@ def _noiseless_node_values(H, A, initial_state, T, schedule: StepSchedule) -> li
     else:
         psi = np.asarray(initial_state, dtype=complex).reshape(-1)
         rho0 = np.outer(psi, psi.conj())
-    return [expectation_exact(H, A, rho0, T, int(N)) for N in schedule.step_counts]
+    return node_values_exact(H, A, rho0, T, schedule.step_counts).tolist()
 
 
 def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int):

@@ -14,12 +14,15 @@ from qflo.channel import (
     substream,
 )
 from qflo.hamiltonian import parse_hamiltonian
-from qflo.linalg import conjugation_superoperator, unitary_exp, vectorize
+from qflo.linalg import conjugation_superoperator, devectorize, unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
 RHO0 = np.outer(KET0, KET0.conj())
+HEISENBERG_CHAIN_4 = "".join(
+    f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
+) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
 
 
 class TestSubstreams:
@@ -89,11 +92,55 @@ class TestExactChannel:
         # the path is chosen by qubit count alone
         H4 = parse_hamiltonian("0.7 XZIY\n-0.4 ZZXI")
         H5 = parse_hamiltonian("0.7 XZIYZ\n-0.4 ZZXIX")
-        for H, path in ((H4, channel._power_iterate), (H5, channel._kraus_iterate)):
+
+        def powered(H, rho):
+            B, v = channel._pauli_powers(H, rho, 0.8, [5])
+            return devectorize(B @ v[0])
+
+        def looped(H, rho):
+            return channel._kraus_iterate(H, rho, 0.8 / 5, 5)
+
+        for H, path in ((H4, powered), (H5, looped)):
             rho = np.zeros((H.dim, H.dim), dtype=complex)
             rho[0, 0] = 1.0
-            assert np.array_equal(channel_iterate_exact(H, rho, 0.8, 5),
-                                  path(H, rho, 0.8 / 5, 5))
+            assert np.array_equal(channel_iterate_exact(H, rho, 0.8, 5), path(H, rho))
+
+    def test_node_values_loop_each_node_above_the_cap(self):
+        H = parse_hamiltonian("0.7 XZIYZ\n-0.4 ZZXIX")
+        A = parse_hamiltonian("1.0 ZIIII\n0.5 IXIII").dense()
+        rho = np.zeros((H.dim, H.dim), dtype=complex)
+        rho[0, 0] = 1.0
+        expected = [np.trace(A @ channel._kraus_iterate(H, rho, 0.8 / N, N)).real
+                    for N in (3, 5, 3)]
+        assert np.array_equal(channel.node_values_exact(H, A, rho, 0.8, [3, 5, 3]), expected)
+
+    def test_node_values_reject_bad_step_counts(self, one_qubit):
+        H, A, psi0 = one_qubit
+        rho = np.outer(psi0, psi0.conj())
+        for counts in ([], [4, 0], [-1]):
+            with pytest.raises(ValueError):
+                channel.node_values_exact(H, A, rho, 1.0, counts)
+
+    def test_chain_powering_multiplies_coset_blocks_only(self, monkeypatch):
+        # the 4-qubit chain's Delta is 2 coset blocks of 128: every product
+        # takes 128 x 128 blocks, and each squaring runs over the nodes whose
+        # N still has bits left (16, 64 and 1024 square 4, 6 and 10 times)
+        H = parse_hamiltonian(HEISENBERG_CHAIN_4)
+        A = parse_hamiltonian("1.0 ZIII").dense()
+        rho = np.zeros((H.dim, H.dim), dtype=complex)
+        rho[0, 0] = 1.0
+        shapes = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append((np.shape(a), np.shape(b)))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        channel.node_values_exact(H, A, rho, 1.0, [64, 16, 1024])
+        squared = [a for a, b in shapes if a == b]
+        assert squared == [(3, 2, 128, 128)] * 4 + [(2, 2, 128, 128)] * 2 + [(1, 2, 128, 128)] * 4
+        assert all(a[-2:] == (128, 128) and b[-2] == 128 for a, b in shapes)
 
     def test_single_term_oracle_at_a_billion_steps(self):
         # every step is exp(-i 0.7 T/N X), so E^N is the exact evolution;
@@ -334,10 +381,29 @@ def test_powering_matches_kraus_loop(case):
         psi = M[:, 0] / np.linalg.norm(M[:, 0])
         rho0 = np.outer(psi, psi.conj())
     A = 2.0 * (M + M.conj().T)
-    powered = channel._power_iterate(H, rho0, T / N, N)
+    B, v = channel._pauli_powers(H, rho0, T, [N])
+    powered = devectorize(B @ v[0])
     looped = channel._kraus_iterate(H, rho0, T / N, N)
     tol = 1e-12 * max(1.0, np.abs(np.linalg.eigvalsh(A)).max())
     assert abs(np.trace(A @ powered) - np.trace(A @ looped)) <= tol
+
+
+@given(case=powering_cases(), extra=st.lists(st.integers(1, 2000), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_stacked_nodes_match_single_nodes(case, extra):
+    # unsorted and repeated step counts, in one stacked powering
+    H, T, N, mixed, seed = case
+    counts = [N] + extra + extra[::-1] + [N]
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(H.dim, H.dim)) + 1j * rng.normal(size=(H.dim, H.dim))
+    psi = M[:, 0] / np.linalg.norm(M[:, 0])
+    rho0 = M @ M.conj().T / np.trace(M @ M.conj().T).real if mixed else np.outer(psi, psi.conj())
+    A = 2.0 * (M + M.conj().T)
+    stacked = channel.node_values_exact(H, A, rho0, T, counts)
+    single = [expectation_exact(H, A, rho0, T, n) for n in counts]
+    tol = 1e-13 * max(1.0, np.abs(np.linalg.eigvalsh(A)).max())
+    assert stacked.shape == (len(counts),)
+    assert np.abs(stacked - single).max() <= tol
 
 
 @given(H=pauli_sums(4), t=st.floats(0.01, 3.0))

@@ -179,6 +179,25 @@ class TestScan:
         assert payload["outputs"]["slope"] == pytest.approx(1.0, abs=0.1)
         assert payload["outputs"]["exact"] == pytest.approx(np.cos(1 / np.sqrt(2)) ** 2)
 
+    def test_unsorted_repeated_n_list_keeps_its_order(self, ham_file, obs_file, capsys):
+        code, out, _ = run_cli(
+            [
+                "scan", "--hamiltonian", ham_file, "--observable", obs_file,
+                "--time", "1.0", "--n-list", "64,8,64,16",
+            ],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [int(r[0]) for r in rows] == [64, 8, 64, 16]
+        H = parse_hamiltonian(ONE_QUBIT)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        A = np.diag([1.0, -1.0])
+        for r in rows:
+            assert float(r[2]) == pytest.approx(
+                channel.expectation_exact(H, A, rho0, 1.0, int(r[0])), abs=1e-14)
+        assert rows[0] == rows[2]
+
     def test_bad_n_list(self, ham_file, obs_file, capsys):
         code, _, err = run_cli(
             [
