@@ -17,8 +17,9 @@ class SlopeFit:
 def fit_loglog_slope(x, y) -> SlopeFit:
     """Ordinary least squares on (ln x, ln y).
 
-    Requires at least 4 strictly positive points.  A constant y gives
-    slope 0 with r_squared defined as 1.
+    Requires at least 4 strictly positive points with at least 2 distinct
+    x values; a single x has no slope.  A constant y gives slope 0 with
+    r_squared defined as 1.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -28,6 +29,8 @@ def fit_loglog_slope(x, y) -> SlopeFit:
         raise ValueError(f"need at least 4 points for a slope fit, got {x.size}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("slope fit requires strictly positive data")
+    if np.unique(x).size < 2:
+        raise ValueError("slope fit needs at least 2 distinct x values")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept

@@ -12,18 +12,25 @@ The diagonal is stored as -2 sin^2(theta), not as cos(2 theta) - 1, which
 would round to 0 for theta below about 1e-8.  The vec-basis superoperator,
 ``channel_superoperator``, is B (I + Delta) B^dag with B = ``pauli_basis``.
 
+Delta is block diagonal over the cosets of the GF(2) span of the term masks
+(``pauli_cosets``; 2 blocks of 128 on the 4-qubit Heisenberg chain), and
+within each coset over the symmetry sectors of ``pauli_sectors``: the joint
+eigenspaces of left multiplication by the radical, the Paulis of that span
+that commute with every term (4 sectors of 64 on the chain, split by XXXX).
+The generator analysis eigensolves per sector; the powering below stays on
+the cosets.
+
 Exact node values tr[A E^N(rho0)] (``node_values_exact``, one call for all
 nodes of a run) take one of two paths, chosen by qubit count alone.  Up to
-SUPEROP_QUBIT_CAP qubits every Delta is block diagonal over the cosets of the
-GF(2) span of the term masks (``pauli_cosets``; 2 blocks of 128 on the
-4-qubit Heisenberg chain), and one square-and-multiply, Delta <- 2 Delta +
-Delta^2 in real arithmetic, runs over the stack of (node x coset) blocks, at
-O(L d^2 + (d^6 / C^2) log N) per node for C cosets.  Each value is read
-off the powered Pauli vector as a . v.  ``expectation_exact`` and
-``channel_iterate_exact`` are the one-node cases.  Above the cap each node
-runs the Kraus loop rho -> sum_j p_j U_j rho U_j^dag N times, at
-O(N L d^3).  On the two-qubit benchmark the powered values agree with
-40-digit references to 2e-16 at N = 806 and N = 105345.
+SUPEROP_QUBIT_CAP qubits every Delta is split into its coset blocks, and one
+square-and-multiply, Delta <- 2 Delta + Delta^2 in real arithmetic, runs
+over the stack of (node x coset) blocks, at O(L d^2 + (d^6 / C^2) log N)
+per node for C cosets.  Each value is read off the powered Pauli vector as
+a . v.  ``expectation_exact`` and ``channel_iterate_exact`` are the one-node
+cases.  Above the cap each node runs the Kraus loop
+rho -> sum_j p_j U_j rho U_j^dag N times, at O(N L d^3).  On the two-qubit
+benchmark the powered values agree with 40-digit references to 2e-16 at
+N = 806 and N = 105345.
 
 A shot is one qDRIFT run followed by one measurement, and ``sample_shots``
 is the only shot sampler: the CLI's ``qdrift`` shots are the pipeline's
@@ -48,6 +55,8 @@ shot's outcome does not depend on the order or batching of the others.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,26 +83,37 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
 
 
+def _term_masks(H: HamiltonianDecomposition) -> np.ndarray:
+    """(L,) Pauli indices p_j = x_j d + z_j of the terms' masks."""
+    return np.array([x * H.dim + z for x, z, _ in (t.pauli.masks() for t in H.terms)])
+
+
+def _product_phase(a, q, n: int) -> np.ndarray:
+    """e in 0..3 with sigma_a sigma_q = i^e sigma_{a ^ q} for Pauli indices
+    a, q = x d + z (broadcast); e is odd exactly where they anticommute.
+
+    From sigma_{x,z} = i^(x.z) X^x Z^z,
+    e = a_x.a_z + x.z - (a_x ^ x).(a_z ^ z) + 2 a_z.x.
+    """
+    low = (1 << n) - 1
+    ax, az, x, z = a >> n, a & low, q >> n, q & low
+    return (popcount(ax & az, n) + popcount(x & z, n)
+            - popcount((ax ^ x) & (az ^ z), n) + 2 * popcount(az & x, n)) % 4
+
+
 def _pauli_action(H: HamiltonianDecomposition):
     """(target, sign), each (L, d^2), over Paulis q = x d + z.
 
     Where term j anticommutes with sigma_q, -i s_j P_j sigma_q = sign[j, q]
     sigma_{target[j, q]} with sign +-1 and target q ^ p_j; where they
-    commute, sign is 0.  From sigma_{x,z} = i^(x.z) X^x Z^z, the product
-    sigma_a sigma_q carries the phase i^e with
-    e = a_x.a_z + x.z - (a_x ^ x).(a_z ^ z) + 2 a_z.x.
+    commute, sign is 0.
     """
-    n, d = H.n_qubits, H.dim
-    q = np.arange(d * d)
-    x, z = q >> n, q & (d - 1)
-    ax, az = (np.array(col)[:, None]
-              for col in zip(*(t.pauli.masks()[:2] for t in H.terms)))
-    anti = (popcount(ax & z, n) + popcount(az & x, n)) & 1
-    e = (popcount(ax & az, n) + popcount(x & z, n)
-         - popcount((ax ^ x) & (az ^ z), n) + 2 * popcount(az & x, n))
-    term_signs = np.array([t.sign for t in H.terms])[:, None]
-    sign = anti * np.where(e % 4 == 1, 1, -1) * term_signs
-    return (ax * d + az) ^ q, sign
+    p = _term_masks(H)[:, None]
+    q = np.arange(H.dim ** 2)
+    e = _product_phase(p, q, H.n_qubits)
+    # -i i^e for odd e; even e (commuting) gives no action
+    sign = np.array([0, 1, 0, -1])[e] * np.array([t.sign for t in H.terms])[:, None]
+    return p ^ q, sign
 
 
 def pauli_term_matrix(H: HamiltonianDecomposition, diag, off) -> np.ndarray:
@@ -119,22 +139,104 @@ def pauli_term_matrix(H: HamiltonianDecomposition, diag, off) -> np.ndarray:
     return M
 
 
+def _gf2_basis(vectors) -> list:
+    """Echelon basis of the GF(2) span of the integers ``vectors``: distinct
+    leading bits, in descending order."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [int(v)], reverse=True)
+    return basis
+
+
+def _reduce(labels, basis: list):
+    """Each label's representative modulo the span of the echelon ``basis``:
+    the one element of its coset with every leading bit of the basis clear."""
+    for b in basis:
+        labels = np.minimum(labels, labels ^ b)
+    return labels
+
+
 def pauli_cosets(H: HamiltonianDecomposition) -> np.ndarray:
     """(C, 2^r) Pauli indices q = x d + z: row c holds, ascending, the c-th
     coset of the GF(2) span, of rank r, of the term masks p_j = x_j d + z_j.
     Every matrix ``pauli_term_matrix`` builds is block diagonal over them."""
-    basis = []   # distinct leading bits, kept in descending order
-    for term in H.terms:
-        x, z, _ = term.pauli.masks()
-        v = x * H.dim + z
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = sorted(basis + [v], reverse=True)
-    labels = np.arange(H.dim ** 2)
-    for b in basis:
-        labels = np.minimum(labels, labels ^ b)   # the coset's reduced representative
+    basis = _gf2_basis(_term_masks(H))
+    labels = _reduce(np.arange(H.dim ** 2), basis)
     return np.argsort(labels, kind="stable").reshape(-1, 1 << len(basis))
+
+
+class PauliSector(NamedTuple):
+    """An orthonormal basis V of one symmetry sector of the Pauli basis:
+    column a of V holds phase[g, a] / 2^(k/2) at Pauli pos[g, a], for the
+    2^k elements g of the radical, with pos[0] the orbit representatives.
+    phase is +-1 where the sector is its own complex conjugate and +-1, +-i
+    where it is ``paired``: then conj(V) spans a further sector, which is
+    not listed."""
+
+    pos: np.ndarray
+    phase: np.ndarray
+    paired: bool
+
+    def block(self, M) -> np.ndarray:
+        """V^dag M V for a d^2 x d^2 matrix M that commutes with the
+        radical's left multiplications, as every ``pauli_term_matrix`` does:
+        M V lies in the sector, so its coefficients are read off at the
+        representatives, (M V)[pos[0]] 2^(k/2)."""
+        return sum(M[np.ix_(self.pos[0], self.pos[h])] * self.phase[h]
+                   for h in range(len(self.pos)))
+
+    def lift(self, out, block) -> None:
+        """out += V block V^dag, plus its conjugate where ``paired``."""
+        for g in range(len(self.pos)):
+            for h in range(len(self.pos)):
+                part = self.phase[g][:, None] * block * self.phase[h].conj() / len(self.pos)
+                out[np.ix_(self.pos[g], self.pos[h])] += (part + part.conj()) if self.paired else part
+
+
+def pauli_sectors(H: HamiltonianDecomposition) -> list:
+    """Each ``pauli_cosets`` block split into symmetry sectors, as a list of
+    ``PauliSector``; every matrix ``pauli_term_matrix`` builds is block
+    diagonal over them.
+
+    The radical is the part of the span of the term masks that commutes with
+    every term, with echelon generators s_1..s_k (XXXX on the 4-qubit
+    Heisenberg chain).  Left multiplication M_i by sigma_{s_i} commutes with
+    each term's action and keeps each coset, and the M_i commute and square
+    to I.  Their joint eigenspace of signs eps in a coset has the basis
+    vectors 2^(-k/2) sum_g eps^g M^g e_q over the orbits q ^ radical, with q
+    the orbit's ``_reduce`` representative.  M_i e_q = i^e e_{q ^ s_i}, with
+    i^e = +-1 where sigma_q commutes with sigma_{s_i} and +-i where it
+    anticommutes.  So a coset that commutes with the whole radical has 2^k
+    real sectors; any other coset's sectors come in complex-conjugate pairs,
+    eps and eps flipped on the anticommuting generators, and only the first
+    of each pair is listed.  With a trivial radical the sectors are the
+    cosets, with phase 1.
+    """
+    n = H.n_qubits
+    cosets = pauli_cosets(H)
+    span = cosets[0]   # the coset of 0
+    central = (_product_phase(_term_masks(H)[:, None], span, n) & 1 == 0).all(axis=0)
+    radical = _gf2_basis(span[central])
+    pos = cosets[_reduce(cosets, radical) == cosets].reshape(len(cosets), 1, -1)
+    phase = np.ones(pos.shape, dtype=complex)
+    signs = np.ones((1, 1))   # eps^g over sector labels eps and elements g
+    anti = np.zeros(len(cosets), dtype=int)   # bit i: the coset anticommutes with s_i
+    for i, s in enumerate(radical):   # g's bit i is the new leading bit
+        i_power = np.array([1, 1j, -1, -1j])[_product_phase(s, pos, n)]
+        phase = np.concatenate([phase, phase * i_power], axis=1)
+        pos = np.concatenate([pos, pos ^ s], axis=1)
+        signs = np.kron([[1, 1], [1, -1]], signs)
+        anti |= (_product_phase(s, cosets[:, 0], n) & 1) << i
+    labels = np.arange(len(signs))
+    sectors = []
+    for c in range(len(cosets)):
+        for eps in labels[labels <= labels ^ anti[c]]:
+            v = signs[eps][:, None] * phase[c]
+            sectors.append(PauliSector(pos[c], v if anti[c] else v.real, bool(anti[c])))
+    return sectors
 
 
 def channel_delta(H: HamiltonianDecomposition, t) -> np.ndarray:

@@ -98,6 +98,17 @@ def _parse_list(text, cast, flag, positive=False):
     return values
 
 
+def _slope_fit(x, y) -> dict:
+    """Slope and r^2 of the log-log fit of y against x; empty where
+    ``fit_loglog_slope`` refuses the points (fewer than 4, a zero error, or
+    one x value)."""
+    try:
+        fit = fit_loglog_slope(x, y)
+    except ValueError:
+        return {}
+    return {"slope": fit.slope, "r_squared": fit.r_squared}
+
+
 def _require_positive(value, flag):
     if not (value > 0 and math.isfinite(value)):
         raise UsageError(f"{flag} must be positive and finite, got {value!r}")
@@ -206,11 +217,7 @@ def cmd_scan(args) -> int:
     values = node_values_exact(H, A, rho0, args.time, n_list).tolist()
     rows = [(N, 1.0 / N, value, exact, abs(value - exact)) for N, value in zip(n_list, values)]
     _write_csv(["N", "s", "value", "exact", "abs_error"], rows, args.out)
-    errors = [r[4] for r in rows]
-    summary = {"exact": exact}
-    if len(rows) >= 4 and all(e > 0 for e in errors):
-        fit = fit_loglog_slope([r[1] for r in rows], errors)
-        summary.update({"slope": fit.slope, "r_squared": fit.r_squared})
+    summary = {"exact": exact, **_slope_fit([r[1] for r in rows], [r[4] for r in rows])}
     _write_json(
         {
             "command": "scan",
@@ -239,12 +246,8 @@ def cmd_generator(args) -> int:
         except LogarithmError as exc:
             rows.append((s, s * args.time, exc.min_eig_modulus, False, math.nan))
     _write_csv(["s", "t", "min_eig_modulus", "log_exists", "deviation"], rows, args.out)
-    summary = {}
-    devs = [r[4] for r in rows if not math.isnan(r[4])]
-    ss = [r[0] for r in rows if not math.isnan(r[4])]
-    if len(devs) >= 4 and all(d > 0 for d in devs):
-        fit = fit_loglog_slope(ss, devs)
-        summary = {"slope": fit.slope, "r_squared": fit.r_squared}
+    probed = [r for r in rows if r[3]]
+    summary = _slope_fit([r[0] for r in probed], [r[4] for r in probed])
     _write_json(
         {
             "command": "generator",
@@ -341,9 +344,9 @@ def cmd_orderfit(args) -> int:
             rows.append((m, scale, int(sched.step_counts[-1]), s_m, err))
             s_values.append(s_m)
             errors.append(err)
-        if len(errors) >= 4 and all(e > 0 for e in errors):
-            fit = fit_loglog_slope(s_values, errors)
-            slopes[str(m)] = {"slope": fit.slope, "r_squared": fit.r_squared}
+        fit = _slope_fit(s_values, errors)
+        if fit:
+            slopes[str(m)] = fit
     _write_csv(["m", "scale", "N_m", "s_m", "abs_error"], rows, args.out)
     _write_json(
         {

@@ -3,21 +3,26 @@ effective generator G(s) with E_s = exp(-i s T G(s)), its convergence to
 ad_H, and finite-difference probes of the series coefficients.
 
 Everything here works in the normalized Pauli basis, where E_t is the real
-matrix I + Delta built by ``channel.channel_delta`` in O(L d^2).  Delta
-couples a Pauli q only to q ^ p_j for the terms' masks p_j, so it is block
-diagonal over the cosets of the GF(2) span of those masks
-(``channel.pauli_cosets``, which also splits the noiseless powering; 2 blocks
-of 128 on the 4-qubit Heisenberg chain), and so is ad_H.  Each probed
-step builds Delta once and takes one real ``eig`` per block: the eigenvalues
-of E_s are 1 + mu, and both the minimum eigenvalue modulus and the logarithm,
-log1p(mu), are read off them.  Working on mu keeps the digits that 1 + mu
-would round away: on the 4-qubit chain at s = 2^-12 the deviation's relative
+matrix I + Delta built by ``channel.channel_delta`` in O(L d^2).  Delta,
+and ad_H with it, is block diagonal over the symmetry sectors of
+``channel.pauli_sectors``: the cosets of the GF(2) span of the term masks,
+each split into the joint +-1 eigenspaces of left multiplication by the
+radical, the Paulis of that span that commute with every term.  On the
+4-qubit Heisenberg chain the radical is {I, XXXX}, and the 2 cosets of 128
+become 4 sectors of 64: two real, and a complex-conjugate pair of which
+only one is solved.  Each probed step builds Delta once and takes one
+``eig`` per listed sector (3 of 64 on the chain): the eigenvalues of E_s
+are 1 + mu, and the minimum eigenvalue modulus, the logarithm log1p(mu),
+the eigenvector conditioning guard and the deviation from ad_H are all
+taken sector by sector.  Working on mu keeps the digits that 1 + mu would
+round away: on the 4-qubit chain at s = 2^-12 the deviation's relative
 error against an 80-bit extended-precision series for log(I + Delta) is
-2.8e-13, where the complex superoperator's eigenvalues gave 1.8e-8.  The
-basis change is unitary, so spectral norms, and with them the deviation, are
-those of the vec-basis superoperators; ``GeneratorProbe.generator`` is G(s)
-in the Pauli basis.  ``channel_superoperator`` (the vec-basis form of E_t)
-stays exported here for callers that want it.
+1.4e-14, where the complex superoperator's eigenvalues gave 1.8e-8.  The
+sector bases are orthonormal, so spectral norms, and with them the
+deviation, are those of the vec-basis superoperators;
+``GeneratorProbe.generator`` is the whole G(s) in the Pauli basis.
+``channel_superoperator`` (the vec-basis form of E_t) stays exported here
+for callers that want it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import channel_delta, channel_superoperator, pauli_cosets, pauli_term_matrix
+from .channel import (
+    channel_delta, channel_superoperator, pauli_cosets, pauli_sectors, pauli_term_matrix,
+)
 from .hamiltonian import HamiltonianDecomposition
 from .linalg import LOG_EIG_TOL, _log_from_eig, spectral_norm
 
@@ -67,13 +74,15 @@ def pauli_adjoint(H: HamiltonianDecomposition) -> np.ndarray:
 
 
 def _channel_spectrum(H: HamiltonianDecomposition, t: float):
-    """Coset blocks of the Pauli basis, the eigenpairs (mu, V) of each block
-    of Delta = E_t - I, and E_t's minimum eigenvalue modulus."""
+    """Symmetry sectors of the Pauli basis (``pauli_sectors``), the
+    eigenpairs (mu, V) of each sector block of Delta = E_t - I, and E_t's
+    minimum eigenvalue modulus.  A paired sector's conjugate has the
+    conjugate eigenpairs, so it takes no eigensolve of its own."""
     delta = channel_delta(H, t)
-    blocks = pauli_cosets(H)
-    spectra = [np.linalg.eig(delta[np.ix_(b, b)]) for b in blocks]
+    sectors = pauli_sectors(H)
+    spectra = [np.linalg.eig(sector.block(delta)) for sector in sectors]
     min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
-    return blocks, spectra, min_mod
+    return sectors, spectra, min_mod
 
 
 def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
@@ -88,22 +97,22 @@ def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
 
 
 def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> GeneratorProbe:
-    """G(s) = log(E_s) / (-i s T), blockwise in the Pauli basis, and its
-    spectral-norm distance to ad_H, the largest over the blocks; raises
+    """G(s) = log(E_s) / (-i s T), sector by sector in the Pauli basis, and
+    its spectral-norm distance to ad_H, the largest over the sectors; raises
     LogarithmError, carrying E_s's ``min_eig_modulus``, when no logarithm
     exists."""
     if s <= 0:
         raise ValueError(f"inverse step count s must be > 0, got {s}")
     t = s * T
-    blocks, spectra, min_mod = _channel_spectrum(H, t)
+    sectors, spectra, min_mod = _channel_spectrum(H, t)
     logs = _log_from_eig(spectra)
     ad_H = pauli_adjoint(H)
-    G = np.zeros_like(ad_H)
+    G = np.zeros_like(ad_H)   # log(E_s) until divided by -i t
     deviation = 0.0
-    for b, log_block in zip(blocks, logs):
-        block = np.ix_(b, b)
-        G[block] = log_block / (-1j * t)
-        deviation = max(deviation, spectral_norm(G[block] - ad_H[block]))
+    for sector, log_block in zip(sectors, logs):
+        sector.lift(G, log_block)
+        deviation = max(deviation, spectral_norm(log_block / (-1j * t) - sector.block(ad_H)))
+    G /= -1j * t
     return GeneratorProbe(s=s, t=t, generator=G, deviation=deviation, min_eig_modulus=min_mod)
 
 

@@ -35,6 +35,8 @@ class TestFitLoglogSlope:
             fit_loglog_slope([1, 2, 3, 0], [1, 2, 3, 4])
         with pytest.raises(ValueError, match="positive"):
             fit_loglog_slope([1, 2, 3, 4], [1, 2, 3, -4])
+        with pytest.raises(ValueError, match="2 distinct x"):
+            fit_loglog_slope([0.1, 0.1, 0.1, 0.1], [1, 2, 3, 4])
 
     @given(
         slope=st.floats(-4, 4),

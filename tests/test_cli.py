@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ DEPOLARIZING = "0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n"
 THREE_QUBIT = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n"
 TWO_QUBIT = "0.3 ZZ\n0.3 XI\n0.2 IX\n0.2 YZ\n"
 OBS_ZIZ = "1.0 ZIZ\n"
+CHAIN_4 = "".join(
+    f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
+) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
 
 
 @pytest.fixture
@@ -198,6 +202,23 @@ class TestScan:
                 channel.expectation_exact(H, A, rho0, 1.0, int(r[0])), abs=1e-14)
         assert rows[0] == rows[2]
 
+    def test_repeated_n_list_fits_no_slope(self, ham_file, obs_file, tmp_path, capsys):
+        # four copies of one N have no log-log slope: the summary leaves it
+        # out, and no rank warning is raised
+        json_path = tmp_path / "scan.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                [
+                    "scan", "--hamiltonian", ham_file, "--observable", obs_file,
+                    "--time", "1.0", "--n-list", "64,64,64,64", "--json", str(json_path),
+                ],
+                capsys,
+            )
+        assert code == 0 and err == ""
+        assert len(out.strip().split("\n")) == 5
+        assert set(json.loads(json_path.read_text())["outputs"]) == {"exact"}
+
     def test_bad_n_list(self, ham_file, obs_file, capsys):
         code, _, err = run_cli(
             [
@@ -226,6 +247,21 @@ class TestGenerator:
         payload = json.loads(json_path.read_text())
         assert payload["outputs"]["slope"] == pytest.approx(1.0, abs=0.05)
 
+    def test_repeated_s_list_fits_no_slope(self, ham_file, tmp_path, capsys):
+        json_path = tmp_path / "gen.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                [
+                    "generator", "--hamiltonian", ham_file, "--time", "1.0",
+                    "--s-list", "0.1,0.1,0.1,0.1", "--json", str(json_path),
+                ],
+                capsys,
+            )
+        assert code == 0 and err == ""
+        assert len(out.strip().split("\n")) == 5
+        assert json.loads(json_path.read_text())["outputs"] == {}
+
     def test_missing_log_exits_numerical(self, tmp_path, capsys):
         dep = tmp_path / "dep.txt"
         dep.write_text(DEPOLARIZING)
@@ -244,37 +280,53 @@ class TestGenerator:
         assert row[4] == "nan"
         assert float(row[2]) <= 1e-10
 
-    def test_one_build_and_one_eig_per_step(self, tmp_path, monkeypatch, capsys):
-        # the two-qubit terms span 8 of the 16 Paulis: two coset blocks
-        path = tmp_path / "two_qubit.txt"
-        path.write_text(TWO_QUBIT)
-        blocks = len(generator.pauli_cosets(parse_hamiltonian(TWO_QUBIT)))
-        assert blocks == 2
-        counts = {"build": 0, "eig": 0}
+    def _spy_generator(self, text, s_list, tmp_path, monkeypatch, capsys):
+        """Runs ``qflo generator`` on ``text``; returns the number of channel
+        builds and the (shape, dtype kind) of every ``eig`` call, and fails
+        on any ``eigvals`` call."""
+        path = tmp_path / "ham.txt"
+        path.write_text(text)
+        builds, eigs = [], []
         build, eig = generator.channel_delta, np.linalg.eig
 
         def counting_build(*args):
-            counts["build"] += 1
+            builds.append(args)
             return build(*args)
 
-        def counting_eig(*args):
-            counts["eig"] += 1
-            return eig(*args)
+        def recording_eig(a):
+            eigs.append((a.shape, a.dtype.kind))
+            return eig(a)
 
         def no_eigvals(*args):
             raise AssertionError("eigvals called")
 
         monkeypatch.setattr(generator, "channel_delta", counting_build)
-        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        monkeypatch.setattr(np.linalg, "eig", recording_eig)
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         code, out, _ = run_cli(
-            ["generator", "--hamiltonian", str(path), "--time", "1.0",
-             "--s-list", "0.125,0.0625,0.03125"],
+            ["generator", "--hamiltonian", str(path), "--time", "1.0", "--s-list", s_list],
             capsys,
         )
         assert code == 0
-        assert len(out.strip().split("\n")) == 4
-        assert counts == {"build": 3, "eig": 3 * blocks}
+        assert len(out.strip().split("\n")) == 1 + len(s_list.split(","))
+        return len(builds), eigs
+
+    def test_one_build_and_three_sector_eigs_per_step(self, tmp_path, monkeypatch, capsys):
+        # the two-qubit terms span 8 of the 16 Paulis, and XX = XI.IX
+        # commutes with every term: each coset of 8 splits in two sectors of
+        # 4, and the complex pair of one coset takes a single eig
+        builds, eigs = self._spy_generator(
+            TWO_QUBIT, "0.125,0.0625,0.03125", tmp_path, monkeypatch, capsys)
+        assert builds == 3
+        assert eigs == 3 * [((4, 4), "f"), ((4, 4), "f"), ((4, 4), "c")]
+
+    def test_chain_probes_three_64_wide_sectors(self, tmp_path, monkeypatch, capsys):
+        # the 4-qubit Heisenberg chain's two cosets of 128 split by XXXX into
+        # two real sectors and one complex-conjugate pair, all 64 wide
+        builds, eigs = self._spy_generator(
+            CHAIN_4, "0.125,0.03125,0.0078125,0.001953125", tmp_path, monkeypatch, capsys)
+        assert builds == 4
+        assert eigs == 4 * [((64, 64), "f"), ((64, 64), "f"), ((64, 64), "c")]
 
     @pytest.mark.parametrize("text, time", [(TWO_QUBIT, "2.0"), (DEPOLARIZING, repr(math.pi / 2))])
     def test_modulus_matches_existence_check(self, text, time, tmp_path, capsys):
@@ -301,7 +353,8 @@ class TestGenerator:
     ]
 
     def test_pinned_two_qubit_table(self, tmp_path, capsys):
-        # The README's two-qubit generator experiment, in the Pauli basis.
+        # The README's two-qubit generator experiment, in the Pauli basis,
+        # sector by sector.
         path = tmp_path / "two_qubit.txt"
         path.write_text(TWO_QUBIT)
         code, out, _ = run_cli(
@@ -312,11 +365,11 @@ class TestGenerator:
         assert code == 0
         assert out == (
             "s,t,min_eig_modulus,log_exists,deviation\n"
-            "0.0625,0.0625,0.99442684786603475,true,0.093022974410185352\n"
-            "0.03125,0.03125,0.9986053612094189,true,0.046455086475804423\n"
-            "0.015625,0.015625,0.9996512558373627,true,0.023220511000072365\n"
-            "0.0078125,0.0078125,0.99991280867961174,true,0.011609377026532686\n"
-            "0.00390625,0.00390625,0.99997820183990949,true,0.0058045787214473623\n"
+            "0.0625,0.0625,0.99442684786603486,true,0.093022974410185297\n"
+            "0.03125,0.03125,0.9986053612094189,true,0.046455086475804361\n"
+            "0.015625,0.015625,0.9996512558373627,true,0.02322051100007223\n"
+            "0.0078125,0.0078125,0.99991280867961174,true,0.011609377026532886\n"
+            "0.00390625,0.00390625,0.99997820183990949,true,0.0058045787214473562\n"
         )
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         for row, (modulus, deviation) in zip(rows, self.PINNED_VEC_BASIS):
@@ -399,6 +452,21 @@ class TestOrderfit:
         assert out.startswith("m,scale,N_m,s_m,abs_error\n")
         payload = json.loads(json_path.read_text())
         assert payload["outputs"]["slopes"]["2"]["slope"] == pytest.approx(2.0, abs=0.3)
+
+    def test_repeated_scale_list_fits_no_slope(self, ham_file, obs_file, tmp_path, capsys):
+        json_path = tmp_path / "fit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                [
+                    "orderfit", "--hamiltonian", ham_file, "--observable", obs_file,
+                    "--time", "1.0", "--m-list", "2", "--scale-list", "1,1,1,1",
+                    "--json", str(json_path),
+                ],
+                capsys,
+            )
+        assert code == 0 and err == ""
+        assert json.loads(json_path.read_text())["outputs"]["slopes"] == {}
 
 
 class TestErrorHandling:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qflo.channel import channel_delta, exact_expectation, expectation_exact, pauli_basis
+from qflo.channel import (
+    channel_delta,
+    exact_expectation,
+    expectation_exact,
+    pauli_basis,
+    pauli_sectors,
+)
 from qflo.generator import (
     ConditioningError,
     _divided_difference,
@@ -17,6 +25,7 @@ from qflo.hamiltonian import DimensionCapError, parse_hamiltonian
 from qflo.linalg import (
     adjoint_superoperator,
     apply_superoperator,
+    matrix_log_principal,
     spectral_norm,
     unitary_exp,
     vectorize,
@@ -54,6 +63,7 @@ class TestChannelSuperoperator:
             channel_superoperator(H, 0.1)
 
 
+TWO_QUBIT = "0.3 ZZ\n0.3 XI\n0.2 IX\n0.2 YZ\n"
 HEISENBERG_CHAIN_4 = "".join(
     f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
 ) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
@@ -70,8 +80,23 @@ class TestPauliBasis:
         H = parse_hamiltonian(HEISENBERG_CHAIN_4)
         assert [b.size for b in pauli_cosets(H)] == [128, 128]
 
+    @pytest.mark.parametrize("text, width", [(HEISENBERG_CHAIN_4, 64), (TWO_QUBIT, 4)])
+    def test_radical_splits_cosets_into_three_sectors(self, text, width):
+        # XXXX (XX) lies in the span of the terms and commutes with each: the
+        # coset that commutes with it splits into two real sectors, the other
+        # into a complex-conjugate pair, listed once
+        sectors = pauli_sectors(parse_hamiltonian(text))
+        assert [(s.pos.shape, s.phase.dtype.kind, s.paired) for s in sectors] == [
+            ((2, width), "f", False), ((2, width), "f", False), ((2, width), "c", True)]
+
+    def test_trivial_radical_sectors_are_the_cosets(self):
+        H = parse_hamiltonian("0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n")
+        (sector,) = pauli_sectors(H)
+        assert np.array_equal(sector.pos, pauli_cosets(H))
+        assert np.array_equal(sector.phase, np.ones((1, 4)))
+
     @pytest.mark.parametrize("text", [
-        HEISENBERG_CHAIN_4, "0.3 ZZ\n0.3 XI\n0.2 IX\n0.2 YZ\n", "0.7 XZIY\n-0.4 ZZXI\n",
+        HEISENBERG_CHAIN_4, TWO_QUBIT, "0.7 XZIY\n-0.4 ZZXI\n",
         "0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n", "0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n",
     ])
     def test_delta_vanishes_between_cosets(self, text):
@@ -84,6 +109,89 @@ class TestPauliBasis:
         between = label[:, None] != label[None, :]
         for M in (channel_delta(H, 0.37), pauli_adjoint(H)):
             assert np.all(M[between] == 0.0)
+
+
+def _commute(a: str, b: str) -> bool:
+    return sum(p != "I" and q != "I" and p != q for p, q in zip(a, b)) % 2 == 0
+
+
+@st.composite
+def symmetric_pauli_sums(draw):
+    """A random Pauli sum on 1-4 qubits.  Unless no symmetry is drawn, every
+    term commutes with the drawn global Paulis (X^n, Z^n or both), which are
+    terms too.  So the radical holds X^n or Z^n when one is drawn, and both
+    when both are drawn on an even number of qubits, where they commute."""
+    n = draw(st.integers(1, 4))
+    symmetries = [c * n for c in draw(st.sampled_from(["", "X", "Z", "XZ"]))]
+    lines = [f"{draw(st.floats(0.05, 2.0))!r} {g}" for g in symmetries]
+    for _ in range(draw(st.integers(1, 6))):
+        letters = "".join(draw(st.sampled_from("IXYZ")) for _ in range(n))
+        if all(_commute(letters, g) for g in symmetries):
+            coeff = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1]))
+            lines.append(f"{coeff!r} {letters}")
+    return parse_hamiltonian("\n".join(lines))
+
+
+def _sector_basis(sector, d2):
+    """The dense d^2 x m orthonormal basis a ``PauliSector`` stands for."""
+    V = np.zeros((d2, sector.pos.shape[1]), dtype=complex)
+    for pos, phase in zip(sector.pos, sector.phase):
+        V[pos, np.arange(pos.size)] = phase / np.sqrt(len(sector.pos))
+    return V
+
+
+@given(H=symmetric_pauli_sums(), theta=st.floats(0.02, 0.45))
+@example(H=parse_hamiltonian(HEISENBERG_CHAIN_4), theta=0.1)
+@example(H=parse_hamiltonian(TWO_QUBIT), theta=0.3)
+@settings(max_examples=60, deadline=None)
+def test_sector_probe_matches_vec_basis_oracle(H, theta):
+    # G, its deviation and E_t's smallest eigenvalue modulus against the
+    # complex vec-basis superoperators, at step angle lam t = theta < 1/2
+    t = theta / H.lam
+    probe = generator_probe(H, t, 1.0)
+    S = channel_superoperator(H, t)
+    G = matrix_log_principal(S) / (-1j * t)
+    ad = adjoint_superoperator(H.dense())
+    B = pauli_basis(H.n_qubits)
+    tol = 1e-12 * max(1.0, spectral_norm(ad))
+    assert abs(probe.min_eig_modulus - np.abs(np.linalg.eigvals(S)).min()) <= 1e-12
+    assert abs(probe.deviation - spectral_norm(G - ad)) <= tol
+    assert np.abs(B @ probe.generator @ B.conj().T - G).max() <= tol
+    # the sector bases, with each paired sector's conjugate, are an
+    # orthonormal basis of the whole space, and Delta and ad_H keep each
+    d2 = H.dim ** 2
+    bases = []
+    for sector in pauli_sectors(H):
+        V = _sector_basis(sector, d2)
+        bases += [V, V.conj()] if sector.paired else [V]
+        for M in (channel_delta(H, t), pauli_adjoint(H)):
+            assert np.abs(M @ V - V @ sector.block(M)).max() <= 1e-15 * max(1.0, np.abs(M).max())
+    W = np.hstack(bases)
+    assert W.shape == (d2, d2)
+    assert np.abs(W.conj().T @ W - np.eye(d2)).max() <= 1e-15
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+def test_chain_deviation_matches_extended_precision_series():
+    # ||G - ad_H|| = ||log(I + Delta) - t P|| / t with ad_H = i P; the log
+    # from its series sum_k (-1)^(k+1) Delta^k / k in 80-bit arithmetic,
+    # per coset block; ||Delta||_1 < 0.004, so the terms past k = 12 are
+    # below 1e-30
+    H = parse_hamiltonian(HEISENBERG_CHAIN_4)
+    t = 2.0 ** -12
+    delta = channel_delta(H, t)
+    assert np.abs(delta).sum(axis=0).max() < 0.004
+    P = pauli_adjoint(H).imag
+    residual = np.zeros(delta.shape)
+    for b in pauli_cosets(H):
+        D = delta[np.ix_(b, b)].astype(np.longdouble)
+        power, log = D.copy(), D.copy()
+        for k in range(2, 13):
+            power = power @ D
+            log += (-1) ** (k + 1) * power / k
+        residual[np.ix_(b, b)] = (log - t * P[np.ix_(b, b)].astype(np.longdouble)).astype(float)
+    reference = spectral_norm(residual) / t
+    assert generator_probe(H, t, 1.0).deviation == pytest.approx(reference, rel=1e-12)
 
 
 class TestLogExistence:
