@@ -188,13 +188,6 @@ class PauliSector(NamedTuple):
         return sum(M[np.ix_(self.pos[0], self.pos[h])] * self.phase[h]
                    for h in range(len(self.pos)))
 
-    def lift(self, out, block) -> None:
-        """out += V block V^dag, plus its conjugate where ``paired``."""
-        for g in range(len(self.pos)):
-            for h in range(len(self.pos)):
-                part = self.phase[g][:, None] * block * self.phase[h].conj() / len(self.pos)
-                out[np.ix_(self.pos[g], self.pos[h])] += (part + part.conj()) if self.paired else part
-
 
 def pauli_sectors(H: HamiltonianDecomposition) -> list:
     """Each ``pauli_cosets`` block split into symmetry sectors, as a list of
@@ -247,9 +240,15 @@ def channel_delta(H: HamiltonianDecomposition, t) -> np.ndarray:
     with sigma_q, and cos(2 theta) sigma_q + sin(2 theta) (-i s P sigma_q)
     where it anticommutes; theta = lam t.  Delta holds cos(2 theta) - 1 as
     -2 sin^2(theta), which keeps its digits where cos(2 theta) rounds to 1.
+    Raises OverflowError where 2 theta is not finite, as sin would be NaN.
     """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        bad = t[~np.isfinite(2.0 * (H.lam * t))]
+    if bad.size:
+        raise OverflowError(f"step angle 2 lam t is not finite at t = {float(bad[0])!r}")
     p = H.probabilities
-    theta = H.lam * np.asarray(t, dtype=float)[..., None]
+    theta = H.lam * t[..., None]
     return pauli_term_matrix(H, -2.0 * p * np.sin(theta) ** 2, p * np.sin(2.0 * theta))
 
 

@@ -19,8 +19,9 @@ round away: on the 4-qubit chain at s = 2^-12 the deviation's relative
 error against an 80-bit extended-precision series for log(I + Delta) is
 1.4e-14, where the complex superoperator's eigenvalues gave 1.8e-8.  The
 sector bases are orthonormal, so spectral norms, and with them the
-deviation, are those of the vec-basis superoperators;
-``GeneratorProbe.generator`` is the whole G(s) in the Pauli basis.
+deviation, are those of the vec-basis superoperators.  G(s) is kept only
+as ``GeneratorProbe.blocks``, G(s) - ad_H on each sector; a paired sector's
+conjugate has the same singular values, so no norm needs the whole matrix.
 ``channel_superoperator`` (the vec-basis form of E_t) stays exported here
 for callers that want it.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    channel_delta, channel_superoperator, pauli_cosets, pauli_sectors, pauli_term_matrix,
+    channel_delta, channel_superoperator, pauli_sectors, pauli_term_matrix,
 )
 from .hamiltonian import HamiltonianDecomposition
 from .linalg import LOG_EIG_TOL, _log_from_eig, spectral_norm
@@ -41,7 +42,7 @@ from .linalg import LOG_EIG_TOL, _log_from_eig, spectral_norm
 __all__ = [
     "ConditioningError", "GeneratorProbe", "SeriesProbeResult", "channel_superoperator",
     "ek_bound_probe", "generator_probe", "log_existence_check", "pauli_adjoint",
-    "pauli_cosets", "series_probe",
+    "series_probe",
 ]
 
 
@@ -53,8 +54,8 @@ class ConditioningError(ArithmeticError):
 class GeneratorProbe:
     s: float
     t: float
-    generator: np.ndarray  # G(s) in the normalized Pauli basis
-    deviation: float  # spectral norm of G(s) - ad_H
+    blocks: tuple  # G(s) - ad_H on each ``pauli_sectors`` sector, in order
+    deviation: float  # spectral norm of G(s) - ad_H, the largest block's
     min_eig_modulus: float  # smallest eigenvalue modulus of E_s
 
 
@@ -97,23 +98,21 @@ def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
 
 
 def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> GeneratorProbe:
-    """G(s) = log(E_s) / (-i s T), sector by sector in the Pauli basis, and
-    its spectral-norm distance to ad_H, the largest over the sectors; raises
+    """G(s) - ad_H, G(s) = log(E_s) / (-i s T), sector by sector in the
+    Pauli basis, and its spectral norm, the largest over the sectors; raises
     LogarithmError, carrying E_s's ``min_eig_modulus``, when no logarithm
-    exists."""
+    exists, and ArithmeticError when the step time s T underflows to 0."""
     if s <= 0:
         raise ValueError(f"inverse step count s must be > 0, got {s}")
     t = s * T
+    if t == 0.0:
+        raise ArithmeticError(f"step time t = s T underflows to 0 at s = {s!r}, T = {T!r}")
     sectors, spectra, min_mod = _channel_spectrum(H, t)
-    logs = _log_from_eig(spectra)
     ad_H = pauli_adjoint(H)
-    G = np.zeros_like(ad_H)   # log(E_s) until divided by -i t
-    deviation = 0.0
-    for sector, log_block in zip(sectors, logs):
-        sector.lift(G, log_block)
-        deviation = max(deviation, spectral_norm(log_block / (-1j * t) - sector.block(ad_H)))
-    G /= -1j * t
-    return GeneratorProbe(s=s, t=t, generator=G, deviation=deviation, min_eig_modulus=min_mod)
+    blocks = tuple(log_block / (-1j * t) - sector.block(ad_H)
+                   for sector, log_block in zip(sectors, _log_from_eig(spectra)))
+    deviation = max(spectral_norm(block) for block in blocks)
+    return GeneratorProbe(s=s, t=t, blocks=blocks, deviation=deviation, min_eig_modulus=min_mod)
 
 
 def series_probe(s_values, f_values, f_zero: float, max_order: int,
@@ -168,21 +167,20 @@ def ek_bound_probe(H: HamiltonianDecomposition, T: float, k: int) -> dict:
     G(s) = ad_H + sum_{j>=1} E_{j+1} (sT)^j, so the coefficient of s^(k-1)
     in G(s) - ad_H is E_k T^(k-1).  A (k-1)-th divided difference over nodes
     s = h, 2h, ..., kh recovers it up to O(h); h = 0.1 / (T lambda 2^k)
-    balances truncation against cancellation.
+    balances truncation against cancellation.  The difference is linear, so
+    it is taken on each sector's block and its norm is the largest block's.
     """
     if k not in (2, 3, 4):
         raise ValueError(f"probe supports k in {{2, 3, 4}}, got {k}")
     h = 0.1 / (T * H.lam * 2 ** k)
     nodes = np.array([i * h for i in range(1, k + 1)])
-    ad_H = pauli_adjoint(H)
-    deltas = [generator_probe(H, s, T).generator - ad_H for s in nodes]
-    dd = _divided_difference(nodes, deltas)
-    estimate = spectral_norm(dd) / T ** (k - 1)
+    probes = [generator_probe(H, s, T) for s in nodes]
+    estimate = max(spectral_norm(_divided_difference(nodes, blocks))
+                   for blocks in zip(*(p.blocks for p in probes))) / T ** (k - 1)
     bound = (4.0 * H.lam) ** k
     # Rounding in the matrix log is amplified by h^-(k-1) in the difference table.
-    input_scale = max(spectral_norm(d) for d in deltas)
-    noise_floor = 1e-13 * max(input_scale, spectral_norm(ad_H)) / (h ** (k - 1) * math.factorial(k - 1))
-    noise_floor /= T ** (k - 1)
+    input_scale = max(max(p.deviation for p in probes), spectral_norm(pauli_adjoint(H)))
+    noise_floor = 1e-13 * input_scale / (h ** (k - 1) * math.factorial(k - 1)) / T ** (k - 1)
     if noise_floor > max(estimate, 0.05 * bound):
         raise ConditioningError(
             f"divided-difference probe unreliable: noise floor {noise_floor:.3e} "

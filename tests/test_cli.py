@@ -524,6 +524,24 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["generator", "--time", "1", "--s-list", "1e308,1e-3"], "t = 1e+308"),
+        (["generator", "--time", "1e-300", "--s-list", "1e-300,1e-3"], "s = 1e-300, T = 1e-300"),
+        (["scan", "--observable", "zi.txt", "--time", "1e308", "--n-list", "1,2,3,4"],
+         "t = 1e+308"),
+    ])
+    def test_step_time_out_of_range_is_numerical_failure(self, argv, named, tmp_path,
+                                                         monkeypatch, capsys):
+        # 2 lam t overflows, or s T underflows to 0: exit 3 naming the step
+        # time, where the channel's sines were NaN or its log divided by 0
+        (tmp_path / "two_qubit.txt").write_text(TWO_QUBIT)
+        (tmp_path / "zi.txt").write_text("1.0 ZI\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv[:1] + ["--hamiltonian", "two_qubit.txt"] + argv[1:], capsys)
+        assert code == 3
+        assert "numerical failure" in err and named in err
+        assert "Traceback" not in err and "nan" not in out
+
     def _qdrift(self, ham_file, obs_file, **kw):
         args = {"--time": "1.0", "--steps": "5", "--shots": "4", "--seed": "1"}
         args.update(kw)
@@ -660,16 +678,17 @@ def cli_argvs(draw, root):
         })
     elif command == "scan":
         flags.update({
-            "--hamiltonian": ham, "--observable": obs, "--time": pick(["0.3", "1.0", "1e6"]),
+            "--hamiltonian": ham, "--observable": obs,
+            "--time": pick(["0.3", "1.0", "1e6", "1e308"]),
             "--n-list": pick(["1,2,4,8", "8,16,32,64,128", "1000000000",
                               "10000000000000000000000"],
                              ["3,1e3", "0,2", "-4", ",", "2,,3", "nan", "x"]),
         })
     elif command == "generator":
         flags.update({
-            "--hamiltonian": ham, "--time": pick(["0.3", "1.0"]),
+            "--hamiltonian": ham, "--time": pick(["0.3", "1.0", "1e-30"]),
             "--s-list": pick(["0.1,0.05,0.025,0.0125", "0.4,1.5707963267948966", "0.1"],
-                             ["1e-300", "1e300", "-1", "nan", "0.1,0.1", "", "x"]),
+                             ["1e-300", "1e300", "1e308", "-1", "nan", "0.1,0.1", "", "x"]),
         })
     elif command == "qflo":
         mode = pick(["noiseless", "shot_sampled"], ["both", ""])

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qflo.benchmarks import ONE_QUBIT_TEXT
 from qflo.channel import (
     channel_delta,
     exact_expectation,
     expectation_exact,
     pauli_basis,
+    pauli_cosets,
     pauli_sectors,
 )
 from qflo.generator import (
@@ -18,7 +20,6 @@ from qflo.generator import (
     generator_probe,
     log_existence_check,
     pauli_adjoint,
-    pauli_cosets,
     series_probe,
 )
 from qflo.hamiltonian import DimensionCapError, parse_hamiltonian
@@ -145,7 +146,7 @@ def _sector_basis(sector, d2):
 @example(H=parse_hamiltonian(TWO_QUBIT), theta=0.3)
 @settings(max_examples=60, deadline=None)
 def test_sector_probe_matches_vec_basis_oracle(H, theta):
-    # G, its deviation and E_t's smallest eigenvalue modulus against the
+    # G - ad_H, its norm and E_t's smallest eigenvalue modulus against the
     # complex vec-basis superoperators, at step angle lam t = theta < 1/2
     t = theta / H.lam
     probe = generator_probe(H, t, 1.0)
@@ -156,19 +157,26 @@ def test_sector_probe_matches_vec_basis_oracle(H, theta):
     tol = 1e-12 * max(1.0, spectral_norm(ad))
     assert abs(probe.min_eig_modulus - np.abs(np.linalg.eigvals(S)).min()) <= 1e-12
     assert abs(probe.deviation - spectral_norm(G - ad)) <= tol
-    assert np.abs(B @ probe.generator @ B.conj().T - G).max() <= tol
     # the sector bases, with each paired sector's conjugate, are an
-    # orthonormal basis of the whole space, and Delta and ad_H keep each
+    # orthonormal basis of the whole space, and Delta and ad_H keep each;
+    # the blocks, lifted through them, make up G - ad_H in the Pauli basis,
+    # where it is imaginary: a paired sector's conjugate holds -conj(block)
     d2 = H.dim ** 2
+    sectors = pauli_sectors(H)
+    assert len(probe.blocks) == len(sectors)
     bases = []
-    for sector in pauli_sectors(H):
+    lifted = np.zeros((d2, d2), dtype=complex)
+    for sector, block in zip(sectors, probe.blocks):
         V = _sector_basis(sector, d2)
         bases += [V, V.conj()] if sector.paired else [V]
+        part = V @ block @ V.conj().T
+        lifted += part - part.conj() if sector.paired else part
         for M in (channel_delta(H, t), pauli_adjoint(H)):
             assert np.abs(M @ V - V @ sector.block(M)).max() <= 1e-15 * max(1.0, np.abs(M).max())
     W = np.hstack(bases)
     assert W.shape == (d2, d2)
     assert np.abs(W.conj().T @ W - np.eye(d2)).max() <= 1e-15
+    assert np.abs(lifted - B.conj().T @ (G - ad) @ B).max() <= tol
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
@@ -226,20 +234,34 @@ class TestGeneratorProbe:
         # first neglected term is E_2 s T with ||E_2|| <= (4 lambda)^2
         assert probe.deviation <= (4 * H.lam) ** 2 * s * 1.0
 
-    def test_generator_reproduces_channel(self, one_qubit):
+    def test_generator_reproduces_channel(self):
+        # per sector: exp(-i t (block + V^dag ad_H V)) = V^dag (I + Delta) V
         import scipy.linalg
 
-        H, _, _ = one_qubit
         s, T = 1 / 32, 1.0
-        probe = generator_probe(H, s, T)
-        R = np.eye(4) + channel_delta(H, s * T)
-        back = scipy.linalg.expm(-1j * s * T * probe.generator)
-        assert np.abs(back - R).max() <= 1e-10
+        t = s * T
+        for text in (ONE_QUBIT_TEXT, TWO_QUBIT, HEISENBERG_CHAIN_4):
+            H = parse_hamiltonian(text)
+            probe = generator_probe(H, s, T)
+            delta, ad_H = channel_delta(H, t), pauli_adjoint(H)
+            for sector, block in zip(pauli_sectors(H), probe.blocks):
+                back = scipy.linalg.expm(-1j * t * (block + sector.block(ad_H)))
+                assert np.abs(back - np.eye(len(block)) - sector.block(delta)).max() <= 1e-10
 
     def test_rejects_nonpositive_s(self, one_qubit):
         H, _, _ = one_qubit
         with pytest.raises(ValueError):
             generator_probe(H, 0.0, T=1.0)
+
+    def test_underflowing_step_time_names_s_and_T(self, one_qubit):
+        H, _, _ = one_qubit
+        with pytest.raises(ArithmeticError, match=r"s = 1e-300, T = 1e-300"):
+            generator_probe(H, 1e-300, T=1e-300)
+
+    def test_overflowing_step_angle_names_t(self, one_qubit):
+        H, _, _ = one_qubit
+        with pytest.raises(OverflowError, match=r"t = 1e\+308"):
+            generator_probe(H, 1e308, T=1.0)
 
 
 class TestSeriesProbe:
@@ -317,6 +339,22 @@ class TestEkBoundProbe:
         H, _, _ = two_qubit
         report = ek_bound_probe(H, 1.0, 2)
         assert report["estimate"] <= report["bound"]
+
+    @pytest.mark.parametrize("text", [TWO_QUBIT, HEISENBERG_CHAIN_4])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_vec_basis_oracle(self, text, k):
+        # the (k-1)-th divided difference of the whole G(s) - ad_H from the
+        # complex vec-basis log, on the probe's nodes; the two-qubit
+        # Hamiltonian and the chain each have a paired sector
+        H = parse_hamiltonian(text)
+        T = 1.0
+        h = 0.1 / (T * H.lam * 2 ** k)
+        nodes = [i * h for i in range(1, k + 1)]
+        ad = adjoint_superoperator(H.dense())
+        deltas = [matrix_log_principal(channel_superoperator(H, s * T)) / (-1j * s * T) - ad
+                  for s in nodes]
+        oracle = spectral_norm(_divided_difference(nodes, deltas)) / T ** (k - 1)
+        assert ek_bound_probe(H, T, k)["estimate"] == pytest.approx(oracle, rel=1e-9)
 
     def test_bound_scales_with_lambda(self, one_qubit):
         H, _, _ = one_qubit
