@@ -21,16 +21,13 @@ The generator analysis eigensolves per sector; the powering below stays on
 the cosets.
 
 Exact node values tr[A E^N(rho0)] (``node_values_exact``, one call for all
-nodes of a run) take one of two paths, chosen by qubit count alone.  Up to
-SUPEROP_QUBIT_CAP qubits every Delta is split into its coset blocks, and one
-square-and-multiply, Delta <- 2 Delta + Delta^2 in real arithmetic, runs
-over the stack of (node x coset) blocks, at O(L d^2 + (d^6 / C^2) log N)
-per node for C cosets.  Each value is read off the powered Pauli vector as
-a . v.  ``expectation_exact`` and ``channel_iterate_exact`` are the one-node
-cases.  Above the cap each node runs the Kraus loop
-rho -> sum_j p_j U_j rho U_j^dag N times, at O(N L d^3).  On the two-qubit
-benchmark the powered values agree with 40-digit references to 2e-16 at
-N = 806 and N = 105345.
+nodes of a run) are a . v for real Pauli vectors from the O(d^3) transform
+``_pauli_coefficients``.  Up to SUPEROP_QUBIT_CAP qubits v = R^N v0 comes
+from one square-and-multiply, Delta <- 2 Delta + Delta^2, over the stacked
+(node x coset) blocks, at O(L d^2 + (d^6 / C^2) log N) per node for C
+cosets; above it each node steps v N times with no matrix, at O(N L d^2).
+On the two-qubit benchmark the powered values agree with 40-digit
+references to 2e-16 at N = 806 and N = 105345.
 
 A shot is one qDRIFT run followed by one measurement, and ``sample_shots``
 is the only shot sampler: the CLI's ``qdrift`` shots are the pipeline's
@@ -61,14 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonian import DimensionCapError, HamiltonianDecomposition, PauliRotations, popcount
-from .linalg import (
-    check_density_matrix,
-    devectorize,
-    hermitian_eig,
-    require_hermitian,
-    unitary_exp,
-    vectorize,
-)
+from .linalg import check_density_matrix, hermitian_eig, require_hermitian, unitary_exp
 
 UNIT_NORM_TOL = 1e-10
 SHOT_CHUNK = 4096
@@ -232,6 +222,24 @@ def pauli_sectors(H: HamiltonianDecomposition) -> list:
     return sectors
 
 
+def _step_angle(H: HamiltonianDecomposition, t) -> np.ndarray:
+    """theta = lam t; raises OverflowError where 2 theta is not finite, as sin would be NaN."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        bad = t[~np.isfinite(2.0 * (H.lam * t))]
+    if bad.size:
+        raise OverflowError(f"step angle 2 lam t is not finite at t = {float(bad[0])!r}")
+    return H.lam * t
+
+
+def _step_weights(H: HamiltonianDecomposition, t):
+    """(diag, off), each (..., L), of ``pauli_term_matrix`` for Delta at step
+    time t: -2 p_j sin^2(theta) and p_j sin(2 theta)."""
+    p = H.probabilities
+    theta = _step_angle(H, t)[..., None]
+    return -2.0 * p * np.sin(theta) ** 2, p * np.sin(2.0 * theta)
+
+
 def channel_delta(H: HamiltonianDecomposition, t) -> np.ndarray:
     """Delta = R - I, with R the Pauli transfer matrix of one step of time t;
     an array of step times gives the stack of their Deltas.
@@ -240,31 +248,43 @@ def channel_delta(H: HamiltonianDecomposition, t) -> np.ndarray:
     with sigma_q, and cos(2 theta) sigma_q + sin(2 theta) (-i s P sigma_q)
     where it anticommutes; theta = lam t.  Delta holds cos(2 theta) - 1 as
     -2 sin^2(theta), which keeps its digits where cos(2 theta) rounds to 1.
-    Raises OverflowError where 2 theta is not finite, as sin would be NaN.
     """
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        bad = t[~np.isfinite(2.0 * (H.lam * t))]
-    if bad.size:
-        raise OverflowError(f"step angle 2 lam t is not finite at t = {float(bad[0])!r}")
-    p = H.probabilities
-    theta = H.lam * t[..., None]
-    return pauli_term_matrix(H, -2.0 * p * np.sin(theta) ** 2, p * np.sin(2.0 * theta))
+    return pauli_term_matrix(H, *_step_weights(H, t))
+
+
+def _pauli_table(n: int):
+    """sigma_q |s> = i^(x.z) (-1)^(s.z) |s ^ x> for q = x d + z, as the
+    (d, d) tables s ^ x over [x, s], (-1)^(s.z) / sqrt(d) over [s, z] and
+    i^(x.z) over [x, z]."""
+    s = np.arange(1 << n)
+    dots = popcount(s[:, None] & s, n)
+    sign = (1 - 2 * (dots & 1)) / np.sqrt(1 << n)
+    return s ^ s[:, None], sign, np.array([1, 1j, -1, -1j])[dots % 4]
+
+
+def _pauli_coefficients(M) -> np.ndarray:
+    """tr(sigma_q M) / sqrt(d) over q = x d + z, (..., d^2), of a d x d matrix
+    or a stack (..., d, d): sum_s M[s, s ^ x] (-1)^(s.z), times i^(x.z).
+    O(d^3), with no d^2 x d^2 basis."""
+    flip, sign, phase = _pauli_table(M.shape[-1].bit_length() - 1)
+    c = phase * (M[..., np.arange(len(flip)), flip] @ sign)
+    return c.reshape(M.shape[:-2] + (-1,))
+
+
+def _pauli_operator(c) -> np.ndarray:
+    """sum_q c_q sigma_q / sqrt(d) for coefficients (..., d^2): the inverse
+    of ``_pauli_coefficients``, filling M[s ^ x, s] for each x."""
+    flip, sign, phase = _pauli_table((c.shape[-1].bit_length() - 1) // 2)
+    M = np.zeros(c.shape[:-1] + flip.shape, dtype=complex)
+    M[..., flip, np.arange(len(flip))] = (c.reshape(M.shape) * phase) @ sign
+    return M
 
 
 def pauli_basis(n_qubits: int) -> np.ndarray:
     """B whose column q = x d + z is vec(sigma_q) / sqrt(d); B is unitary,
     and B^dag S B is real for every Hermiticity-preserving S."""
-    d = 2 ** n_qubits
-    q = np.arange(d * d)
-    x, z = q >> n_qubits, q & (d - 1)
-    s = np.arange(d)[:, None]
-    # sigma_q |s> = i^(x.z) (-1)^(s.z) |s ^ x>, at vec index (s ^ x) + d s
-    power = popcount(x & z, n_qubits) + 2 * popcount(s & z, n_qubits)
-    phase = np.array([1, 1j, -1, -1j])[power % 4]
-    B = np.zeros((d * d, d * d), dtype=complex)
-    B[(s ^ x) + d * s, q] = phase / np.sqrt(d)
-    return B
+    sigma = _pauli_operator(np.eye(4 ** n_qubits))
+    return sigma.transpose(0, 2, 1).reshape(len(sigma), -1).T
 
 
 def channel_superoperator(H: HamiltonianDecomposition, t: float) -> np.ndarray:
@@ -276,32 +296,30 @@ def channel_superoperator(H: HamiltonianDecomposition, t: float) -> np.ndarray:
     return B @ R @ B.conj().T
 
 
-def _kraus_iterate(H: HamiltonianDecomposition, rho, t: float, N: int) -> np.ndarray:
-    """N steps of sum_j p_j U_j rho U_j^dag, one step at a time."""
-    U = H.term_unitaries(H.lam * t)
-    Ud = U.conj().transpose(0, 2, 1)
-    p = H.probabilities
-    for _ in range(N):
-        rho = np.tensordot(p, U @ rho @ Ud, axes=1)
-    return rho
+def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np.ndarray:
+    """The rows (I + Delta_N)^N v0, Delta_N = ``channel_delta(H, T/N)``, for
+    each N of ``counts`` (which must not increase), v0 a real Pauli vector.
 
-
-def _pauli_powers(H: HamiltonianDecomposition, rho, T: float, counts: list):
-    """B = ``pauli_basis`` and the rows (I + Delta_N)^N v0, Delta_N =
-    ``channel_delta(H, T/N)``, for each N of ``counts`` (which must not
-    increase), with v0 rho's Pauli coefficients.
-
-    Every Delta_N is block diagonal over ``pauli_cosets``, so one
-    square-and-multiply runs over the (node x coset) stack of blocks:
-    R^(2^k) = I + Delta_k, so each squaring is Delta <- 2 Delta + Delta^2 and
-    each set bit of N one v <- v + Delta v.  N only shrinks as its bits are
-    shifted out, so the nodes with bits left stay a prefix of the stack, and
-    the stack is cut to them before each squaring.
+    Up to SUPEROP_QUBIT_CAP qubits one square-and-multiply runs over the
+    (node x coset) stack of ``pauli_cosets`` blocks: R^(2^k) = I + Delta_k,
+    so each squaring is Delta <- 2 Delta + Delta^2 and each set bit of N one
+    v <- v + Delta v; the nodes with bits left stay a prefix of the stack,
+    which is cut to them before each squaring.  Above the cap each node
+    steps N times with no matrix, v <- v + dv v + sum_j w_j v[target_j] over
+    ``_pauli_action``, with dv = diag @ |sign| and w_j = -off_j sign_j.
     """
+    if v0.size != H.dim ** 2:
+        raise ValueError(f"state has {v0.size} Pauli coefficients, H has {H.dim ** 2}")
+    if H.n_qubits > SUPEROP_QUBIT_CAP:
+        target, sign = _pauli_action(H)
+        out = np.repeat(v0[None], len(counts), axis=0)
+        for v, N in zip(out, counts):
+            diag, off = _step_weights(H, T / N)
+            dv, w = diag @ np.abs(sign), -off[:, None] * sign
+            for _ in range(N):
+                v += dv * v + np.einsum("jq,jq->q", w, v[target])
+        return out
     cosets = pauli_cosets(H)
-    B = pauli_basis(H.n_qubits)
-    # rho is Hermitian, so its Pauli coefficients are real
-    v0 = (B.conj().T @ vectorize(rho)).real
     delta = channel_delta(H, np.array([T / N for N in counts]))
     delta = delta[:, cosets[:, :, None], cosets[:, None, :]]
     v = np.repeat(v0[cosets][None], len(counts), axis=0)
@@ -316,39 +334,31 @@ def _pauli_powers(H: HamiltonianDecomposition, rho, T: float, counts: list):
         delta = 2.0 * delta + np.matmul(delta, delta)
     out = np.empty((len(counts), v0.size))
     out[:, cosets] = v
-    return B, out
+    return out
 
 
 def channel_iterate_exact(H: HamiltonianDecomposition, rho0, T: float, N: int) -> np.ndarray:
     """N exact channel applications with step time T/N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    rho = check_density_matrix(rho0)
-    if H.n_qubits > SUPEROP_QUBIT_CAP:
-        return _kraus_iterate(H, rho, T / N, N)
-    B, v = _pauli_powers(H, rho, T, [N])
-    return devectorize(B @ v[0])
+    v0 = _pauli_coefficients(check_density_matrix(rho0)).real
+    return _pauli_operator(_pauli_powers(H, v0, T, [N])[0])
 
 
 def node_values_exact(H: HamiltonianDecomposition, A, rho0, T: float, step_counts) -> np.ndarray:
     """Noiseless f_A(1/N) = tr[A E^N(rho0)] with step time T/N for each N of
     ``step_counts``, in the order given; a repeated N is evaluated once.
 
-    Up to SUPEROP_QUBIT_CAP qubits all nodes share one stacked powering
-    (``_pauli_powers``) and each value is a . v with a_q = tr(A sigma_q) /
-    sqrt(d); above it each distinct N runs its own Kraus loop.
+    All nodes share one ``_pauli_powers`` call, and each value is a . v with
+    a_q = tr(A sigma_q) / sqrt(d).
     """
     A = require_hermitian(A)
     counts = [int(N) for N in step_counts]
     if not counts or min(counts) < 1:
         raise ValueError(f"N must be >= 1, got {counts}")
-    rho = check_density_matrix(rho0)
+    v0, a = _pauli_coefficients(np.stack([check_density_matrix(rho0), A]))
     distinct = sorted(set(counts), reverse=True)
-    if H.n_qubits <= SUPEROP_QUBIT_CAP:
-        B, v = _pauli_powers(H, rho, T, distinct)
-        values = v @ (B.T @ vectorize(A.T))
-    else:
-        values = np.array([np.trace(A @ _kraus_iterate(H, rho, T / N, N)) for N in distinct])
+    values = _pauli_powers(H, v0.real, T, distinct) @ a
     bad = np.abs(values.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values))
     if bad.any():
         raise ArithmeticError(f"expectation has imaginary residue {values.imag[bad][0]:.3e}")
@@ -524,7 +534,7 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
         raise ValueError(f"N must be >= 1, got {N}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    gates = H.pauli_rotations(H.lam * (T / N))
+    gates = H.pauli_rotations(float(_step_angle(H, T / N)))
     measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
     mixed = np.ndim(initial_state) == 2
     if mixed:

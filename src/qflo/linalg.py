@@ -89,9 +89,15 @@ def hermitian_eig(H):
 
 
 def unitary_exp(H, theta: float) -> np.ndarray:
-    """exp(-i theta H) for Hermitian H, via eigendecomposition."""
+    """exp(-i theta H) for Hermitian H, via eigendecomposition.  Raises
+    OverflowError where theta times an eigenvalue is not finite, as the
+    phases would be NaN."""
     w, V = hermitian_eig(H)
-    return (V * np.exp(-1j * theta * w)) @ V.conj().T
+    with np.errstate(over="ignore"):
+        angles = theta * w
+    if not np.isfinite(angles).all():
+        raise OverflowError(f"phase of exp(-i theta H) is not finite at theta = {theta!r}")
+    return (V * np.exp(-1j * angles)) @ V.conj().T
 
 
 def vectorize(B) -> np.ndarray:

@@ -14,7 +14,7 @@ from qflo.channel import (
     substream,
 )
 from qflo.hamiltonian import parse_hamiltonian
-from qflo.linalg import conjugation_superoperator, devectorize, unitary_exp, vectorize
+from qflo.linalg import conjugation_superoperator, unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -23,6 +23,34 @@ RHO0 = np.outer(KET0, KET0.conj())
 HEISENBERG_CHAIN_4 = "".join(
     f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
 ) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
+
+
+def kraus_iterate(H, rho, t, N):
+    """Reference oracle: N steps of sum_j p_j U_j rho U_j^dag on the density
+    matrix, one step at a time, with U_j the dense term unitaries."""
+    U = H.term_unitaries(H.lam * t)
+    Ud = U.conj().transpose(0, 2, 1)
+    for _ in range(N):
+        rho = np.tensordot(H.probabilities, U @ rho @ Ud, axes=1)
+    return rho
+
+
+def state_and_observable(d, mixed, seed):
+    """A random pure or mixed d x d density matrix and a random Hermitian
+    observable, from one seed."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if mixed:
+        rho0 = M @ M.conj().T
+        rho0 /= np.trace(rho0).real
+    else:
+        psi = M[:, 0] / np.linalg.norm(M[:, 0])
+        rho0 = np.outer(psi, psi.conj())
+    return rho0, 2.0 * (M + M.conj().T)
+
+
+def oracle_tolerance(A):
+    return 1e-12 * max(1.0, np.abs(np.linalg.eigvalsh(A)).max())
 
 
 class TestSubstreams:
@@ -88,31 +116,55 @@ class TestExactChannel:
         with pytest.raises(ValueError):
             channel_iterate_exact(H, np.outer(psi0, psi0.conj()), 1.0, 0)
 
-    def test_powers_up_to_the_cap_and_loops_above(self):
-        # the path is chosen by qubit count alone
+    def test_powers_up_to_the_cap_and_steps_above(self, monkeypatch):
+        # the path is chosen by qubit count alone: powering builds Delta
+        # matrices, stepping none; both match the Kraus oracle
         H4 = parse_hamiltonian("0.7 XZIY\n-0.4 ZZXI")
         H5 = parse_hamiltonian("0.7 XZIYZ\n-0.4 ZZXIX")
+        built = []
+        term_matrix = channel.pauli_term_matrix
 
-        def powered(H, rho):
-            B, v = channel._pauli_powers(H, rho, 0.8, [5])
-            return devectorize(B @ v[0])
+        def spy(H, *args):
+            built.append(H.n_qubits)
+            return term_matrix(H, *args)
 
-        def looped(H, rho):
-            return channel._kraus_iterate(H, rho, 0.8 / 5, 5)
-
-        for H, path in ((H4, powered), (H5, looped)):
+        monkeypatch.setattr(channel, "pauli_term_matrix", spy)
+        for H in (H4, H5):
             rho = np.zeros((H.dim, H.dim), dtype=complex)
             rho[0, 0] = 1.0
-            assert np.array_equal(channel_iterate_exact(H, rho, 0.8, 5), path(H, rho))
+            out = channel_iterate_exact(H, rho, 0.8, 5)
+            assert np.abs(out - kraus_iterate(H, rho, 0.8 / 5, 5)).max() <= 1e-12
+        assert built == [4]
 
-    def test_node_values_loop_each_node_above_the_cap(self):
+    def test_node_values_step_each_node_above_the_cap(self):
         H = parse_hamiltonian("0.7 XZIYZ\n-0.4 ZZXIX")
         A = parse_hamiltonian("1.0 ZIIII\n0.5 IXIII").dense()
         rho = np.zeros((H.dim, H.dim), dtype=complex)
         rho[0, 0] = 1.0
-        expected = [np.trace(A @ channel._kraus_iterate(H, rho, 0.8 / N, N)).real
-                    for N in (3, 5, 3)]
-        assert np.array_equal(channel.node_values_exact(H, A, rho, 0.8, [3, 5, 3]), expected)
+        values = channel.node_values_exact(H, A, rho, 0.8, [3, 5, 3])
+        expected = [np.trace(A @ kraus_iterate(H, rho, 0.8 / N, N)).real for N in (3, 5, 3)]
+        assert values[0] == values[2]
+        assert np.abs(values - expected).max() <= oracle_tolerance(A)
+
+    def test_stepping_matches_powering_up_to_the_cap(self, monkeypatch):
+        # with the cap lowered, the same nodes take the stepping path
+        H = parse_hamiltonian(HEISENBERG_CHAIN_4)
+        rho0, A = state_and_observable(H.dim, True, 11)
+        counts = [1000, 37, 5, 1]
+        powered = channel.node_values_exact(H, A, rho0, 1.0, counts)
+        monkeypatch.setattr(channel, "SUPEROP_QUBIT_CAP", 0)
+        stepped = channel.node_values_exact(H, A, rho0, 1.0, counts)
+        assert np.abs(stepped - powered).max() <= oracle_tolerance(A)
+
+    def test_overflowing_step_angle_above_the_cap(self):
+        # the stepping path shares channel_delta's guard: 2 lam t is 2e308
+        # at N = 2, the first of the descending N whose angle overflows
+        H = parse_hamiltonian("1.5 ZIIII\n0.5 XIIII")
+        A = parse_hamiltonian("1.0 ZIIII").dense()
+        rho = np.zeros((H.dim, H.dim), dtype=complex)
+        rho[0, 0] = 1.0
+        with pytest.raises(OverflowError, match="t = 5e\\+307"):
+            channel.node_values_exact(H, A, rho, 1e308, [1, 2, 3, 4])
 
     def test_node_values_reject_bad_step_counts(self, one_qubit):
         H, A, psi0 = one_qubit
@@ -120,6 +172,13 @@ class TestExactChannel:
         for counts in ([], [4, 0], [-1]):
             with pytest.raises(ValueError):
                 channel.node_values_exact(H, A, rho, 1.0, counts)
+
+    def test_node_values_reject_a_state_of_another_size(self, one_qubit, two_qubit):
+        # a 2-qubit state and observable against a 1-qubit Hamiltonian
+        H = one_qubit[0]
+        _, A, psi0 = two_qubit
+        with pytest.raises(ValueError, match="16 Pauli coefficients"):
+            channel.node_values_exact(H, A, np.outer(psi0, psi0.conj()), 1.0, [3])
 
     def test_chain_powering_multiplies_coset_blocks_only(self, monkeypatch):
         # the 4-qubit chain's Delta is 2 coset blocks of 128: every product
@@ -180,6 +239,13 @@ class TestExpectations:
         # first-order convergence: halving the step roughly halves the error
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
 
+    def test_exact_expectation_refuses_overflowing_phase(self):
+        # T w = 2e308 for the top eigenvalue w of 2 Z + 0.1 X: the phases
+        # of exp(-i T H) would be NaN
+        H = parse_hamiltonian("2.0 Z\n0.1 X")
+        with pytest.raises(OverflowError, match="theta = 1e\\+308"):
+            exact_expectation(H, Z, RHO0, 1e308)
+
     def test_expectation_is_real(self, two_qubit):
         H, A, psi0 = two_qubit
         rho = np.outer(psi0, psi0.conj())
@@ -228,6 +294,14 @@ class TestTrajectories:
         H, A, _ = one_qubit
         with pytest.raises(ValueError):
             sample_shots(H, A, 2 * KET0, 0.3, 3, 1, seed=1)
+
+    def test_overflowing_step_angle_is_refused(self):
+        # 2 lam T/N = 4e308: the gates' sines, and so every outcome
+        # probability, would be NaN
+        H = parse_hamiltonian("1.5 ZI\n0.5 XI")
+        A = parse_hamiltonian("1.0 ZI").dense()
+        with pytest.raises(OverflowError, match="t = 1e\\+308"):
+            sample_shots(H, A, np.eye(4)[0], 1e308, 1, 4, seed=3)
 
     def test_trajectory_average_approximates_channel(self, one_qubit, rng):
         # empirical mixture over sampled trajectories vs the exact channel
@@ -310,10 +384,10 @@ class TestBatchEvolution:
 
 
 @st.composite
-def pauli_sums(draw, max_qubits):
-    """A random Pauli-sum Hamiltonian of 1-5 terms on 1-max_qubits qubits,
-    negative coefficients included."""
-    n = draw(st.integers(1, max_qubits))
+def pauli_sums(draw, max_qubits, min_qubits=1):
+    """A random Pauli-sum Hamiltonian of 1-5 terms on min_qubits-max_qubits
+    qubits, negative coefficients included."""
+    n = draw(st.integers(min_qubits, max_qubits))
     L = draw(st.integers(1, 5))
     lines = []
     for _ in range(L):
@@ -355,11 +429,11 @@ def test_engine_matches_sequential_dense_product(case):
 
 
 @st.composite
-def powering_cases(draw):
-    """A random Pauli-sum Hamiltonian on 1-4 qubits, a total time, a step
-    count, a pure or mixed initial state and the seed of the state and the
-    observable."""
-    H = draw(pauli_sums(4))
+def powering_cases(draw, min_qubits=1, max_qubits=4):
+    """A random Pauli-sum Hamiltonian on min_qubits-max_qubits qubits, a
+    total time, a step count, a pure or mixed initial state and the seed of
+    the state and the observable."""
+    H = draw(pauli_sums(max_qubits, min_qubits))
     T = draw(st.floats(0.05, 3.0))
     N = draw(st.integers(1, 2000))
     mixed = draw(st.booleans())
@@ -367,25 +441,24 @@ def powering_cases(draw):
     return H, T, N, mixed, seed
 
 
+def assert_matches_kraus_oracle(case):
+    H, T, N, mixed, seed = case
+    rho0, A = state_and_observable(H.dim, mixed, seed)
+    exact = channel_iterate_exact(H, rho0, T, N)
+    looped = kraus_iterate(H, rho0, T / N, N)
+    assert abs(np.trace(A @ exact) - np.trace(A @ looped)) <= oracle_tolerance(A)
+
+
 @given(case=powering_cases())
 @settings(max_examples=60, deadline=None)
 def test_powering_matches_kraus_loop(case):
-    H, T, N, mixed, seed = case
-    rng = np.random.default_rng(seed)
-    d = H.dim
-    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    if mixed:
-        rho0 = M @ M.conj().T
-        rho0 /= np.trace(rho0).real
-    else:
-        psi = M[:, 0] / np.linalg.norm(M[:, 0])
-        rho0 = np.outer(psi, psi.conj())
-    A = 2.0 * (M + M.conj().T)
-    B, v = channel._pauli_powers(H, rho0, T, [N])
-    powered = devectorize(B @ v[0])
-    looped = channel._kraus_iterate(H, rho0, T / N, N)
-    tol = 1e-12 * max(1.0, np.abs(np.linalg.eigvalsh(A)).max())
-    assert abs(np.trace(A @ powered) - np.trace(A @ looped)) <= tol
+    assert_matches_kraus_oracle(case)
+
+
+@given(case=powering_cases(5, 5))
+@settings(max_examples=15, deadline=None)
+def test_stepping_matches_kraus_loop_above_the_cap(case):
+    assert_matches_kraus_oracle(case)
 
 
 @given(case=powering_cases(), extra=st.lists(st.integers(1, 2000), max_size=5))
@@ -394,11 +467,7 @@ def test_stacked_nodes_match_single_nodes(case, extra):
     # unsorted and repeated step counts, in one stacked powering
     H, T, N, mixed, seed = case
     counts = [N] + extra + extra[::-1] + [N]
-    rng = np.random.default_rng(seed)
-    M = rng.normal(size=(H.dim, H.dim)) + 1j * rng.normal(size=(H.dim, H.dim))
-    psi = M[:, 0] / np.linalg.norm(M[:, 0])
-    rho0 = M @ M.conj().T / np.trace(M @ M.conj().T).real if mixed else np.outer(psi, psi.conj())
-    A = 2.0 * (M + M.conj().T)
+    rho0, A = state_and_observable(H.dim, mixed, seed)
     stacked = channel.node_values_exact(H, A, rho0, T, counts)
     single = [expectation_exact(H, A, rho0, T, n) for n in counts]
     tol = 1e-13 * max(1.0, np.abs(np.linalg.eigvalsh(A)).max())

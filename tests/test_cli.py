@@ -542,6 +542,32 @@ class TestErrorHandling:
         assert "numerical failure" in err and named in err
         assert "Traceback" not in err and "nan" not in out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("files, argv, named", [
+        # past the 4-qubit powering cap: 2 lam T/N = 2e308 at N = 2
+        ({"big5.txt": "1.5 ZIIII\n0.5 XIIII\n", "z5.txt": "1.0 ZIIII\n"},
+         ["scan", "--hamiltonian", "big5.txt", "--observable", "z5.txt",
+          "--time", "1e308", "--n-list", "1,2,3,4"], "t = 5e+307"),
+        # the shot gates' step angle 2 lam T/N = 4e308
+        ({"big2.txt": "1.5 ZI\n0.5 XI\n", "z2.txt": "1.0 ZI\n"},
+         ["qdrift", "--hamiltonian", "big2.txt", "--observable", "z2.txt",
+          "--time", "1e308", "--steps", "1", "--shots", "4", "--seed", "3"], "t = 1e+308"),
+        # every step angle is finite, but exp(-i T H) is not
+        ({"big.txt": "2.0 Z\n0.1 X\n", "z.txt": "1.0 Z\n"},
+         ["scan", "--hamiltonian", "big.txt", "--observable", "z.txt",
+          "--time", "1e308", "--n-list", "4,8,16,32"], "theta = 1e+308"),
+    ])
+    def test_overflowing_phase_is_numerical_failure(self, files, argv, named, tmp_path,
+                                                    monkeypatch, capsys):
+        # each exited 0 with NaN values or NaN-drawn outcomes
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert "numerical failure" in err and named in err
+        assert "Traceback" not in err and "nan" not in out
+
     def _qdrift(self, ham_file, obs_file, **kw):
         args = {"--time": "1.0", "--steps": "5", "--shots": "4", "--seed": "1"}
         args.update(kw)
@@ -632,6 +658,7 @@ FUZZ_FILES = {
     "z": OBS_Z,
     "zi": "1.0 ZI\n",
     "ziz": OBS_ZIZ,
+    "big": "2.0 Z\n0.1 X\n",
     "cap": "1.0 " + "Z" * 11 + "\n",
     "malformed": "0.5 XQ\n",
     "empty": "",
@@ -657,7 +684,7 @@ def cli_argvs(draw, root):
         pool = bad if draw(st.integers(0, 9)) == 0 else good
         return draw(st.sampled_from(pool))
 
-    ham, obs = pick([("one", "z"), ("two", "zi"), ("three", "ziz")],
+    ham, obs = pick([("one", "z"), ("two", "zi"), ("three", "ziz"), ("big", "z")],
                     [(h, o) for h in ("one", "two", "cap", "malformed", "empty",
                                       "complex", "missing")
                      for o in ("z", "zi", "ziz", "malformed", "missing")])
@@ -672,7 +699,8 @@ def cli_argvs(draw, root):
             flags["--pseudocode-schedule"] = None
     elif command == "qdrift":
         flags.update({
-            "--hamiltonian": ham, "--observable": obs, "--time": pick(["0.3", "1.0"]),
+            "--hamiltonian": ham, "--observable": obs,
+            "--time": pick(["0.3", "1.0", "1e308"]),
             "--steps": pick(["1", "7", "1000"]), "--shots": pick(["1", "3", "500"]),
             "--seed": seed,
         })
@@ -737,5 +765,9 @@ def test_main_fuzz_exits_cleanly(fuzz_dir):
                 code = exc.code
         assert code in (0, 2, 3), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if argv[0] == "scan" and code == 0:
+            csv_path = argv[argv.index("--out") + 1] if "--out" in argv else None
+            table = open(csv_path).read() if csv_path else out.getvalue()
+            assert "nan" not in table, (argv, table)
 
     check()
