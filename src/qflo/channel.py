@@ -38,12 +38,13 @@ per step) whatever the number of terms.  Where the term count and dimension
 are small (``_auto_group``), runs of consecutive steps are first folded into
 a table of dense step products.  The gates, the table and the measurement
 eigenbasis are built once per call.  Measured on a shared 2-core x86-64 host
-with one BLAS thread, batches of 176 and 4096 states and 4-17 terms, in
-ns/gate:
+with one BLAS thread, on batches of 176 and 4096 copies of one state as the
+sampler passes them (broadcast, then copied in C order) and 4-17 terms
+(less the 268 MB table of 4 terms at d = 64), in ns/gate:
 
-    d          4        8        16        32          64
-    table   15-49   37-129   168-493   676-3729   3625-16846
-    Pauli   24-96    55-90   129-171    190-292      379-566
+    d          4        8        16         32          64
+    table   33-115   80-153   402-857   1968-4427   8790-19193
+    Pauli   28-139   52-121   154-208    291-336     355-988
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
@@ -96,13 +97,14 @@ def _pauli_action(H: HamiltonianDecomposition):
 
     Where term j anticommutes with sigma_q, -i s_j P_j sigma_q = sign[j, q]
     sigma_{target[j, q]} with sign +-1 and target q ^ p_j; where they
-    commute, sign is 0.
+    commute, sign is 0; it is stored as int8.
     """
     p = _term_masks(H)[:, None]
     q = np.arange(H.dim ** 2)
     e = _product_phase(p, q, H.n_qubits)
     # -i i^e for odd e; even e (commuting) gives no action
-    sign = np.array([0, 1, 0, -1])[e] * np.array([t.sign for t in H.terms])[:, None]
+    term_signs = np.array([t.sign for t in H.terms], dtype=np.int8)[:, None]
+    sign = np.array([0, 1, 0, -1], dtype=np.int8)[e] * term_signs
     return p ^ q, sign
 
 
@@ -443,7 +445,9 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     folded into a precomputed product table; the grouping is fixed by
     (L, d, N), so results stay deterministic for given indices.
     """
-    out = np.array(psis, dtype=complex, copy=True)
+    # C order: a broadcast or Fortran-ordered input would otherwise stay
+    # strided, and every step's flat gather would copy the whole batch
+    out = np.array(psis, dtype=complex, order="C")
     L, d = gates.perm.shape
     B, N = indices.shape
     if indices.size and not 0 <= indices.min() <= indices.max() < L:

@@ -14,6 +14,7 @@ from functools import reduce
 import numpy as np
 
 QUBIT_CAP = 10
+GUIDE_BUCKETS = 256
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -126,8 +127,18 @@ class HamiltonianDecomposition:
         weights = np.array([t.weight for t in terms], dtype=float)
         self.lam = float(weights.sum())
         self.probabilities = weights / self.lam
-        self._cdf = np.cumsum(self.probabilities)
-        self._cdf[-1] = 1.0
+        cdf = np.cumsum(self.probabilities)
+        cdf[-1] = 1.0
+        # Guide table: the draw for u in bucket k = floor(u K) lies in
+        # [guide[k], guide[k + 1]] (in [guide[K - 1], L - 1] for the last),
+        # so lifts by the powers of two below the widest such span reach it.
+        # A lift reads at most span - 1 entries past cdf[L - 1], padded
+        # with inf, which no u reaches.
+        edges = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+        self._guide = np.searchsorted(cdf, edges, side="right")
+        span = int(np.diff(self._guide, append=len(terms) - 1).max())
+        self._lifts = [1 << k for k in range(span.bit_length() - 1, -1, -1)]
+        self._cdf = np.concatenate([cdf, np.full(span, np.inf)])
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -170,11 +181,24 @@ class HamiltonianDecomposition:
                               coef=(-1j * np.sin(angle)) * phase)
 
     def sample_terms(self, rng, count: int) -> np.ndarray:
-        """Draw ``count`` indices, index j with probability p_j = h_j / lambda:
-        a binary search of each uniform draw against the cumulative
-        distribution, deterministic given the rng stream."""
+        """Draw ``count`` indices, index j with probability p_j = h_j / lambda,
+        from one ``rng.random(count)``: each uniform u maps to the number of
+        cumulative probabilities c_j <= u, exactly as
+        ``searchsorted(cdf, u, side="right")``.
+
+        The guide-table method (Chen and Asau, AIIE Trans. 6, 1974; Devroye,
+        Non-Uniform Random Variate Generation, 1986, III.2.4): bucket
+        floor(256 u), exact because 256 is a power of two, starts each draw
+        at the right answer or within a span of it, and a fixed sequence of
+        branch-free lifts, at most bit_length(L) deep, closes the span.
+        """
         u = rng.random(count)
-        return np.searchsorted(self._cdf, u, side="right")
+        idx = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+        for step in self._lifts:
+            # c[idx + step - 1] <= u: the step stays at or below the answer
+            below = self._cdf[step - 1:][idx] <= u
+            idx += below if step == 1 else below * step
+        return idx
 
     def serialize(self) -> str:
         lines = [

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,9 @@ RHO0 = np.outer(KET0, KET0.conj())
 HEISENBERG_CHAIN_4 = "".join(
     f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
 ) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
+HEISENBERG_CHAIN_5 = "".join(
+    f"1.0 {'I' * i}{p}{p}{'I' * (3 - i)}\n" for i in range(4) for p in "XYZ"
+) + "".join(f"0.5 {'I' * i}X{'I' * (4 - i)}\n" for i in range(5))
 
 
 def kraus_iterate(H, rho, t, N):
@@ -377,6 +382,29 @@ class TestBatchEvolution:
         assert channel.shot_chunk(300, 10**6) == channel.CHUNK_INDEX_BYTES // (8 * 10**6)
         assert channel.shot_chunk(4, 10**10) == 1
 
+    def test_layouts_give_the_same_bits_at_d32(self, rng):
+        # the shot sampler passes pure states broadcast, mixed ones C-ordered
+        H = parse_hamiltonian(HEISENBERG_CHAIN_5)
+        B, N = 64, 300
+        psi0 = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+        psi0 /= np.linalg.norm(psi0)
+        indices = rng.integers(0, len(H), size=(B, N)).astype(np.uint8)
+        gates = H.pauli_rotations(0.05)
+        tiled = np.tile(psi0, (B, 1))
+        layouts = [np.broadcast_to(psi0, (B, H.dim)), tiled, np.asfortranarray(tiled)]
+        finals = [evolve_indexed_batch(psis, gates, indices) for psis in layouts]
+        assert all(f.tobytes() == finals[0].tobytes() for f in finals)
+
+    def test_result_is_c_contiguous(self, rng):
+        H = parse_hamiltonian(HEISENBERG_CHAIN_5)
+        psi0 = np.zeros(H.dim, dtype=complex)
+        psi0[0] = 1.0
+        indices = rng.integers(0, len(H), size=(8, 5))
+        tiled = np.tile(psi0, (8, 1))
+        for psis in (np.broadcast_to(psi0, (8, H.dim)), tiled, np.asfortranarray(tiled)):
+            out = evolve_indexed_batch(psis, H.pauli_rotations(0.05), indices)
+            assert out.flags.c_contiguous
+
     def test_rejects_out_of_range_indices(self, one_qubit):
         H, _, psi0 = one_qubit
         with pytest.raises(ValueError):
@@ -504,6 +532,25 @@ def test_shot_outcomes_follow_exact_distribution():
     assert counts.sum() == shots
     statistic = np.sum((counts - shots * p) ** 2 / (shots * p))
     assert chi2.sf(statistic, p.size - 1) >= 1e-3
+
+
+@pytest.mark.parametrize("mixed, digest", [
+    (False, "5445511aaf20648c1c27f86bafeec946c7e56176e86829e27c39fee166329078"),
+    (True, "d771f0688cd9cae2cb51ee374acbdef69800fd1bbe211f9bf64235cca69e4d6a"),
+])
+def test_pinned_chain_outcomes(mixed, digest):
+    # 5000 shots of 200 steps on the 5-qubit chain, two shot chunks, through
+    # a random observable with 32 distinct eigenvalues.  The outcomes are
+    # pinned as eigenvalue positions, whose bits do not depend on LAPACK.
+    H = parse_hamiltonian(HEISENBERG_CHAIN_5)
+    rho0, A = state_and_observable(H.dim, True, 5)
+    state = rho0 if mixed else np.eye(H.dim)[0]
+    measurer = ObservableMeasurer(A)
+    assert measurer.values.size == H.dim
+    outcomes = sample_shots(H, measurer, state, 1.0, 200, 5000, seed=7)
+    positions = np.searchsorted(measurer.values, outcomes).astype(np.uint8)
+    assert np.array_equal(measurer.values[positions], outcomes)
+    assert hashlib.sha256(positions.tobytes()).hexdigest() == digest
 
 
 class TestMeasurement:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qflo import channel, generator
@@ -754,17 +754,30 @@ def cli_argvs(draw, root):
 
 
 def test_main_fuzz_exits_cleanly(fuzz_dir):
+    big, z = str(fuzz_dir / "big.txt"), str(fuzz_dir / "z.txt")
+
+    # overflowing step angles, whatever the derandomized draw reaches
     @given(argv=cli_argvs(fuzz_dir))
+    @example(argv=["scan", "--hamiltonian", big, "--observable", z,
+                   "--time", "1e308", "--n-list", "1,2,4,8"])
+    @example(argv=["qdrift", "--hamiltonian", big, "--observable", z, "--time", "1e308",
+                   "--steps", "1", "--shots", "500", "--seed", "0"])
     @settings(max_examples=500, deadline=None, derandomize=True)
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
             try:
                 code = main(argv)
             except SystemExit as exc:   # argparse's own usage errors
                 code = exc.code
         assert code in (0, 2, 3), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        # a run that succeeds computed no NaN on the way, as shots drawn
+        # from NaN probabilities would
+        invalid = [str(w.message) for w in caught if "invalid value" in str(w.message)]
+        assert code != 0 or not invalid, (argv, invalid)
         if argv[0] == "scan" and code == 0:
             csv_path = argv[argv.index("--out") + 1] if "--out" in argv else None
             table = open(csv_path).read() if csv_path else out.getvalue()

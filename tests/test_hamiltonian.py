@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from qflo.hamiltonian import (
+    GUIDE_BUCKETS,
     DimensionCapError,
+    HamiltonianDecomposition,
     HamiltonianFormatError,
     PauliString,
+    WeightedTerm,
     parse_hamiltonian,
 )
 from qflo.linalg import hermiticity_defect, spectral_norm
@@ -85,9 +88,11 @@ class TestDense:
 class _FixedUniform:
     def __init__(self, values):
         self._values = np.asarray(values, dtype=float)
+        self.calls = 0
 
     def random(self, count):
         assert count == self._values.size
+        self.calls += 1
         return self._values
 
 
@@ -116,6 +121,48 @@ class TestSampleTerm:
         counts = np.bincount(draws, minlength=4)
         _, pvalue = stats.chisquare(counts, n * H.probabilities)
         assert pvalue > 0.001
+
+
+def sampler_weights(kind: str, L: int, seed: int) -> np.ndarray:
+    """L positive term weights: uniform, heavy-tailed (Pareto of index 0.5),
+    spread over many decades, or a few large weights beside a cluster of
+    tiny ones, as in chemistry Hamiltonians."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(1e-3, 1.0, L)
+    if kind == "pareto":
+        return rng.pareto(0.5, L) + 1e-300
+    if kind == "decades":
+        return 10.0 ** rng.uniform(-30, 30, L)
+    w = np.full(L, 1e-12)
+    w[rng.integers(0, L, size=3)] = 1.0
+    return w
+
+
+@given(kind=st.sampled_from(["uniform", "pareto", "decades", "cluster"]),
+       L=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+@example(kind="cluster", L=1000, seed=0)
+@example(kind="pareto", L=256, seed=1)
+@example(kind="decades", L=257, seed=2)
+@example(kind="uniform", L=1, seed=3)
+@settings(max_examples=150, deadline=None)
+def test_sampler_matches_binary_search(kind, L, seed):
+    # the guide table with its lifts against searchsorted on the uniforms
+    # where they could part: every cumulative probability and its float
+    # neighbours, 0, every bucket edge k/256 and its neighbours
+    H = HamiltonianDecomposition(
+        [WeightedTerm(float(w), PauliString("X")) for w in sampler_weights(kind, L, seed)])
+    cdf = np.cumsum(H.probabilities)
+    cdf[-1] = 1.0
+    edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    u = np.concatenate([cdf, edges, [0.0], np.random.default_rng(seed).random(1000)])
+    u = np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    rng = _FixedUniform(u)
+    draws = H.sample_terms(rng, u.size)
+    assert rng.calls == 1
+    assert np.array_equal(draws, np.searchsorted(cdf, u, side="right"))
+    assert len(H._lifts) <= L.bit_length()
 
 
 class TestInvariants:
