@@ -37,14 +37,16 @@ sequence of term indices, advanced by O(d) Pauli gates (a gather and an axpy
 per step) whatever the number of terms.  Where the term count and dimension
 are small (``_auto_group``), runs of consecutive steps are first folded into
 a table of dense step products.  The gates, the table and the measurement
-eigenbasis are built once per call.  Measured on a shared 2-core x86-64 host
-with one BLAS thread, on batches of 176 and 4096 copies of one state as the
-sampler passes them (broadcast, then copied in C order) and 4-17 terms
-(less the 268 MB table of 4 terms at d = 64), in ns/gate:
+eigenbasis are built once per call, and ``sample_shots`` passes the engine
+tiles of at most 2^14 / d states, which keep a step's arrays in cache.
+Measured on a shared 2-core x86-64 host with one BLAS thread, on batches of
+176 states and of one tile (4096, 2048, 1024, 512 and 256 states) as the
+sampler passes them (broadcast, then copied in C order) and 4 or 17 terms
+(tables of 4 terms only above d = 8, none at d = 64), in ns/gate:
 
-    d          4        8        16         32          64
-    table   33-115   80-153   402-857   1968-4427   8790-19193
-    Pauli   28-139   52-121   154-208    291-336     355-988
+    d          4        8        16         32         64
+    table    22-39   52-153   306-356   1542-1698      -
+    Pauli    23-58    40-93    96-149    143-198    363-372
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
@@ -62,7 +64,7 @@ from .hamiltonian import DimensionCapError, HamiltonianDecomposition, PauliRotat
 from .linalg import check_density_matrix, hermitian_eig, require_hermitian, unitary_exp
 
 UNIT_NORM_TOL = 1e-10
-SHOT_CHUNK = 4096
+TILE_AMPLITUDES = 2 ** 14
 CHUNK_INDEX_BYTES = 2 ** 27
 DEGENERACY_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
@@ -454,30 +456,40 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
         raise ValueError(f"term indices must lie in [0, {L})")
     group = _auto_group(L, d, N)
     start = 0
+    # Indices are range-checked above, so "clip" only skips take's bounds
+    # buffering.  The loops call bound ``take`` methods and write every
+    # product into a buffer allocated once: at these batch sizes numpy's
+    # per-call overhead is a large share of a step.
     if group > 1:
         table = grouped_step_unitaries(gates.dense(), group)
         n_groups = N // group
         start = n_groups * group
         codes = _group_codes(indices, L, group, n_groups)
+        take_products = table.take
+        products = np.empty((B, d, d), dtype=complex)
         for i in range(n_groups):
-            out = np.einsum("bij,bj->bi", table[codes[:, i]], out)
+            take_products(codes[:, i], axis=0, out=products, mode="clip")
+            out = np.einsum("bij,bj->bi", products, out)
     if start == N:
         return out
-    offsets = np.arange(0, B * d, d)[:, None]
+    # flat positions b d + perm[j, y], with the row offsets b d held as a
+    # full (B, d) array: adding a broadcast (B, 1) column cost about 11% of
+    # a step more at d = 32
+    offsets = np.repeat(np.arange(0, B * d, d), d).reshape(B, d)
     src = np.empty((B, d), dtype=np.intp)
     gathered = np.empty_like(out)
     coef = np.empty_like(out)
-    # Indices are range-checked above, so "clip" only skips take's bounds
-    # buffering.
+    take_perm, take_coef, take_amps = gates.perm.take, gates.coef.take, out.take
+    multiply, add, cos = np.multiply, np.add, gates.cos
     for i in range(start, N):
         col = indices[:, i]
-        np.take(gates.perm, col, axis=0, out=src, mode="clip")
-        src += offsets
-        np.take(out, src, out=gathered, mode="clip")
-        np.take(gates.coef, col, axis=0, out=coef, mode="clip")
-        gathered *= coef
-        out *= gates.cos
-        out += gathered
+        take_perm(col, axis=0, out=src, mode="clip")
+        add(src, offsets, out=src)
+        take_amps(src, out=gathered, mode="clip")
+        take_coef(col, axis=0, out=coef, mode="clip")
+        multiply(gathered, coef, out=gathered)
+        multiply(out, cos, out=out)
+        add(out, gathered, out=out)
     return out
 
 
@@ -515,11 +527,17 @@ def index_dtype(L: int):
     return np.uint8 if L < 256 else np.int64
 
 
-def shot_chunk(L: int, N: int) -> int:
-    """Shots evolved as one batch: at most SHOT_CHUNK, and few enough that
-    their (B, N) term indices fit in CHUNK_INDEX_BYTES."""
+def shot_chunk(L: int, N: int, d: int) -> int:
+    """Shots evolved as one batch, a tile: few enough that their (B, d)
+    amplitudes number at most TILE_AMPLITUDES and their (B, N) term indices
+    fit in CHUNK_INDEX_BYTES; at least one.
+
+    At 2^14 amplitudes each of the engine's (B, d) working arrays takes
+    256 KiB, so a step's arrays stay in a core's L2 cache: 4096 shots at
+    d = 4, 512 at d = 32 and 256 at d = 64.  A batch of 4096 cost about
+    twice as much per gate at d = 32 and at d = 64."""
     row_bytes = N * np.dtype(index_dtype(L)).itemsize
-    return max(1, min(SHOT_CHUNK, CHUNK_INDEX_BYTES // max(row_bytes, 1)))
+    return max(1, min(TILE_AMPLITUDES // d, CHUNK_INDEX_BYTES // max(row_bytes, 1)))
 
 
 def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int,
@@ -531,8 +549,10 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
     Shot k draws from substream(seed, node, k) in a fixed order: the
     measurement uniform, the initial-state uniform (used for mixed states
     only), then the N term uniforms.  The pipeline's node j is ``node=j``;
-    the CLI's ``qdrift`` is node 0.  Shots are evolved in chunks of
-    ``shot_chunk(L, N)``, which does not change any outcome.
+    the CLI's ``qdrift`` is node 0.  Shots are evolved in tiles of
+    ``shot_chunk(L, N, d)`` consecutive shots, at most 2^14 / d of them so
+    that each tile's states stay in cache; as every shot has its own
+    substream, the tiling does not change any outcome.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -553,7 +573,7 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
         psi0 = unit_state(initial_state)
     values = np.empty(shots)
     idx_dtype = index_dtype(len(H))
-    chunk = shot_chunk(len(H), N)
+    chunk = shot_chunk(len(H), N, H.dim)
     for start in range(0, shots, chunk):
         stop = min(start + chunk, shots)
         B = stop - start

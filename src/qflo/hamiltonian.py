@@ -74,8 +74,10 @@ class WeightedTerm:
     sign: int = 1
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise HamiltonianFormatError(f"term weight must be > 0, got {self.weight}")
+        if not 0 < self.weight < np.inf:
+            raise HamiltonianFormatError(
+                f"term weight must be positive and finite, got {self.weight}"
+            )
         if self.sign not in (-1, 1):
             raise HamiltonianFormatError(f"term sign must be +-1, got {self.sign}")
 
@@ -125,7 +127,12 @@ class HamiltonianDecomposition:
         self.terms = terms
         self.n_qubits = n
         weights = np.array([t.weight for t in terms], dtype=float)
-        self.lam = float(weights.sum())
+        with np.errstate(over="ignore"):
+            self.lam = float(weights.sum())
+        if not np.isfinite(self.lam):
+            raise HamiltonianFormatError(
+                f"lambda, the sum of the {len(terms)} coefficients' magnitudes, overflows"
+            )
         self.probabilities = weights / self.lam
         cdf = np.cumsum(self.probabilities)
         cdf[-1] = 1.0
@@ -226,6 +233,8 @@ def parse_hamiltonian(text: str) -> HamiltonianDecomposition:
             ) from None
         if coeff == 0.0:
             raise HamiltonianFormatError(f"line {lineno}: zero coefficient")
+        if not np.isfinite(coeff):
+            raise HamiltonianFormatError(f"line {lineno}: coefficient {parts[0]!r} is not finite")
         sign = 1 if coeff > 0 else -1
         terms.append(WeightedTerm(abs(coeff), PauliString(parts[1]), sign))
     if not terms:

@@ -15,19 +15,25 @@ from qflo.channel import (
     sample_shots,
     substream,
 )
-from qflo.hamiltonian import parse_hamiltonian
+from qflo.benchmarks import TWO_QUBIT_TEXT
+from qflo.hamiltonian import PauliRotations, parse_hamiltonian
 from qflo.linalg import conjugation_superoperator, unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
 RHO0 = np.outer(KET0, KET0.conj())
-HEISENBERG_CHAIN_4 = "".join(
-    f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
-) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
-HEISENBERG_CHAIN_5 = "".join(
-    f"1.0 {'I' * i}{p}{p}{'I' * (3 - i)}\n" for i in range(4) for p in "XYZ"
-) + "".join(f"0.5 {'I' * i}X{'I' * (4 - i)}\n" for i in range(5))
+
+
+def heisenberg_chain(n):
+    """XX+YY+ZZ couplings 1.0 on each bond and an X field 0.5 on each site."""
+    return "".join(
+        f"1.0 {'I' * i}{p}{p}{'I' * (n - 2 - i)}\n" for i in range(n - 1) for p in "XYZ"
+    ) + "".join(f"0.5 {'I' * i}X{'I' * (n - 1 - i)}\n" for i in range(n))
+
+
+HEISENBERG_CHAIN_4 = heisenberg_chain(4)
+HEISENBERG_CHAIN_5 = heisenberg_chain(5)
 
 
 def kraus_iterate(H, rho, t, N):
@@ -377,10 +383,14 @@ class TestBatchEvolution:
         assert channel._group_codes(indices, 16, 3, 2).dtype == np.uint16
 
     def test_shot_chunk_bounds_index_bytes(self):
-        assert channel.shot_chunk(4, 17905) == channel.SHOT_CHUNK
-        assert channel.shot_chunk(4, 10**6) == channel.CHUNK_INDEX_BYTES // 10**6
-        assert channel.shot_chunk(300, 10**6) == channel.CHUNK_INDEX_BYTES // (8 * 10**6)
-        assert channel.shot_chunk(4, 10**10) == 1
+        # criterion 8's two-qubit tiles keep their 4096 shots
+        assert channel.shot_chunk(4, 17905, 4) == channel.TILE_AMPLITUDES // 4 == 4096
+        assert channel.shot_chunk(17, 4207, 32) == 512
+        assert channel.shot_chunk(17, 673, 64) == 256
+        assert channel.shot_chunk(4, 10**6, 4) == channel.CHUNK_INDEX_BYTES // 10**6
+        assert channel.shot_chunk(300, 10**6, 4) == channel.CHUNK_INDEX_BYTES // (8 * 10**6)
+        assert channel.shot_chunk(4, 10**10, 4) == 1
+        assert channel.shot_chunk(4, 1, 2 * channel.TILE_AMPLITUDES) == 1
 
     def test_layouts_give_the_same_bits_at_d32(self, rng):
         # the shot sampler passes pure states broadcast, mixed ones C-ordered
@@ -539,7 +549,7 @@ def test_shot_outcomes_follow_exact_distribution():
     (True, "d771f0688cd9cae2cb51ee374acbdef69800fd1bbe211f9bf64235cca69e4d6a"),
 ])
 def test_pinned_chain_outcomes(mixed, digest):
-    # 5000 shots of 200 steps on the 5-qubit chain, two shot chunks, through
+    # 5000 shots of 200 steps on the 5-qubit chain, in ten tiles, through
     # a random observable with 32 distinct eigenvalues.  The outcomes are
     # pinned as eigenvalue positions, whose bits do not depend on LAPACK.
     H = parse_hamiltonian(HEISENBERG_CHAIN_5)
@@ -551,6 +561,54 @@ def test_pinned_chain_outcomes(mixed, digest):
     positions = np.searchsorted(measurer.values, outcomes).astype(np.uint8)
     assert np.array_equal(measurer.values[positions], outcomes)
     assert hashlib.sha256(positions.tobytes()).hexdigest() == digest
+
+
+def dyadic_rotations(H):
+    """H's Pauli gates with cos 3/4 and sin 1/2 in place of a step angle's:
+    every gate entry and every product of gates is then exact, so the bits
+    of an evolution depend on the engine's own arithmetic alone, not on the
+    host's sin, cos or BLAS."""
+    quarter_turn = H.pauli_rotations(np.pi / 2)   # coef -i sign_j times the phases
+    return PauliRotations(cos=0.75, perm=quarter_turn.perm, coef=0.5 * quarter_turn.coef)
+
+
+@pytest.mark.parametrize("text, B, N, seed, group, digest", [
+    # Pauli gates at d = 32, with the batch and step count of shot_heis5's
+    # coarse node
+    (HEISENBERG_CHAIN_5, 176, 673, 11, 1,
+     "0caae577f948bab4c2ca1e18f74007f47dc31d539efa29c5c2f1b38e76bf4054"),
+    # the product table of 6 steps at d = 4, and 1015 = 6 * 169 + 1 leaves
+    # one Pauli step
+    (TWO_QUBIT_TEXT, 256, 1015, 12, 6,
+     "b2d3da67a069b9c22c1a31c50768648711308f026f436dc237760848c8a66ac7"),
+], ids=["pauli-d32", "table-d4"])
+def test_pinned_engine_states(text, B, N, seed, group, digest):
+    # sha256 of the final states' bytes, from the sampler's term draws and
+    # its broadcast initial state
+    H = parse_hamiltonian(text)
+    assert channel._auto_group(len(H), H.dim, N) == group
+    indices = np.stack([H.sample_terms(substream(seed, 0, b), N) for b in range(B)])
+    psi0 = np.eye(H.dim, dtype=complex)[0]
+    finals = evolve_indexed_batch(np.broadcast_to(psi0, (B, H.dim)), dyadic_rotations(H),
+                                  indices.astype(np.uint8))
+    assert hashlib.sha256(finals.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_tiles_give_the_same_outcomes(mixed, monkeypatch):
+    # 700 shots at d = 64 run as tiles of 256, 256 and 188 shots, then as
+    # one batch of 700
+    H = parse_hamiltonian(heisenberg_chain(6))
+    rho0, A = state_and_observable(H.dim, True, 6)
+    state = rho0 if mixed else np.eye(H.dim)[0]
+    measurer = ObservableMeasurer(A)
+    assert channel.shot_chunk(len(H), 60, H.dim) == 256
+    tiled = sample_shots(H, measurer, state, 1.0, 60, 700, seed=3, node=2)
+    monkeypatch.setattr(channel, "TILE_AMPLITUDES", 700 * H.dim)
+    assert channel.shot_chunk(len(H), 60, H.dim) == 700
+    whole = sample_shots(H, measurer, state, 1.0, 60, 700, seed=3, node=2)
+    assert len(set(tiled)) > 10
+    assert tiled.tobytes() == whole.tobytes()
 
 
 class TestMeasurement:
@@ -604,7 +662,7 @@ class TestQdriftRun:
     def test_batch_matches_single_runs(self, two_qubit, monkeypatch):
         H, A, psi0 = two_qubit
         batch = sample_shots(H, A, psi0, 1.0, 20, 5, seed=3)
-        monkeypatch.setattr(channel, "SHOT_CHUNK", 1)
+        monkeypatch.setattr(channel, "TILE_AMPLITUDES", 1)
         single = sample_shots(H, A, psi0, 1.0, 20, 5, seed=3)
         assert batch.tolist() == single.tolist()
 

@@ -640,6 +640,29 @@ class TestErrorHandling:
         assert "--seed must be >= 0" in err
         assert out == ""
 
+    @pytest.mark.parametrize("text, named", [
+        ("inf X\n1.0 Z\n", "not finite"),
+        ("1e308 X\n1e308 Z\n", "overflows"),
+    ], ids=["inf", "huge"])
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--observable", "z.txt", "--time", "1.0", "--n-list", "1,2"],
+        ["qdrift", "--observable", "z.txt", "--time", "1.0", "--steps", "2",
+         "--shots", "3", "--seed", "1"],
+        ["qflo", "--observable", "z.txt", "--time", "1.0", "--epsilon", "0.5",
+         "--delta", "0.1", "--seed", "1"],
+        ["generator", "--time", "1.0", "--s-list", "0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_coefficients_are_usage_errors(self, text, named, argv, tmp_path,
+                                                      monkeypatch, capsys):
+        # scan exited 1 with a traceback, the others 3 through later guards
+        (tmp_path / "h.txt").write_text(text)
+        (tmp_path / "z.txt").write_text(OBS_Z)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv[:1] + ["--hamiltonian", "h.txt"] + argv[1:], capsys)
+        assert code == 2
+        assert "error: Hamiltonian h.txt" in err and named in err
+        assert out == ""
+
     def test_missing_subcommand_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -659,6 +682,8 @@ FUZZ_FILES = {
     "zi": "1.0 ZI\n",
     "ziz": OBS_ZIZ,
     "big": "2.0 Z\n0.1 X\n",
+    "inf": "inf X\n1.0 Z\n",
+    "huge": "1e308 X\n1e308 Z\n",
     "cap": "1.0 " + "Z" * 11 + "\n",
     "malformed": "0.5 XQ\n",
     "empty": "",
@@ -686,8 +711,8 @@ def cli_argvs(draw, root):
 
     ham, obs = pick([("one", "z"), ("two", "zi"), ("three", "ziz"), ("big", "z")],
                     [(h, o) for h in ("one", "two", "cap", "malformed", "empty",
-                                      "complex", "missing")
-                     for o in ("z", "zi", "ziz", "malformed", "missing")])
+                                      "complex", "inf", "huge", "missing")
+                     for o in ("z", "zi", "ziz", "malformed", "inf", "missing")])
     ham, obs = str(root / f"{ham}.txt"), str(root / f"{obs}.txt")
     seed = pick(["1", "0", "12345678901234567890"], BAD_NUMBERS + ["-5"])
     command = draw(st.sampled_from(

@@ -57,6 +57,20 @@ class TestParse:
         with pytest.raises(HamiltonianFormatError, match="coefficient"):
             parse_hamiltonian("abc X")
 
+    @pytest.mark.parametrize("coeff", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_coefficient(self, coeff):
+        with pytest.raises(HamiltonianFormatError, match="line 2: coefficient .* not finite"):
+            parse_hamiltonian(f"1.0 Z\n{coeff} X\n")
+
+    def test_overflowing_lambda(self):
+        with pytest.raises(HamiltonianFormatError, match="overflows"):
+            parse_hamiltonian("1e308 X\n-1e308 Z\n")
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan, 0.0, -1.0])
+    def test_term_weight_must_be_positive_and_finite(self, weight):
+        with pytest.raises(HamiltonianFormatError, match="positive and finite"):
+            WeightedTerm(weight, PauliString("X"))
+
 
 class TestDense:
     def test_single_z(self):

@@ -310,7 +310,7 @@ class TestRunShotSampled:
 
     def test_chunking_does_not_change_estimate(self, one_qubit, monkeypatch):
         full = run(self._request(one_qubit))
-        monkeypatch.setattr(channel, "SHOT_CHUNK", 7)
+        monkeypatch.setattr(channel, "TILE_AMPLITUDES", 7 * 2)   # 7 one-qubit shots
         chunked = run(self._request(one_qubit))
         assert [n.mean for n in chunked.per_node] == [n.mean for n in full.per_node]
 
