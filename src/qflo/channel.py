@@ -40,8 +40,8 @@ a table of dense step products.  The gates, the table and the measurement
 eigenbasis are built once per call, and ``sample_shots`` passes the engine
 tiles of at most 2^14 / d states, which keep a step's arrays in cache.
 Measured on a shared 2-core x86-64 host with one BLAS thread, on batches of
-176 states and of one tile (4096, 2048, 1024, 512 and 256 states) as the
-sampler passes them (broadcast, then copied in C order) and 4 or 17 terms
+176 states and of one tile (4096, 2048, 1024, 512 and 256 states), each
+state copied from one broadcast vector in C order, and 4 or 17 terms
 (tables of 4 terms only above d = 8, none at d = 64), in ns/gate:
 
     d          4        8        16         32         64
@@ -341,17 +341,28 @@ def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np
     return out
 
 
+def _density_matrix(state) -> np.ndarray:
+    """The checked density matrix of ``state``: a density matrix as given,
+    or |psi><psi| for a state vector psi."""
+    if np.ndim(state) == 2:
+        return check_density_matrix(state)
+    psi = np.asarray(state, dtype=complex).reshape(-1)
+    return check_density_matrix(np.outer(psi, psi.conj()))
+
+
 def channel_iterate_exact(H: HamiltonianDecomposition, rho0, T: float, N: int) -> np.ndarray:
-    """N exact channel applications with step time T/N."""
+    """N exact channel applications with step time T/N to rho0, a density
+    matrix or a state vector; returns the density matrix."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    v0 = _pauli_coefficients(check_density_matrix(rho0)).real
+    v0 = _pauli_coefficients(_density_matrix(rho0)).real
     return _pauli_operator(_pauli_powers(H, v0, T, [N])[0])
 
 
 def node_values_exact(H: HamiltonianDecomposition, A, rho0, T: float, step_counts) -> np.ndarray:
     """Noiseless f_A(1/N) = tr[A E^N(rho0)] with step time T/N for each N of
     ``step_counts``, in the order given; a repeated N is evaluated once.
+    rho0 is a density matrix or a state vector.
 
     All nodes share one ``_pauli_powers`` call, and each value is a . v with
     a_q = tr(A sigma_q) / sqrt(d).
@@ -360,7 +371,7 @@ def node_values_exact(H: HamiltonianDecomposition, A, rho0, T: float, step_count
     counts = [int(N) for N in step_counts]
     if not counts or min(counts) < 1:
         raise ValueError(f"N must be >= 1, got {counts}")
-    v0, a = _pauli_coefficients(np.stack([check_density_matrix(rho0), A]))
+    v0, a = _pauli_coefficients(np.stack([_density_matrix(rho0), A]))
     distinct = sorted(set(counts), reverse=True)
     values = _pauli_powers(H, v0.real, T, distinct) @ a
     bad = np.abs(values.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values))
@@ -376,9 +387,10 @@ def expectation_exact(H: HamiltonianDecomposition, A, rho0, T: float, N: int) ->
 
 
 def exact_expectation(H: HamiltonianDecomposition, A, rho0, T: float) -> float:
-    """Zero-step-size limit tr[A e^{-iHT} rho0 e^{iHT}] via eigendecomposition."""
+    """Zero-step-size limit tr[A e^{-iHT} rho0 e^{iHT}] via eigendecomposition;
+    rho0 is a density matrix or a state vector."""
     A = require_hermitian(A)
-    rho0 = check_density_matrix(rho0)
+    rho0 = _density_matrix(rho0)
     U = unitary_exp(H.dense(), T)
     val = complex(np.trace(A @ U @ rho0 @ U.conj().T))
     return val.real
@@ -386,8 +398,8 @@ def exact_expectation(H: HamiltonianDecomposition, A, rho0, T: float) -> float:
 
 def unit_state(psi0) -> np.ndarray:
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("initial state is not unit norm")
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:   # NaN fails too
+        raise ValueError("initial state is not a finite unit vector")
     return psi
 
 
@@ -547,12 +559,13 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
     A is a Hermitian matrix or its ``ObservableMeasurer``.
 
     Shot k draws from substream(seed, node, k) in a fixed order: the
-    measurement uniform, the initial-state uniform (used for mixed states
-    only), then the N term uniforms.  The pipeline's node j is ``node=j``;
-    the CLI's ``qdrift`` is node 0.  Shots are evolved in tiles of
-    ``shot_chunk(L, N, d)`` consecutive shots, at most 2^14 / d of them so
-    that each tile's states stay in cache; as every shot has its own
-    substream, the tiling does not change any outcome.
+    measurement uniform, the initial-state uniform, which picks a member of
+    the state's eigen-ensemble (a unit vector has one), then the N term
+    uniforms.  The pipeline's node j is ``node=j``; the CLI's ``qdrift`` is
+    node 0.  Shots are evolved in tiles of ``shot_chunk(L, N, d)``
+    consecutive shots, at most 2^14 / d of them so that each tile's states
+    stay in cache; as every shot has its own substream, the tiling does not
+    change any outcome.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -560,17 +573,17 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
         raise ValueError(f"shots must be >= 1, got {shots}")
     gates = H.pauli_rotations(float(_step_angle(H, T / N)))
     measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
-    mixed = np.ndim(initial_state) == 2
-    if mixed:
+    if np.ndim(initial_state) == 2:
         rho0 = check_density_matrix(initial_state)
         evals, evecs = np.linalg.eigh((rho0 + rho0.conj().T) / 2.0)
         keep = evals > 1e-12
         pops = evals[keep] / evals[keep].sum()
-        pop_cdf = np.cumsum(pops)
-        pop_cdf[-1] = 1.0
         basis = evecs[:, keep]
-    else:
-        psi0 = unit_state(initial_state)
+    else:   # a pure state is the one-member ensemble
+        pops = np.ones(1)
+        basis = unit_state(initial_state)[:, None]
+    pop_cdf = np.cumsum(pops)
+    pop_cdf[-1] = 1.0
     values = np.empty(shots)
     idx_dtype = index_dtype(len(H))
     chunk = shot_chunk(len(H), N, H.dim)
@@ -585,13 +598,9 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
             u_meas[b] = rng.random()
             u_init[b] = rng.random()
             indices[b] = H.sample_terms(rng, N)
-        if mixed:
-            choice = np.minimum(
-                np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1
-            )
-            psis = basis.T[choice]
-        else:
-            psis = np.broadcast_to(psi0, (B, psi0.size))
-        finals = evolve_indexed_batch(psis, gates, indices)
+        choice = np.minimum(
+            np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1
+        )
+        finals = evolve_indexed_batch(basis.T[choice], gates, indices)
         values[start:stop] = measurer.sample_batch(finals, u_meas)
     return values

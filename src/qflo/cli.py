@@ -73,11 +73,6 @@ def _write_csv(header, rows, out_path):
         sys.stdout.write(data)
 
 
-def _write_json(payload, json_path):
-    if json_path:
-        _write_file(json_path, "--json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_file(path, flag, text):
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -147,13 +142,27 @@ def _load(path, what):
         raise UsageError(f"{what} {path}: {exc}") from None
 
 
-def _load_observable(path, H) -> np.ndarray:
-    A = _load(path, "observable")
+def _problem(args):
+    """(H, A, psi0) from --hamiltonian, --observable and --state.  The
+    default state label is written back to ``args`` for ``_report``."""
+    H = _load(args.hamiltonian, "Hamiltonian")
+    A = _load(args.observable, "observable")
     if A.n_qubits != H.n_qubits:
         raise UsageError(
-            f"observable {path} has {A.n_qubits} qubits, Hamiltonian has {H.n_qubits}"
+            f"observable {args.observable} has {A.n_qubits} qubits, Hamiltonian has {H.n_qubits}"
         )
-    return A.dense()
+    args.state = args.state or "0" * H.n_qubits
+    return H, A.dense(), parse_state(args.state, H.n_qubits)
+
+
+def _report(args, outputs, **parsed):
+    """Write the JSON summary: the subcommand, every flag it was given (with
+    ``parsed`` values in place of their raw text) and ``outputs``."""
+    if not args.json:
+        return
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "json")}
+    payload = {"command": args.command, "inputs": {**inputs, **parsed}, "outputs": outputs}
+    _write_file(args.json, "--json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_nodes(args) -> int:
@@ -165,73 +174,31 @@ def cmd_nodes(args) -> int:
         for j in range(args.m)
     ]
     _write_csv(["j", "x_j", "k_j", "y_j", "b_j"], rows, args.out)
-    _write_json(
-        {
-            "command": "nodes",
-            "inputs": {"m": args.m, "pseudocode_schedule": bool(args.pseudocode_schedule)},
-            "outputs": {"R": nodes.R, "one_norm": weights.one_norm},
-        },
-        args.json,
-    )
+    _report(args, {"R": nodes.R, "one_norm": weights.one_norm})
     return EXIT_OK
 
 
 def cmd_qdrift(args) -> int:
-    H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load_observable(args.observable, H)
-    psi0 = parse_state(args.state, H.n_qubits)
+    H, A, psi0 = _problem(args)
     _require_positive(args.steps, "--steps")
     _require_positive(args.shots, "--shots")
     seed = resolve_seed(args.seed)
     values = sample_shots(H, A, psi0, args.time, args.steps, args.shots, seed)
     _write_csv(["shot", "value"], enumerate(values.tolist()), args.out)
-    _write_json(
-        {
-            "command": "qdrift",
-            "inputs": {
-                "hamiltonian": args.hamiltonian,
-                "observable": args.observable,
-                "state": args.state or "0" * H.n_qubits,
-                "time": args.time,
-                "steps": args.steps,
-                "shots": args.shots,
-                "seed": seed,
-            },
-            "outputs": {
-                "mean": float(values.mean()),
-                "std": float(values.std(ddof=1)) if args.shots > 1 else 0.0,
-            },
-        },
-        args.json,
-    )
+    std = float(values.std(ddof=1)) if args.shots > 1 else 0.0
+    _report(args, {"mean": float(values.mean()), "std": std}, seed=seed)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load_observable(args.observable, H)
-    psi0 = parse_state(args.state, H.n_qubits)
-    rho0 = np.outer(psi0, psi0.conj())
+    H, A, psi0 = _problem(args)
     n_list = _parse_list(args.n_list, int, "--n-list", positive=True)
-    exact = exact_expectation(H, A, rho0, args.time)
-    values = node_values_exact(H, A, rho0, args.time, n_list).tolist()
+    exact = exact_expectation(H, A, psi0, args.time)
+    values = node_values_exact(H, A, psi0, args.time, n_list).tolist()
     rows = [(N, 1.0 / N, value, exact, abs(value - exact)) for N, value in zip(n_list, values)]
     _write_csv(["N", "s", "value", "exact", "abs_error"], rows, args.out)
-    summary = {"exact": exact, **_slope_fit([r[1] for r in rows], [r[4] for r in rows])}
-    _write_json(
-        {
-            "command": "scan",
-            "inputs": {
-                "hamiltonian": args.hamiltonian,
-                "observable": args.observable,
-                "state": args.state or "0" * H.n_qubits,
-                "time": args.time,
-                "n_list": n_list,
-            },
-            "outputs": summary,
-        },
-        args.json,
-    )
+    fit = _slope_fit([r[1] for r in rows], [r[4] for r in rows])
+    _report(args, {"exact": exact, **fit}, n_list=n_list)
     return EXIT_OK
 
 
@@ -247,24 +214,14 @@ def cmd_generator(args) -> int:
             rows.append((s, s * args.time, exc.min_eig_modulus, False, math.nan))
     _write_csv(["s", "t", "min_eig_modulus", "log_exists", "deviation"], rows, args.out)
     probed = [r for r in rows if r[3]]
-    summary = _slope_fit([r[0] for r in probed], [r[4] for r in probed])
-    _write_json(
-        {
-            "command": "generator",
-            "inputs": {"hamiltonian": args.hamiltonian, "time": args.time, "s_list": s_list},
-            "outputs": summary,
-        },
-        args.json,
-    )
+    _report(args, _slope_fit([r[0] for r in probed], [r[4] for r in probed]), s_list=s_list)
     if not all(r[3] for r in rows):
         raise NumericalFailure("logarithm does not exist at one or more probed step sizes")
     return EXIT_OK
 
 
 def cmd_qflo(args) -> int:
-    H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load_observable(args.observable, H)
-    psi0 = parse_state(args.state, H.n_qubits)
+    H, A, psi0 = _problem(args)
     seed = resolve_seed(args.seed)
     try:
         request = QfloRequest(
@@ -294,25 +251,7 @@ def cmd_qflo(args) -> int:
         rows,
         args.out,
     )
-    _write_json(
-        {
-            "command": "qflo",
-            "inputs": {
-                "hamiltonian": args.hamiltonian,
-                "observable": args.observable,
-                "state": args.state or "0" * H.n_qubits,
-                "time": args.time,
-                "epsilon": args.epsilon,
-                "delta": args.delta,
-                "seed": seed,
-                "mode": args.mode,
-                "order_policy": args.order_policy,
-                "schedule": args.schedule,
-            },
-            "outputs": result.to_dict(),
-        },
-        args.json,
-    )
+    _report(args, result.to_dict(), seed=seed)
     if not result.bound_convergent:
         raise NumericalFailure(
             "extrapolation-error bound is non-convergent (8 lambda T s_m >= 1)"
@@ -322,14 +261,11 @@ def cmd_qflo(args) -> int:
 
 
 def cmd_orderfit(args) -> int:
-    H = _load(args.hamiltonian, "Hamiltonian")
-    A = _load_observable(args.observable, H)
-    psi0 = parse_state(args.state, H.n_qubits)
-    rho0 = np.outer(psi0, psi0.conj())
+    H, A, psi0 = _problem(args)
     m_list = _parse_list(args.m_list, int, "--m-list", positive=True)
     scale_list = _parse_list(args.scale_list, float, "--scale-list", positive=True)
     _require_positive(args.n_base, "--n-base")
-    exact = exact_expectation(H, A, rho0, args.time)
+    exact = exact_expectation(H, A, psi0, args.time)
     rows = []
     slopes = {}
     for m in m_list:
@@ -348,23 +284,15 @@ def cmd_orderfit(args) -> int:
         if fit:
             slopes[str(m)] = fit
     _write_csv(["m", "scale", "N_m", "s_m", "abs_error"], rows, args.out)
-    _write_json(
-        {
-            "command": "orderfit",
-            "inputs": {
-                "hamiltonian": args.hamiltonian,
-                "observable": args.observable,
-                "state": args.state or "0" * H.n_qubits,
-                "time": args.time,
-                "m_list": m_list,
-                "scale_list": scale_list,
-                "n_base": args.n_base,
-            },
-            "outputs": {"exact": exact, "slopes": slopes},
-        },
-        args.json,
-    )
+    _report(args, {"exact": exact, "slopes": slopes}, m_list=m_list, scale_list=scale_list)
     return EXIT_OK
+
+
+def _add_problem(p):
+    p.add_argument("--hamiltonian", required=True)
+    p.add_argument("--observable", required=True)
+    p.add_argument("--state", default=None)
+    p.add_argument("--time", type=float, required=True)
 
 
 def _add_common(p):
@@ -388,10 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nodes)
 
     p = sub.add_parser("qdrift", help="run measurement shots of the randomized channel")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--observable", required=True)
-    p.add_argument("--state", default=None)
-    p.add_argument("--time", type=float, required=True)
+    _add_problem(p)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -399,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qdrift)
 
     p = sub.add_parser("scan", help="noiseless first-order convergence scan over N")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--observable", required=True)
-    p.add_argument("--state", default=None)
-    p.add_argument("--time", type=float, required=True)
+    _add_problem(p)
     p.add_argument("--n-list", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_scan)
@@ -415,10 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generator)
 
     p = sub.add_parser("qflo", help="full shot-budgeted pipeline estimate")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--observable", required=True)
-    p.add_argument("--state", default=None)
-    p.add_argument("--time", type=float, required=True)
+    _add_problem(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -429,10 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qflo)
 
     p = sub.add_parser("orderfit", help="noiseless estimator error vs coarsest step size")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--observable", required=True)
-    p.add_argument("--state", default=None)
-    p.add_argument("--time", type=float, required=True)
+    _add_problem(p)
     p.add_argument("--m-list", required=True)
     p.add_argument("--scale-list", required=True)
     p.add_argument("--n-base", type=int, default=8)

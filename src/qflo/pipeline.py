@@ -5,13 +5,13 @@ node execution, extrapolation, and error-budget accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .channel import ObservableMeasurer, node_values_exact, sample_shots
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import check_density_matrix, require_hermitian
+from .linalg import require_hermitian
 from .richardson import (
     ChebyshevNodes,
     StepSchedule,
@@ -80,31 +80,7 @@ class QfloResult:
     shots_per_node: int
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "order": self.order,
-            "weights": list(self.weights.b),
-            "ideal_one_norm": self.ideal_one_norm,
-            "realized_one_norm": self.realized_one_norm,
-            "error_budget": {
-                "extrapolation": self.error_budget.extrapolation,
-                "data": self.error_budget.data,
-            },
-            "shots_per_node": self.shots_per_node,
-            "total_gate_count": self.total_gate_count,
-            "max_depth": self.max_depth,
-            "theoretical_bound": self.theoretical_bound,
-            "bound_convergent": self.bound_convergent,
-            "per_node": [
-                {
-                    "step_count": n.step_count,
-                    "shots": n.shots,
-                    "mean": n.mean,
-                    "standard_error": n.standard_error,
-                }
-                for n in self.per_node
-            ],
-        }
+        return {**asdict(self), "weights": list(self.weights.b)}
 
 
 def select_order(epsilon: float, policy: str = "log") -> int:
@@ -196,15 +172,6 @@ def richardson_error_bound(lam: float, T: float, s_m: float, m: int,
     return norm_A * one_norm * inner * q ** m / (1.0 - q), True
 
 
-def _noiseless_node_values(H, A, initial_state, T, schedule: StepSchedule) -> list:
-    if np.ndim(initial_state) == 2:
-        rho0 = check_density_matrix(initial_state)
-    else:
-        psi = np.asarray(initial_state, dtype=complex).reshape(-1)
-        rho0 = np.outer(psi, psi.conj())
-    return node_values_exact(H, A, rho0, T, schedule.step_counts).tolist()
-
-
 def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int):
     """Noiseless order-m estimate on the squared schedule whose coarsest node
     takes N_m steps.
@@ -214,7 +181,7 @@ def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: in
     """
     sched = step_counts(build_nodes(m), N_m, T)
     weights = weights_from_steps(sched.step_times)
-    values = _noiseless_node_values(H, require_hermitian(A), initial_state, T, sched)
+    values = node_values_exact(H, A, initial_state, T, sched.step_counts)
     return extrapolate(values, weights), sched, weights
 
 
@@ -239,7 +206,7 @@ def run(request: QfloRequest) -> QfloResult:
     norm_A = measurer.norm
     if request.mode == "noiseless":
         shots = 0
-        values = _noiseless_node_values(H, A, request.initial_state, T, sched)
+        values = node_values_exact(H, A, request.initial_state, T, sched.step_counts).tolist()
         per_node = tuple(
             NodeStats(step_count=int(N), shots=0, mean=v, standard_error=0.0)
             for N, v in zip(sched.step_counts, values)

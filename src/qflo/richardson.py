@@ -71,6 +71,9 @@ def build_nodes(m: int, squared: bool = True) -> ChebyshevNodes:
     for i in range(m - 2, -1, -1):
         if k[i] <= k[i + 1]:
             k[i] = k[i + 1] + 1
+    if squared and int(k[0]) ** 2 > np.iinfo(np.int64).max:
+        raise OverflowError(f"step-count ratio k_1^2 = {int(k[0]) ** 2:.3e} of order {m} "
+                            "does not fit in int64")
     y = k * k if squared else k.copy()
     return ChebyshevNodes(m=m, x=x, R=R, k=k, y=y, squared=squared)
 

@@ -12,6 +12,7 @@ from qflo.channel import (
     evolve_indexed_batch,
     exact_expectation,
     expectation_exact,
+    node_values_exact,
     sample_shots,
     substream,
 )
@@ -257,6 +258,25 @@ class TestExpectations:
         with pytest.raises(OverflowError, match="theta = 1e\\+308"):
             exact_expectation(H, Z, RHO0, 1e308)
 
+    @pytest.mark.parametrize("state", ["basis", "random"])
+    def test_state_vector_or_its_density_matrix(self, state, rng):
+        # the exact-channel entry points take psi as |psi><psi|, bit for bit
+        H = parse_hamiltonian("0.5 XYI\n0.3 IZZ\n-0.4 YIX\n0.2 ZXY\n")
+        A = parse_hamiltonian("1.0 ZIX\n0.5 IYI").dense()
+        if state == "basis":
+            psi = np.zeros(8, dtype=complex)
+            psi[5] = 1.0
+        else:
+            psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+            psi /= np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+        for T in (0.7, 5.0):
+            assert np.array_equal(node_values_exact(H, A, psi, T, [40, 3, 7]),
+                                  node_values_exact(H, A, rho, T, [40, 3, 7]))
+            assert exact_expectation(H, A, psi, T) == exact_expectation(H, A, rho, T)
+            assert np.array_equal(channel_iterate_exact(H, psi, T, 9),
+                                  channel_iterate_exact(H, rho, T, 9))
+
     def test_expectation_is_real(self, two_qubit):
         H, A, psi0 = two_qubit
         rho = np.outer(psi0, psi0.conj())
@@ -305,6 +325,14 @@ class TestTrajectories:
         H, A, _ = one_qubit
         with pytest.raises(ValueError):
             sample_shots(H, A, 2 * KET0, 0.3, 3, 1, seed=1)
+
+    def test_rejects_non_finite_state(self, two_qubit):
+        # |NaN - 1| > tol is False, so the norm check must fail a NaN norm itself
+        H, A, _ = two_qubit
+        with pytest.raises(ValueError, match="finite unit vector"):
+            sample_shots(H, A, [np.nan, 0, 0, 0], 1.0, 10, 5, seed=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            node_values_exact(H, A, [np.nan, 0, 0, 0], 1.0, [10])
 
     def test_overflowing_step_angle_is_refused(self):
         # 2 lam T/N = 4e308: the gates' sines, and so every outcome

@@ -668,6 +668,58 @@ class TestErrorHandling:
             main([])
         assert exc.value.code == 2
 
+    def test_nodes_past_int64_is_numerical_failure(self, capsys):
+        # ratios y_j = k_j^2 past int64 are a numerical failure, like other plans past int64
+        code, out, err = run_cli(["nodes", "--m", "37000"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:") and "order 37000" in err
+        assert out == ""
+
+
+PROBLEM = {"hamiltonian": "ham.txt", "observable": "obs.txt", "time": 1.0}
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["nodes", "--m", "3", "--pseudocode-schedule"],
+     {"m": 3, "pseudocode_schedule": True}),
+    (["nodes", "--m", "2"], {"m": 2, "pseudocode_schedule": False}),
+    (["qdrift", "--steps", "5", "--shots", "4", "--seed", "0"],
+     {**PROBLEM, "state": "0", "steps": 5, "shots": 4, "seed": None}),
+    (["scan", "--state", "1", "--n-list", "8, 16,,4"],
+     {**PROBLEM, "state": "1", "n_list": [8, 16, 4]}),
+    (["generator", "--s-list", "0.1,0.05"],
+     {"hamiltonian": "ham.txt", "time": 1.0, "s_list": [0.1, 0.05]}),
+    (["qflo", "--epsilon", "0.3", "--delta", "0.2", "--seed", "0"],
+     {**PROBLEM, "state": "0", "epsilon": 0.3, "delta": 0.2, "seed": None,
+      "mode": "noiseless", "order_policy": "log", "schedule": "squared"}),
+    (["qflo", "--state", "plus", "--epsilon", "0.5", "--delta", "0.3", "--seed", "5",
+      "--mode", "shot_sampled", "--order-policy", "loglog", "--schedule", "pseudocode"],
+     {**PROBLEM, "state": "plus", "epsilon": 0.5, "delta": 0.3, "seed": 5,
+      "mode": "shot_sampled", "order_policy": "loglog", "schedule": "pseudocode"}),
+    (["orderfit", "--m-list", "2,3", "--scale-list", "1,0.5"],
+     {**PROBLEM, "state": "0", "m_list": [2, 3], "scale_list": [1.0, 0.5], "n_base": 8}),
+], ids=["nodes-pseudocode", "nodes", "qdrift-seed0", "scan", "generator", "qflo-seed0",
+        "qflo-shot", "orderfit"])
+def test_json_inputs_are_the_parsed_flags(argv, inputs, tmp_path, monkeypatch, capsys):
+    # every flag of the subcommand but --out and --json, parsed: lists as
+    # numbers, --seed 0 as the seed derived from it, no --state as its label
+    (tmp_path / "ham.txt").write_text(ONE_QUBIT)
+    (tmp_path / "obs.txt").write_text(OBS_Z)
+    monkeypatch.chdir(tmp_path)
+    problem = [] if argv[0] == "nodes" else ["--hamiltonian", "ham.txt", "--time", "1.0"]
+    if "observable" in inputs:
+        problem += ["--observable", "obs.txt"]
+    code, _, err = run_cli(argv[:1] + problem + argv[1:] + ["--out", "t.csv", "--json", "s.json"],
+                           capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "s.json").read_text())
+    assert set(payload) == {"command", "inputs", "outputs"}
+    assert payload["command"] == argv[0]
+    if inputs.get("seed", 0) is None:
+        derived = [line for line in err.splitlines() if line.startswith("derived master seed: ")]
+        inputs = {**inputs, "seed": int(derived[0].split(": ")[1])}
+    assert payload["inputs"] == inputs
+
 
 # Argument pools for the fuzz of main: well-formed values mixed with
 # malformed and out-of-range ones.  Sizes are bounded so that no case plans

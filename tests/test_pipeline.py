@@ -284,6 +284,15 @@ class TestRunShotSampled:
         assert [n.step_count for n in res.per_node] == [782, 125]
         assert res.estimate == pytest.approx(0.9346340113463402, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["noiseless", "shot_sampled"])
+    def test_non_finite_state_is_refused(self, one_qubit, mode):
+        # the shot path checks the vector's norm, the noiseless path its density matrix
+        H, A, _ = one_qubit
+        request = QfloRequest(H, np.array([np.nan, 0.0]), A, total_time=0.4, epsilon=0.3,
+                              delta=0.3, master_seed=1, mode=mode)
+        with pytest.raises(ValueError, match="finite"):
+            run(request)
+
     def test_five_qubit_fixture_regression(self):
         # d = 32 runs Pauli gates only; pinned before the dense products went,
         # so it holds the per-shot draw layout fixed

@@ -79,6 +79,13 @@ class TestBuildNodes:
         with pytest.raises(ValueError):
             build_nodes(0)
 
+    def test_ratio_past_int64_names_the_order(self):
+        # k_1 ~ 2.29 m^2, so y_1 = k_1^2 passes the int64 maximum at m = 36397
+        assert 0 < build_nodes(36396).y[0] <= np.iinfo(np.int64).max
+        with pytest.raises(OverflowError, match="order 36397"):
+            build_nodes(36397)
+        assert build_nodes(36397, squared=False).y[0] > 0
+
 
 class TestWeights:
     def test_two_point_halving(self):
