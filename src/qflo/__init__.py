@@ -37,7 +37,6 @@ from .linalg import (
     adjoint_superoperator,
     apply_superoperator,
     choi_matrix,
-    conjugation_superoperator,
     cptp_check,
     devectorize,
     hermitian_eig,

@@ -10,17 +10,20 @@ each split into the joint +-1 eigenspaces of left multiplication by the
 radical, the Paulis of that span that commute with every term.  On the
 4-qubit Heisenberg chain the radical is {I, XXXX}, and the 2 cosets of 128
 become 4 sectors of 64: two real, and a complex-conjugate pair of which
-only one is solved.  Each probed step builds Delta once and takes one
-``eig`` per listed sector (3 of 64 on the chain): the eigenvalues of E_s
-are 1 + mu, and the minimum eigenvalue modulus, the logarithm log1p(mu),
-the eigenvector conditioning guard and the deviation from ad_H are all
-taken sector by sector.  Working on mu keeps the digits that 1 + mu would
-round away: on the 4-qubit chain at s = 2^-12 the deviation's relative
-error against an 80-bit extended-precision series for log(I + Delta) is
-1.4e-14, where the complex superoperator's eigenvalues gave 1.8e-8.  The
-sector bases are orthonormal, so spectral norms, and with them the
-deviation, are those of the vec-basis superoperators.  G(s) is kept only
-as ``GeneratorProbe.blocks``, G(s) - ad_H on each sector; a paired sector's
+only one is solved.  Neither the sectors nor ad_H depends on s, so each
+Hamiltonian's sectors and ad_H's block on each are built once, on its
+first probe, and kept read-only while it lives.  Each probed step builds
+Delta once and takes one ``eig`` per listed sector (3 of 64 on the chain):
+the eigenvalues of E_s are 1 + mu, and the minimum eigenvalue modulus,
+the logarithm log1p(mu), the eigenvector conditioning guard and the
+deviation from ad_H are all taken sector by sector.  Working on mu keeps
+the digits that 1 + mu would round away: on the 4-qubit chain at
+s = 2^-12 the deviation's relative error against an 80-bit
+extended-precision series for log(I + Delta) is 1.4e-14, where the
+complex superoperator's eigenvalues gave 1.8e-8.  The sector bases are
+orthonormal, so spectral norms, and with them the deviation, are those of
+the vec-basis superoperators.  G(s) is kept only as
+``GeneratorProbe.blocks``, G(s) - ad_H on each sector; a paired sector's
 conjugate has the same singular values, so no norm needs the whole matrix.
 ``channel_superoperator`` (the vec-basis form of E_t) stays exported here
 for callers that want it.
@@ -29,7 +32,9 @@ for callers that want it.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,16 +79,44 @@ def pauli_adjoint(H: HamiltonianDecomposition) -> np.ndarray:
     return 1j * pauli_term_matrix(H, np.zeros(len(H)), 2.0 * weights)
 
 
+class _SectorStructure(NamedTuple):
+    sectors: tuple    # ``pauli_sectors(H)``
+    ad_blocks: tuple  # ad_H on each sector, in order
+
+
+# Keyed by identity: a HamiltonianDecomposition is immutable and defines no
+# equality, so an entry is valid, and kept, exactly as long as its H lives.
+_SECTOR_STRUCTURES = weakref.WeakKeyDictionary()
+
+
+def _sector_structure(H: HamiltonianDecomposition) -> _SectorStructure:
+    """H's symmetry sectors and ad_H's block on each.  Neither depends on
+    the step time, so they are built on H's first probe and shared, with
+    their arrays read-only, by every later one."""
+    structure = _SECTOR_STRUCTURES.get(H)
+    if structure is None:
+        sectors = tuple(pauli_sectors(H))
+        ad_H = pauli_adjoint(H)
+        structure = _SectorStructure(sectors, tuple(sector.block(ad_H) for sector in sectors))
+        for sector in sectors:
+            sector.pos.setflags(write=False)
+            sector.phase.setflags(write=False)
+        for block in structure.ad_blocks:
+            block.setflags(write=False)
+        _SECTOR_STRUCTURES[H] = structure
+    return structure
+
+
 def _channel_spectrum(H: HamiltonianDecomposition, t: float):
-    """Symmetry sectors of the Pauli basis (``pauli_sectors``), the
-    eigenpairs (mu, V) of each sector block of Delta = E_t - I, and E_t's
-    minimum eigenvalue modulus.  A paired sector's conjugate has the
-    conjugate eigenpairs, so it takes no eigensolve of its own."""
+    """H's ``_sector_structure``, the eigenpairs (mu, V) of each sector
+    block of Delta = E_t - I, and E_t's minimum eigenvalue modulus.  A
+    paired sector's conjugate has the conjugate eigenpairs, so it takes no
+    eigensolve of its own."""
     delta = channel_delta(H, t)
-    sectors = pauli_sectors(H)
-    spectra = [np.linalg.eig(sector.block(delta)) for sector in sectors]
+    structure = _sector_structure(H)
+    spectra = [np.linalg.eig(sector.block(delta)) for sector in structure.sectors]
     min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
-    return sectors, spectra, min_mod
+    return structure, spectra, min_mod
 
 
 def log_existence_check(H: HamiltonianDecomposition, t: float) -> dict:
@@ -107,10 +140,9 @@ def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> Generato
     t = s * T
     if t == 0.0:
         raise ArithmeticError(f"step time t = s T underflows to 0 at s = {s!r}, T = {T!r}")
-    sectors, spectra, min_mod = _channel_spectrum(H, t)
-    ad_H = pauli_adjoint(H)
-    blocks = tuple(log_block / (-1j * t) - sector.block(ad_H)
-                   for sector, log_block in zip(sectors, _log_from_eig(spectra)))
+    structure, spectra, min_mod = _channel_spectrum(H, t)
+    blocks = tuple(log_block / (-1j * t) - ad_block
+                   for ad_block, log_block in zip(structure.ad_blocks, _log_from_eig(spectra)))
     deviation = max(spectral_norm(block) for block in blocks)
     return GeneratorProbe(s=s, t=t, blocks=blocks, deviation=deviation, min_eig_modulus=min_mod)
 

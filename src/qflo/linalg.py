@@ -123,12 +123,6 @@ def superoperator_dim(S) -> int:
     return d
 
 
-def conjugation_superoperator(U) -> np.ndarray:
-    """Superoperator of B -> U B U^dag."""
-    U = _as_square(U)
-    return np.kron(U.conj(), U)
-
-
 def adjoint_superoperator(H) -> np.ndarray:
     """Matrix of ad_H : B -> [H, B] = HB - BH."""
     H = require_hermitian(H)

@@ -87,13 +87,13 @@ def weights_from_steps(step_times) -> Weights:
         raise ValueError("step times must be positive")
     if np.unique(t).size != t.size:
         raise ValueError("step times must be distinct")
-    b = np.empty(t.size)
-    for i in range(t.size):
-        prod = 1.0
-        for j in range(t.size):
-            if j != i:
-                prod /= 1.0 - t[i] / t[j]
-        b[i] = prod
+    # b_i /= 1 - t_i / t_j over j != i in ascending order, all i at once;
+    # the division by 1.0 at j == i is exact.
+    b = np.ones(t.size)
+    for j in range(t.size):
+        col = 1.0 - t / t[j]
+        col[j] = 1.0
+        b /= col
     return Weights(b=b)
 
 

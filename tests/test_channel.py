@@ -18,7 +18,7 @@ from qflo.channel import (
 )
 from qflo.benchmarks import TWO_QUBIT_TEXT
 from qflo.hamiltonian import PauliRotations, parse_hamiltonian
-from qflo.linalg import conjugation_superoperator, unitary_exp, vectorize
+from qflo.linalg import unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -45,6 +45,12 @@ def kraus_iterate(H, rho, t, N):
     for _ in range(N):
         rho = np.tensordot(H.probabilities, U @ rho @ Ud, axes=1)
     return rho
+
+
+def conjugation_superoperator(U):
+    """Superoperator of B -> U B U^dag in the column-stacking vec basis,
+    the per-term map of the Kraus oracle as a matrix."""
+    return np.kron(U.conj(), U)
 
 
 def state_and_observable(d, mixed, seed):

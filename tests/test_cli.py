@@ -1,15 +1,17 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qflo import channel, generator
+from qflo import channel, cli, generator
 from qflo.channel import sample_shots
 from qflo.cli import main
 from qflo.hamiltonian import parse_hamiltonian
@@ -327,6 +329,92 @@ class TestGenerator:
             CHAIN_4, "0.125,0.03125,0.0078125,0.001953125", tmp_path, monkeypatch, capsys)
         assert builds == 4
         assert eigs == 4 * [((64, 64), "f"), ((64, 64), "f"), ((64, 64), "c")]
+
+    @staticmethod
+    def _count_structure_builds(monkeypatch):
+        """Counts calls of ``pauli_sectors`` and ``pauli_adjoint`` made from
+        the generator module."""
+        calls = {"pauli_sectors": 0, "pauli_adjoint": 0}
+
+        def counting(name):
+            build = getattr(generator, name)
+
+            def count(H):
+                calls[name] += 1
+                return build(H)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(generator, name, counting(name))
+        return calls
+
+    def test_one_sector_build_per_hamiltonian(self, tmp_path, monkeypatch, capsys):
+        # the sectors and ad_H do not depend on s: four probes share one build
+        calls = self._count_structure_builds(monkeypatch)
+        path = tmp_path / "chain4.txt"
+        path.write_text(CHAIN_4)
+        code, out, _ = run_cli(
+            ["generator", "--hamiltonian", str(path), "--time", "1.0",
+             "--s-list", "0.125,0.03125,0.0078125,0.001953125"],
+            capsys,
+        )
+        assert code == 0 and len(out.strip().split("\n")) == 5
+        assert calls == {"pauli_sectors": 1, "pauli_adjoint": 1}
+
+    def test_ek_bound_probe_builds_sectors_once(self, monkeypatch):
+        calls = self._count_structure_builds(monkeypatch)
+        generator.ek_bound_probe(parse_hamiltonian(TWO_QUBIT), 1.0, 4)
+        assert calls["pauli_sectors"] == 1
+
+    def test_alternating_hamiltonians_match_single_calls(self, tmp_path, monkeypatch, capsys):
+        # two Hamiltonians, each loaded once and probed in turn, give the
+        # rows of one fresh call per s, and build their sectors once each
+        paths = []
+        for name, text in (("two_qubit", TWO_QUBIT), ("chain4", CHAIN_4)):
+            paths.append(tmp_path / f"{name}.txt")
+            paths[-1].write_text(text)
+        s_list = ["0.125", "0.03125", "0.0078125"]
+
+        def row(path, s):
+            code, out, _ = run_cli(
+                ["generator", "--hamiltonian", str(path), "--time", "1.0", "--s-list", s],
+                capsys,
+            )
+            assert code == 0
+            return out.strip().split("\n")[1]
+
+        fresh = [[row(path, s) for s in s_list] for path in paths]
+        loaded, load = {}, cli.load_hamiltonian
+
+        def load_once(path):
+            if path not in loaded:
+                loaded[path] = load(path)
+            return loaded[path]
+
+        monkeypatch.setattr(cli, "load_hamiltonian", load_once)
+        calls = self._count_structure_builds(monkeypatch)
+        alternating = [[], []]
+        for s in s_list:
+            for rows, path in zip(alternating, paths):
+                rows.append(row(path, s))
+        assert alternating == fresh
+        assert calls == {"pauli_sectors": 2, "pauli_adjoint": 2}
+
+    def test_sector_structure_is_read_only_and_dies_with_h(self):
+        H = parse_hamiltonian(CHAIN_4)
+        probe = generator.generator_probe(H, 0.125, 1.0)
+        structure = generator._sector_structure(H)
+        arrays = [a for sector in structure.sectors for a in (sector.pos, sector.phase)]
+        arrays += structure.ad_blocks
+        assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            structure.ad_blocks[0][0, 0] = 0.0
+        assert all(block.flags.writeable for block in probe.blocks)
+        alive = weakref.ref(H)
+        del H
+        gc.collect()
+        assert alive() is None
+        assert all(s is not structure for s in generator._SECTOR_STRUCTURES.values())
 
     @pytest.mark.parametrize("text, time", [(TWO_QUBIT, "2.0"), (DEPOLARIZING, repr(math.pi / 2))])
     def test_modulus_matches_existence_check(self, text, time, tmp_path, capsys):

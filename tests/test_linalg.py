@@ -11,7 +11,6 @@ from qflo.linalg import (
     adjoint_superoperator,
     apply_superoperator,
     choi_matrix,
-    conjugation_superoperator,
     cptp_check,
     devectorize,
     hermitian_eig,
@@ -20,6 +19,8 @@ from qflo.linalg import (
     unitary_exp,
     vectorize,
 )
+
+from test_channel import conjugation_superoperator
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

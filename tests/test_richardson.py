@@ -29,6 +29,19 @@ def exact_weights(step_counts):
     return out
 
 
+def scalar_weights(step_times):
+    """Lagrange-at-zero weights by the scalar double loop: b_i divided by
+    1 - t_i / t_j for each j != i in ascending order."""
+    b = np.empty(len(step_times))
+    for i in range(len(step_times)):
+        prod = 1.0
+        for j in range(len(step_times)):
+            if j != i:
+                prod /= 1.0 - step_times[i] / step_times[j]
+        b[i] = prod
+    return b
+
+
 class TestChebyshevX:
     def test_known_values(self):
         assert chebyshev_x(1, 2) == pytest.approx(math.sin(math.pi / 8) ** 2)
@@ -186,3 +199,20 @@ def test_weights_sum_to_one(counts):
     w = weights_from_steps([1.0 / N for N in counts])
     scale = max(1.0, w.one_norm)
     assert abs(w.b.sum() - 1.0) <= 1e-8 * scale
+
+
+@given(
+    times=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=16, unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_weights_bit_equal_to_scalar_loop(times):
+    # at most 15 factors of at most 2^53 each: no product overflows
+    t = np.array(times)
+    assert weights_from_steps(t).b.tobytes() == scalar_weights(t).tobytes()
+
+
+@given(m=st.integers(1, 300), squared=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_node_weights_bit_equal_to_scalar_loop(m, squared):
+    t = 1.0 / build_nodes(m, squared=squared).y
+    assert weights_from_steps(t).b.tobytes() == scalar_weights(t).tobytes()
