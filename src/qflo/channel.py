@@ -34,19 +34,19 @@ is the only shot sampler: the CLI's ``qdrift`` shots are the pipeline's
 node-0 shots for the same seed and step count.  Its trajectories run on one
 engine, ``evolve_indexed_batch``: a batch of states, each under its own
 sequence of term indices, advanced by O(d) Pauli gates (a gather and an axpy
-per step) whatever the number of terms.  Where the term count and dimension
-are small (``_auto_group``), runs of consecutive steps are first folded into
-a table of dense step products.  The gates, the table and the measurement
-eigenbasis are built once per call, and ``sample_shots`` passes the engine
-tiles of at most 2^14 / d states, which keep a step's arrays in cache.
-Measured on a shared 2-core x86-64 host with one BLAS thread, on batches of
-176 states and of one tile (4096, 2048, 1024, 512 and 256 states), each
-state copied from one broadcast vector in C order, and 4 or 17 terms
-(tables of 4 terms only above d = 8, none at d = 64), in ns/gate:
+per step) whatever the number of terms.  At d <= 4 (``_auto_group``) runs
+of consecutive steps are first folded into a table of dense step products,
+built once per engine call, so once per tile: ``sample_shots`` builds the
+gates and the measurement eigenbasis once and passes the engine tiles of at
+most 2^14 / d states, so that a step's arrays stay in cache.  Measured on a
+shared 2-core x86-64 host with one BLAS thread, on one tile of states copied
+from one broadcast vector in C order, with 4-8 terms at d <= 8 (N = 300 and
+3000, medians of 7) and 17 at d >= 16 (there also on 176 states), in
+ns/gate; the table at d = 8 is no longer built:
 
-    d          4        8        16         32         64
-    table    22-39   52-153   306-356   1542-1698      -
-    Pauli    23-58    40-93    96-149    143-198    363-372
+    d          4        8        16        32         64
+    table    21-32    67-91        -         -          -
+    Pauli    29-45    47-61     96-149   143-198    363-372
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
@@ -69,6 +69,7 @@ CHUNK_INDEX_BYTES = 2 ** 27
 DEGENERACY_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 SUPEROP_QUBIT_CAP = 4
+_GROUP_TABLE_CAP = 4096
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -403,9 +404,6 @@ def unit_state(psi0) -> np.ndarray:
     return psi
 
 
-_GROUP_TABLE_CAP = 4096
-
-
 def grouped_step_unitaries(unitaries, group: int) -> np.ndarray:
     """Products of ``group`` consecutive step unitaries for every index tuple.
 
@@ -424,10 +422,10 @@ def grouped_step_unitaries(unitaries, group: int) -> np.ndarray:
 def _auto_group(L: int, d: int, N: int) -> int:
     """Steps folded into one table product; 1 means Pauli gates only.
 
-    A table product costs O(d^2) per group of steps and a Pauli gate O(d)
-    per step, so the table is kept only while d <= 2 * group: at d = 4 with
-    up to 64 terms and at d = 8 with up to 8.  Beyond that the Pauli gates
-    measured faster, 1.2-3.8x at d = 16 and 3.5-13x at d = 32.
+    The table is built only at d <= 4, where it measured faster per gate (the
+    module docstring's table) and 1.07-1.26x faster end to end on the
+    two-qubit benchmark.  At d = 8 it was slower in every case measured: end
+    to end, 1.09-1.13x the Pauli time on a 3-qubit, 4-term Hamiltonian.
     """
     group = 1
     while (
@@ -436,7 +434,7 @@ def _auto_group(L: int, d: int, N: int) -> int:
         and N >= 4 * (group + 1)
     ):
         group += 1
-    return group if d <= 2 * group else 1
+    return group if d <= 4 else 1
 
 
 def _group_codes(indices, L: int, group: int, n_groups: int) -> np.ndarray:
@@ -454,10 +452,10 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     """Evolve a batch of states, each under its own index sequence.
 
     psis: (B, d), gates: the step's Pauli rotations over L terms, indices:
-    (B, N) in [0, L).  Each step is one batched gather plus an axpy.  When
-    the term count and dimension are small, consecutive steps are first
-    folded into a precomputed product table; the grouping is fixed by
-    (L, d, N), so results stay deterministic for given indices.
+    (B, N) in [0, L).  Each step is one batched gather plus an axpy.  At
+    d <= 4 consecutive steps are first folded into a product table, built
+    once per call; the grouping is fixed by (L, d, N), so results stay
+    deterministic for given indices.
     """
     # C order: a broadcast or Fortran-ordered input would otherwise stay
     # strided, and every step's flat gather would copy the whole batch

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+_SERIES_COND_CAP = 1e12
+
+
 class ConditioningError(ArithmeticError):
     """Divided-difference table too cancellation-dominated to trust."""
 
@@ -147,12 +150,11 @@ def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> Generato
     return GeneratorProbe(s=s, t=t, blocks=blocks, deviation=deviation, min_eig_modulus=min_mod)
 
 
-def series_probe(s_values, f_values, f_zero: float, max_order: int,
-                 cond_cap: float = 1e12) -> SeriesProbeResult:
+def series_probe(s_values, f_values, f_zero: float, max_order: int) -> SeriesProbeResult:
     """Least-squares fit of f(s) - f_zero against powers s^1..s^max_order.
 
     ``f_zero`` is the zero-step-size limit from the exact-evolution oracle.
-    Refuses fits whose design-matrix condition number exceeds ``cond_cap``.
+    Refuses fits whose design-matrix condition number exceeds ``_SERIES_COND_CAP``.
     """
     s = np.asarray(s_values, dtype=float)
     f = np.asarray(f_values, dtype=float)
@@ -166,9 +168,9 @@ def series_probe(s_values, f_values, f_zero: float, max_order: int,
         raise ValueError("series probe nodes must be distinct")
     design = np.vander(s, max_order + 1, increasing=True)[:, 1:]
     cond = float(np.linalg.cond(design))
-    if cond > cond_cap:
+    if cond > _SERIES_COND_CAP:
         raise ConditioningError(
-            f"series fit refused: design condition number {cond:.3e} > {cond_cap:.1e}"
+            f"series fit refused: design condition number {cond:.3e} > {_SERIES_COND_CAP:.1e}"
         )
     coeffs, residuals, _, _ = np.linalg.lstsq(design, f - f_zero, rcond=None)
     if residuals.size:
@@ -211,7 +213,8 @@ def ek_bound_probe(H: HamiltonianDecomposition, T: float, k: int) -> dict:
                    for blocks in zip(*(p.blocks for p in probes))) / T ** (k - 1)
     bound = (4.0 * H.lam) ** k
     # Rounding in the matrix log is amplified by h^-(k-1) in the difference table.
-    input_scale = max(max(p.deviation for p in probes), spectral_norm(pauli_adjoint(H)))
+    input_scale = max(max(p.deviation for p in probes),
+                      max(spectral_norm(block) for block in _sector_structure(H).ad_blocks))
     noise_floor = 1e-13 * input_scale / (h ** (k - 1) * math.factorial(k - 1)) / T ** (k - 1)
     if noise_floor > max(estimate, 0.05 * bound):
         raise ConditioningError(

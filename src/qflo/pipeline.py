@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import ObservableMeasurer, node_values_exact, sample_shots
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import require_hermitian
+from .linalg import hermitian_eig, require_hermitian
 from .richardson import (
     ChebyshevNodes,
     StepSchedule,
@@ -202,16 +202,17 @@ def run(request: QfloRequest) -> QfloResult:
     sched = step_counts(nodes, N_m, T)
     weights = weights_from_steps(sched.step_times)
 
-    measurer = ObservableMeasurer(A)
-    norm_A = measurer.norm
     if request.mode == "noiseless":
         shots = 0
+        norm_A = float(np.abs(hermitian_eig(A)[0]).max())   # ObservableMeasurer(A).norm
         values = node_values_exact(H, A, request.initial_state, T, sched.step_counts).tolist()
         per_node = tuple(
             NodeStats(step_count=int(N), shots=0, mean=v, standard_error=0.0)
             for N, v in zip(sched.step_counts, values)
         )
     else:
+        measurer = ObservableMeasurer(A)
+        norm_A = measurer.norm
         shots = shots_per_node(norm_A, budget.data, request.delta, m)
         stats = []
         for node_index, N in enumerate(sched.step_counts):
@@ -225,9 +226,7 @@ def run(request: QfloRequest) -> QfloResult:
 
     estimate = extrapolate(values, weights)
     s_m = 1.0 / int(sched.step_counts[-1])
-    bound, convergent = richardson_error_bound(
-        H.lam, T, s_m, m, norm_A, weights.one_norm
-    )
+    bound, convergent = richardson_error_bound(H.lam, T, s_m, m, norm_A, weights.one_norm)
     return QfloResult(
         estimate=estimate,
         per_node=per_node,

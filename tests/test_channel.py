@@ -402,12 +402,33 @@ class TestBatchEvolution:
             assert np.abs(batch[b] - psi).max() <= 1e-12
 
     def test_table_only_below_cutoff(self):
-        # the product table pays off while d <= 2 * group; else Pauli gates only
+        # the product table is built only at d <= 4; else Pauli gates only
         assert channel._auto_group(4, 4, 100) > 1
-        assert channel._auto_group(8, 8, 100) > 1
+        assert channel._auto_group(8, 8, 100) == 1
         assert channel._auto_group(17, 8, 100) == 1
         assert channel._auto_group(4, 16, 100) == 1
         assert channel._auto_group(17, 32, 4207) == 1
+
+    @pytest.mark.parametrize("text, obs, tables", [
+        # the pinned 3-qubit shots of the CLI tests, at d = 8
+        ("0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n", "1.0 ZIZ", 0),
+        # criterion 8's two-qubit benchmark, at d = 4: one table per tile
+        (TWO_QUBIT_TEXT, "1.0 ZI", 2),
+    ], ids=["d8-pauli", "d4-table"])
+    def test_engine_choice_in_sample_shots(self, text, obs, tables, monkeypatch):
+        H = parse_hamiltonian(text)
+        built = []
+        grouped = channel.grouped_step_unitaries
+
+        def spy(unitaries, group):
+            built.append(group)
+            return grouped(unitaries, group)
+
+        monkeypatch.setattr(channel, "grouped_step_unitaries", spy)
+        psi0 = np.eye(H.dim, dtype=complex)[0]
+        shots = 2 * channel.shot_chunk(len(H), 400, H.dim)
+        sample_shots(H, parse_hamiltonian(obs).dense(), psi0, 0.8, 400, shots, seed=5)
+        assert built == [6] * tables
 
     def test_group_codes_fit_smallest_type(self):
         indices = np.array([[3, 1, 2, 0, 1, 3, 2]], dtype=np.uint8)

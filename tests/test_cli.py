@@ -364,7 +364,8 @@ class TestGenerator:
     def test_ek_bound_probe_builds_sectors_once(self, monkeypatch):
         calls = self._count_structure_builds(monkeypatch)
         generator.ek_bound_probe(parse_hamiltonian(TWO_QUBIT), 1.0, 4)
-        assert calls["pauli_sectors"] == 1
+        # the noise floor's |ad_H| is read from the sector blocks, too
+        assert calls == {"pauli_sectors": 1, "pauli_adjoint": 1}
 
     def test_alternating_hamiltonians_match_single_calls(self, tmp_path, monkeypatch, capsys):
         # two Hamiltonians, each loaded once and probed in turn, give the

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qflo import channel
+from qflo import channel, pipeline
 from qflo.channel import exact_expectation, expectation_exact
 from qflo.hamiltonian import parse_hamiltonian
 from qflo.pipeline import (
@@ -247,6 +247,19 @@ class TestRunNoiseless:
         assert budget.extrapolation + res.ideal_one_norm * budget.data == pytest.approx(
             req.epsilon
         )
+
+    def test_builds_no_measurer(self, one_qubit, monkeypatch):
+        # only |A| is read, from the eigenvalues ObservableMeasurer would take
+        H, A, psi0 = one_qubit
+        norm_A = channel.ObservableMeasurer(A).norm
+        built = []
+        monkeypatch.setattr(pipeline, "ObservableMeasurer", lambda A: built.append(A))
+        res = run(QfloRequest(H, psi0, A, total_time=0.4, epsilon=0.3, delta=0.3,
+                              master_seed=1))
+        assert built == []
+        s_m = 1.0 / res.per_node[-1].step_count
+        assert (res.theoretical_bound, res.bound_convergent) == richardson_error_bound(
+            H.lam, 0.4, s_m, res.order, norm_A, res.weights.one_norm)
 
     def test_to_dict_round_numbers(self, one_qubit):
         H, A, psi0 = one_qubit
