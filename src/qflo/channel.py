@@ -79,7 +79,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 def _term_masks(H: HamiltonianDecomposition) -> np.ndarray:
     """(L,) Pauli indices p_j = x_j d + z_j of the terms' masks."""
-    return np.array([x * H.dim + z for x, z, _ in (t.pauli.masks() for t in H.terms)])
+    return H.x_masks * H.dim + H.z_masks
 
 
 def _product_phase(a, q, n: int) -> np.ndarray:
@@ -106,8 +106,7 @@ def _pauli_action(H: HamiltonianDecomposition):
     q = np.arange(H.dim ** 2)
     e = _product_phase(p, q, H.n_qubits)
     # -i i^e for odd e; even e (commuting) gives no action
-    term_signs = np.array([t.sign for t in H.terms], dtype=np.int8)[:, None]
-    sign = np.array([0, 1, 0, -1], dtype=np.int8)[e] * term_signs
+    sign = np.array([0, 1, 0, -1], dtype=np.int8)[e] * H.signs[:, None]
     return p ^ q, sign
 
 
@@ -313,8 +312,6 @@ def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np
     steps N times with no matrix, v <- v + dv v + sum_j w_j v[target_j] over
     ``_pauli_action``, with dv = diag @ |sign| and w_j = -off_j sign_j.
     """
-    if v0.size != H.dim ** 2:
-        raise ValueError(f"state has {v0.size} Pauli coefficients, H has {H.dim ** 2}")
     if H.n_qubits > SUPEROP_QUBIT_CAP:
         target, sign = _pauli_action(H)
         out = np.repeat(v0[None], len(counts), axis=0)
@@ -342,13 +339,30 @@ def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np
     return out
 
 
+def unit_state(psi0) -> np.ndarray:
+    psi = np.asarray(psi0, dtype=complex).reshape(-1)
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:   # NaN fails too
+        raise ValueError("initial state is not a finite unit vector")
+    return psi
+
+
+def _require_shapes(H: HamiltonianDecomposition, state, A=None):
+    """Refuse a state not of shape (d,) or (d, d), then an observable, if given, not (d, d)."""
+    d = H.dim
+    for what, value, fits in (("state", state, [(d,), (d, d)]), ("observable", A, [(d, d)])):
+        if value is not None and np.shape(value) not in fits:
+            shape = np.shape(value)
+            raise ValueError(f"{what} has shape {shape}, {np.prod(shape[:1], dtype=int) ** 2} Pauli "
+                             f"coefficients, where H needs {' or '.join(map(str, fits))}, {d * d}")
+
+
 def _density_matrix(state) -> np.ndarray:
     """The checked density matrix of ``state``: a density matrix as given,
-    or |psi><psi| for a state vector psi."""
+    or |psi><psi| for a ``unit_state`` psi, the shot sampler's rule."""
     if np.ndim(state) == 2:
         return check_density_matrix(state)
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    return check_density_matrix(np.outer(psi, psi.conj()))
+    psi = unit_state(state)
+    return np.outer(psi, psi.conj())
 
 
 def channel_iterate_exact(H: HamiltonianDecomposition, rho0, T: float, N: int) -> np.ndarray:
@@ -356,6 +370,7 @@ def channel_iterate_exact(H: HamiltonianDecomposition, rho0, T: float, N: int) -
     matrix or a state vector; returns the density matrix."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _require_shapes(H, rho0)
     v0 = _pauli_coefficients(_density_matrix(rho0)).real
     return _pauli_operator(_pauli_powers(H, v0, T, [N])[0])
 
@@ -368,6 +383,7 @@ def node_values_exact(H: HamiltonianDecomposition, A, rho0, T: float, step_count
     All nodes share one ``_pauli_powers`` call, and each value is a . v with
     a_q = tr(A sigma_q) / sqrt(d).
     """
+    _require_shapes(H, rho0, A)
     A = require_hermitian(A)
     counts = [int(N) for N in step_counts]
     if not counts or min(counts) < 1:
@@ -378,8 +394,7 @@ def node_values_exact(H: HamiltonianDecomposition, A, rho0, T: float, step_count
     bad = np.abs(values.imag) > IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values))
     if bad.any():
         raise ArithmeticError(f"expectation has imaginary residue {values.imag[bad][0]:.3e}")
-    position = {N: k for k, N in enumerate(distinct)}
-    return values.real[[position[N] for N in counts]]
+    return values.real[[distinct.index(N) for N in counts]]
 
 
 def expectation_exact(H: HamiltonianDecomposition, A, rho0, T: float, N: int) -> float:
@@ -390,18 +405,11 @@ def expectation_exact(H: HamiltonianDecomposition, A, rho0, T: float, N: int) ->
 def exact_expectation(H: HamiltonianDecomposition, A, rho0, T: float) -> float:
     """Zero-step-size limit tr[A e^{-iHT} rho0 e^{iHT}] via eigendecomposition;
     rho0 is a density matrix or a state vector."""
+    _require_shapes(H, rho0, A)
     A = require_hermitian(A)
     rho0 = _density_matrix(rho0)
     U = unitary_exp(H.dense(), T)
-    val = complex(np.trace(A @ U @ rho0 @ U.conj().T))
-    return val.real
-
-
-def unit_state(psi0) -> np.ndarray:
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:   # NaN fails too
-        raise ValueError("initial state is not a finite unit vector")
-    return psi
+    return complex(np.trace(A @ U @ rho0 @ U.conj().T)).real
 
 
 def grouped_step_unitaries(unitaries, group: int) -> np.ndarray:
@@ -517,6 +525,7 @@ class ObservableMeasurer:
         self.values = np.array([w[g].mean() for g in groups])
         self._blocks = [np.ascontiguousarray(V[:, g]) for g in groups]
         self.norm = float(np.abs(w).max())
+        self.shape = V.shape   # the observable's, so np.shape reads it
 
     def sample_batch(self, psis, uniforms) -> np.ndarray:
         """One outcome per row of psis, driven by one uniform per row."""
@@ -532,11 +541,6 @@ class ObservableMeasurer:
         return self.values[idx]
 
 
-def index_dtype(L: int):
-    """Narrowest type ``sample_shots`` stores term indices in."""
-    return np.uint8 if L < 256 else np.int64
-
-
 def shot_chunk(L: int, N: int, d: int) -> int:
     """Shots evolved as one batch, a tile: few enough that their (B, d)
     amplitudes number at most TILE_AMPLITUDES and their (B, N) term indices
@@ -546,7 +550,7 @@ def shot_chunk(L: int, N: int, d: int) -> int:
     256 KiB, so a step's arrays stay in a core's L2 cache: 4096 shots at
     d = 4, 512 at d = 32 and 256 at d = 64.  A batch of 4096 cost about
     twice as much per gate at d = 32 and at d = 64."""
-    row_bytes = N * np.dtype(index_dtype(L)).itemsize
+    row_bytes = N * np.min_scalar_type(L - 1).itemsize
     return max(1, min(TILE_AMPLITUDES // d, CHUNK_INDEX_BYTES // max(row_bytes, 1)))
 
 
@@ -569,6 +573,7 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
         raise ValueError(f"N must be >= 1, got {N}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    _require_shapes(H, initial_state, A)
     gates = H.pauli_rotations(float(_step_angle(H, T / N)))
     measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
     if np.ndim(initial_state) == 2:
@@ -583,22 +588,18 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
     pop_cdf = np.cumsum(pops)
     pop_cdf[-1] = 1.0
     values = np.empty(shots)
-    idx_dtype = index_dtype(len(H))
     chunk = shot_chunk(len(H), N, H.dim)
     for start in range(0, shots, chunk):
         stop = min(start + chunk, shots)
         B = stop - start
-        indices = np.empty((B, N), dtype=idx_dtype)
-        u_meas = np.empty(B)
-        u_init = np.empty(B)
+        indices = np.empty((B, N), dtype=np.min_scalar_type(len(H) - 1))
+        u_meas, u_init = np.empty(B), np.empty(B)
         for b in range(B):
             rng = substream(seed, node, start + b)
             u_meas[b] = rng.random()
             u_init[b] = rng.random()
             indices[b] = H.sample_terms(rng, N)
-        choice = np.minimum(
-            np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1
-        )
+        choice = np.minimum(np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1)
         finals = evolve_indexed_batch(basis.T[choice], gates, indices)
         values[start:stop] = measurer.sample_batch(finals, u_meas)
     return values

@@ -78,8 +78,7 @@ class SeriesProbeResult:
 def pauli_adjoint(H: HamiltonianDecomposition) -> np.ndarray:
     """ad_H : B -> [H, B] in the normalized Pauli basis: [h_j s_j P_j, sigma_q]
     is 2i h_j times -i s_j P_j sigma_q where they anticommute, 0 elsewhere."""
-    weights = np.array([t.weight for t in H.terms])
-    return 1j * pauli_term_matrix(H, np.zeros(len(H)), 2.0 * weights)
+    return 1j * pauli_term_matrix(H, np.zeros(len(H)), 2.0 * H.weights)
 
 
 class _SectorStructure(NamedTuple):

@@ -126,14 +126,18 @@ class HamiltonianDecomposition:
                 )
         self.terms = terms
         self.n_qubits = n
-        weights = np.array([t.weight for t in terms], dtype=float)
+        # The term arrays that every later call reads, derived once here
+        self.weights = np.array([t.weight for t in terms], dtype=float)
+        self.signs = np.array([t.sign for t in terms], dtype=np.int8)
+        self.x_masks, self.z_masks, self.y_counts = np.array(
+            [t.pauli.masks() for t in terms], dtype=np.int64).T
         with np.errstate(over="ignore"):
-            self.lam = float(weights.sum())
+            self.lam = float(self.weights.sum())
         if not np.isfinite(self.lam):
             raise HamiltonianFormatError(
                 f"lambda, the sum of the {len(terms)} coefficients' magnitudes, overflows"
             )
-        self.probabilities = weights / self.lam
+        self.probabilities = self.weights / self.lam
         cdf = np.cumsum(self.probabilities)
         cdf[-1] = 1.0
         # Guide table: the draw for u in bucket k = floor(u K) lies in
@@ -163,8 +167,7 @@ class HamiltonianDecomposition:
     def dense(self) -> np.ndarray:
         self._require_cap()
         terms = np.stack([t.dense() for t in self.terms])
-        weights = np.array([t.weight for t in self.terms])
-        return np.tensordot(weights, terms, axes=1)
+        return np.tensordot(self.weights, terms, axes=1)
 
     def term_unitaries(self, angle: float) -> np.ndarray:
         """exp(-i angle H_j) for every term, stacked (L, d, d): the dense form
@@ -178,12 +181,10 @@ class HamiltonianDecomposition:
 
     def pauli_rotations(self, angle: float) -> PauliRotations:
         """exp(-i angle H_j) for every term as O(d) Pauli gates."""
-        x, z, n_y = (np.array(col)[:, None]
-                     for col in zip(*(t.pauli.masks() for t in self.terms)))
-        perm = np.arange(self.dim)[None, :] ^ x
-        parity = popcount(perm & z, self.n_qubits) & 1
-        signs = np.array([t.sign for t in self.terms])[:, None]
-        phase = np.array([1, 1j, -1, -1j])[n_y % 4] * signs * (1 - 2 * parity)
+        perm = np.arange(self.dim)[None, :] ^ self.x_masks[:, None]
+        parity = popcount(perm & self.z_masks[:, None], self.n_qubits) & 1
+        phase = (np.array([1, 1j, -1, -1j])[self.y_counts[:, None] % 4]
+                 * self.signs[:, None] * (1 - 2 * parity))
         return PauliRotations(cos=float(np.cos(angle)), perm=perm,
                               coef=(-1j * np.sin(angle)) * phase)
 

@@ -83,9 +83,7 @@ def hermitian_eig(H):
     Returns (w, V) with eigenvalues ascending and V unitary,
     H = V diag(w) V^dag.
     """
-    H = require_hermitian(H)
-    w, V = np.linalg.eigh(H)
-    return w, V
+    return np.linalg.eigh(require_hermitian(H))
 
 
 def unitary_exp(H, theta: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import ObservableMeasurer, node_values_exact, sample_shots
 from .hamiltonian import HamiltonianDecomposition
-from .linalg import hermitian_eig, require_hermitian
+from .linalg import hermitian_eig
 from .richardson import (
     ChebyshevNodes,
     StepSchedule,
@@ -145,10 +145,11 @@ def budget_split(epsilon: float, one_norm: float) -> ErrorBudget:
 
 
 def shots_per_node(norm_A: float, eps_data: float, delta: float, m: int) -> int:
-    """Two-sided Hoeffding budget over m simultaneous node estimates."""
+    """Two-sided Hoeffding budget over m simultaneous node estimates, at
+    least one shot: for A = 0 every outcome is 0, and one shot is exact."""
     if eps_data <= 0:
         raise ValueError(f"eps_data must be > 0, got {eps_data}")
-    return math.ceil((norm_A / eps_data) ** 2 * math.log(2.0 * m / delta))
+    return max(1, math.ceil((norm_A / eps_data) ** 2 * math.log(2.0 * m / delta)))
 
 
 def richardson_error_bound(lam: float, T: float, s_m: float, m: int,
@@ -187,7 +188,7 @@ def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: in
 
 def run(request: QfloRequest) -> QfloResult:
     H = request.hamiltonian
-    A = require_hermitian(request.observable)
+    A = request.observable   # checked by the measurer, or hermitian_eig and the exact path
     T = request.total_time
     m = select_order(request.epsilon, request.order_policy)
     nodes = build_nodes(m, squared=(request.schedule == "squared"))

@@ -17,7 +17,8 @@ from qflo.channel import (
     substream,
 )
 from qflo.benchmarks import TWO_QUBIT_TEXT
-from qflo.hamiltonian import PauliRotations, parse_hamiltonian
+from qflo.generator import generator_probe
+from qflo.hamiltonian import PauliRotations, PauliString, parse_hamiltonian
 from qflo.linalg import unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -337,7 +338,7 @@ class TestTrajectories:
         H, A, _ = two_qubit
         with pytest.raises(ValueError, match="finite unit vector"):
             sample_shots(H, A, [np.nan, 0, 0, 0], 1.0, 10, 5, seed=1)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="finite unit vector"):
             node_values_exact(H, A, [np.nan, 0, 0, 0], 1.0, [10])
 
     def test_overflowing_step_angle_is_refused(self):
@@ -375,6 +376,49 @@ class TestTrajectories:
             psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
             expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
         assert sample_shots(H, A, psi0, T, N, 12, seed, node).tolist() == expected
+
+    def test_many_terms_keep_indices_in_two_bytes(self, monkeypatch):
+        # 300 terms on 5 qubits: each index row is uint16, and every shot is
+        # still the replay of its own substream's draws
+        paulis = [np.base_repr(k, 4).zfill(5).translate(str.maketrans("0123", "IXYZ"))
+                  for k in range(1, 301)]
+        H = parse_hamiltonian("".join(f"{(-1) ** k * (0.2 + k % 7 / 10):.1f} {p}\n"
+                                      for k, p in enumerate(paulis)))
+        A = parse_hamiltonian("1.0 ZIIII\n0.5 IXIII").dense()
+        psi0 = np.full(32, 1 / np.sqrt(32), dtype=complex)
+        T, N, shots, seed, node = 0.3, 40, 6, 17, 1
+        dtypes = []
+        engine = channel.evolve_indexed_batch
+        monkeypatch.setattr(channel, "evolve_indexed_batch", lambda psis, gates, indices:
+                            dtypes.append(indices.dtype) or engine(psis, gates, indices))
+        outcomes = sample_shots(H, A, psi0, T, N, shots, seed, node)
+        assert dtypes == [np.uint16]
+        measurer = ObservableMeasurer(A)
+        expected = []
+        for k in range(shots):
+            rng = substream(seed, node, k)
+            u_meas = rng.random()
+            rng.random()
+            psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
+            expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
+        assert outcomes.tolist() == expected
+
+
+@pytest.mark.parametrize("text", [TWO_QUBIT_TEXT, HEISENBERG_CHAIN_5], ids=["2q", "5q"])
+def test_calls_read_the_term_arrays(text, monkeypatch):
+    # an already-built H holds its masks: no exact, shot or generator call
+    # derives them from the Pauli strings again
+    H = parse_hamiltonian(text)
+    A = parse_hamiltonian("1.0 Z" + "I" * (H.n_qubits - 1)).dense()
+    psi0 = np.eye(H.dim, dtype=complex)[0]
+    calls = []
+    masks = PauliString.masks
+    monkeypatch.setattr(PauliString, "masks", lambda self: calls.append(self) or masks(self))
+    node_values_exact(H, A, psi0, 0.5, [12, 5])
+    sample_shots(H, A, psi0, 0.5, 12, 8, seed=3)
+    if H.n_qubits <= channel.SUPEROP_QUBIT_CAP:
+        generator_probe(H, 0.01, 1.0)
+    assert calls == []
 
 
 class TestBatchEvolution:
@@ -443,7 +487,7 @@ class TestBatchEvolution:
         assert channel.shot_chunk(17, 4207, 32) == 512
         assert channel.shot_chunk(17, 673, 64) == 256
         assert channel.shot_chunk(4, 10**6, 4) == channel.CHUNK_INDEX_BYTES // 10**6
-        assert channel.shot_chunk(300, 10**6, 4) == channel.CHUNK_INDEX_BYTES // (8 * 10**6)
+        assert channel.shot_chunk(300, 10**6, 4) == channel.CHUNK_INDEX_BYTES // (2 * 10**6)
         assert channel.shot_chunk(4, 10**10, 4) == 1
         assert channel.shot_chunk(4, 1, 2 * channel.TILE_AMPLITUDES) == 1
 

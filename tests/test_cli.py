@@ -829,6 +829,7 @@ FUZZ_FILES = {
     "malformed": "0.5 XQ\n",
     "empty": "",
     "complex": "0.5j X\n",
+    "zero": "1.0 ZI\n-1.0 ZI\n",
 }
 
 
@@ -921,6 +922,7 @@ def cli_argvs(draw, root):
 
 def test_main_fuzz_exits_cleanly(fuzz_dir):
     big, z = str(fuzz_dir / "big.txt"), str(fuzz_dir / "z.txt")
+    two, zero = str(fuzz_dir / "two.txt"), str(fuzz_dir / "zero.txt")
 
     # overflowing step angles, whatever the derandomized draw reaches
     @given(argv=cli_argvs(fuzz_dir))
@@ -928,6 +930,9 @@ def test_main_fuzz_exits_cleanly(fuzz_dir):
                    "--time", "1e308", "--n-list", "1,2,4,8"])
     @example(argv=["qdrift", "--hamiltonian", big, "--observable", z, "--time", "1e308",
                    "--steps", "1", "--shots", "500", "--seed", "0"])
+    # an observable whose terms cancel: a budget of zero shots before the floor
+    @example(argv=["qflo", "--hamiltonian", two, "--observable", zero, "--time", "0.3",
+                   "--epsilon", "0.5", "--delta", "0.1", "--seed", "1", "--mode", "shot_sampled"])
     @settings(max_examples=500, deadline=None, derandomize=True)
     def check(argv):
         out, err = io.StringIO(), io.StringIO()

@@ -195,6 +195,14 @@ class TestInvariants:
         H, _, _ = two_qubit
         assert hermiticity_defect(H.dense()) <= 1e-12
 
+    def test_term_arrays_hold_each_term(self):
+        # derived once, when H is built
+        H = parse_hamiltonian("0.5 XY\n-0.25 ZI\n1.5 YY\n")
+        assert H.weights.tolist() == [0.5, 0.25, 1.5]
+        assert H.signs.tolist() == [1, -1, 1]
+        assert list(zip(H.x_masks.tolist(), H.z_masks.tolist(), H.y_counts.tolist())) == [
+            t.pauli.masks() for t in H.terms]
+
     def test_probabilities_normalized(self, rng):
         for _ in range(20):
             H = random_hamiltonian(rng, 1, int(rng.integers(1, 6)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qflo import channel, pipeline
+from qflo import channel, linalg, pipeline
 from qflo.channel import exact_expectation, expectation_exact
 from qflo.hamiltonian import parse_hamiltonian
 from qflo.pipeline import (
@@ -85,6 +85,10 @@ class TestStepBudgeting:
 
     def test_shots_fixture(self):
         assert shots_per_node(1.0, 0.1, 0.05, 3) == 479
+
+    def test_zero_observable_takes_one_shot(self):
+        # |A| = 0 makes every outcome 0, so one shot is the exact estimate
+        assert shots_per_node(0.0, 0.1, 0.05, 3) == 1
 
     def test_shots_monotone(self):
         base = shots_per_node(1.0, 0.05, 0.1, 4)
@@ -359,3 +363,60 @@ class TestRunShotSampled:
         res = run(req)
         exact = exact_expectation(H, A, rho, 0.4)
         assert abs(res.estimate - exact) <= req.epsilon
+
+
+class TestInputChecks:
+    def _run(self, H, psi, A, mode):
+        return run(QfloRequest(H, psi, A, total_time=0.3, epsilon=0.5, delta=0.3,
+                               master_seed=3, mode=mode))
+
+    def test_noiseless_run_checks_each_input_once(self, two_qubit, monkeypatch):
+        # hermitian_eig and the exact path check A; run itself checks
+        # nothing, and a state vector takes no density-matrix check
+        calls = {"require_hermitian": 0, "check_density_matrix": 0}
+
+        def counted(name, original):
+            def wrapper(M):
+                calls[name] += 1
+                return original(M)
+            return wrapper
+
+        for module in (linalg, channel, pipeline):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        H, A, psi0 = two_qubit
+        self._run(H, psi0, A, "noiseless")
+        assert calls["require_hermitian"] <= 2
+        assert calls["check_density_matrix"] == 0
+
+    @pytest.mark.parametrize("mode", ["noiseless", "shot_sampled"])
+    def test_one_rule_for_a_state_vector(self, two_qubit, mode):
+        # |psi| = 1 + 8e-11 is a unit vector within UNIT_NORM_TOL in both
+        # modes, although |psi|^2 misses 1 by more than the trace tolerance
+        H, A, _ = two_qubit
+        psi = np.array([1.0 + 8e-11, 0, 0, 0], dtype=complex)
+        assert self._run(H, psi, A, mode).bound_convergent
+        with pytest.raises(ValueError, match="finite unit vector"):
+            self._run(H, np.array([np.nan, 0, 0, 0]), A, mode)
+
+    @pytest.mark.parametrize("mode", ["noiseless", "shot_sampled"])
+    @pytest.mark.parametrize("wrong", ["observable", "state"])
+    def test_input_of_another_dimension_is_refused(self, one_qubit, two_qubit, wrong, mode):
+        H, A, psi0 = two_qubit
+        _, A1, psi1 = one_qubit
+        if wrong == "observable":
+            A, bad = A1, A1
+        else:
+            psi0, bad = psi1, psi1
+        with pytest.raises(ValueError) as excinfo:
+            self._run(H, psi0, A, mode)
+        assert f"{wrong} has shape {bad.shape}" in str(excinfo.value)
+        assert "H needs (4," in str(excinfo.value)
+
+    def test_zero_observable_shot_run_is_exact(self, two_qubit):
+        H, _, psi0 = two_qubit
+        res = self._run(H, psi0, np.zeros((4, 4)), "shot_sampled")
+        assert res.shots_per_node == 1
+        assert res.estimate == 0.0
+        assert all(n.mean == 0.0 and n.standard_error == 0.0 for n in res.per_node)
