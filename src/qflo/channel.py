@@ -30,15 +30,15 @@ On the two-qubit benchmark the powered values agree with 40-digit
 references to 2e-16 at N = 806 and N = 105345.
 
 A shot is one qDRIFT run followed by one measurement, and ``sample_shots``
-is the only shot sampler: the CLI's ``qdrift`` shots are the pipeline's
-node-0 shots for the same seed and step count.  Its trajectories run on one
+is the only shot sampler, one call for all nodes: the CLI's ``qdrift``
+shots are its row 0, the pipeline's node 0.  Its trajectories run on one
 engine, ``evolve_indexed_batch``: a batch of states, each under its own
 sequence of term indices, advanced by O(d) Pauli gates (a gather and an axpy
 per step) whatever the number of terms.  At d <= 4 (``_auto_group``) runs
 of consecutive steps are first folded into a table of dense step products,
 built once per engine call, so once per tile: ``sample_shots`` builds the
-gates and the measurement eigenbasis once and passes the engine tiles of at
-most 2^14 / d states, so that a step's arrays stay in cache.  Measured on a
+gates once per node and passes the engine tiles of at most 2^14 / d
+states, so that a step's arrays stay in cache.  Measured on a
 shared 2-core x86-64 host with one BLAS thread, on one tile of states copied
 from one broadcast vector in C order, with 4-8 terms at d <= 8 (N = 300 and
 3000, medians of 7) and 17 at d >= 16 (there also on 176 states), in
@@ -554,27 +554,29 @@ def shot_chunk(L: int, N: int, d: int) -> int:
     return max(1, min(TILE_AMPLITUDES // d, CHUNK_INDEX_BYTES // max(row_bytes, 1)))
 
 
-def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int,
-                 shots: int, seed: int, node: int = 0) -> np.ndarray:
-    """One measured outcome of A for each of ``shots`` qDRIFT runs of N steps
-    of time T/N from ``initial_state`` (a unit vector or a density matrix).
-    A is a Hermitian matrix or its ``ObservableMeasurer``.
+def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_counts,
+                 shots: int, seed: int) -> np.ndarray:
+    """(len(step_counts), shots) outcomes: row j holds one measured outcome of
+    A for each of ``shots`` qDRIFT runs of N = step_counts[j] steps of time
+    T/N from ``initial_state`` (a unit vector or a density matrix).  A is a
+    Hermitian matrix or its ``ObservableMeasurer``.  The measurer, the state's
+    check and its eigen-ensemble are built once per call, the gates per row.
 
-    Shot k draws from substream(seed, node, k) in a fixed order: the
+    Shot k of row j draws from substream(seed, j, k) in a fixed order: the
     measurement uniform, the initial-state uniform, which picks a member of
-    the state's eigen-ensemble (a unit vector has one), then the N term
-    uniforms.  The pipeline's node j is ``node=j``; the CLI's ``qdrift`` is
-    node 0.  Shots are evolved in tiles of ``shot_chunk(L, N, d)``
-    consecutive shots, at most 2^14 / d of them so that each tile's states
-    stay in cache; as every shot has its own substream, the tiling does not
-    change any outcome.
+    the ensemble (a unit vector has one), then the N term uniforms; a
+    repeated N is drawn again on its own streams.  Each row's shots are
+    evolved in tiles of ``shot_chunk(L, N, d)`` consecutive shots, at most
+    2^14 / d, so that each tile's states stay in cache; as every shot has its
+    own substream, the tiling does not change any outcome.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    counts = [int(N) for N in step_counts]
+    if not counts or min(counts) < 1:
+        raise ValueError(f"N must be >= 1, got {counts}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     _require_shapes(H, initial_state, A)
-    gates = H.pauli_rotations(float(_step_angle(H, T / N)))
+    angles = _step_angle(H, [T / N for N in counts])
     measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
     if np.ndim(initial_state) == 2:
         rho0 = check_density_matrix(initial_state)
@@ -587,19 +589,25 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, N: int
         basis = unit_state(initial_state)[:, None]
     pop_cdf = np.cumsum(pops)
     pop_cdf[-1] = 1.0
-    values = np.empty(shots)
-    chunk = shot_chunk(len(H), N, H.dim)
-    for start in range(0, shots, chunk):
-        stop = min(start + chunk, shots)
-        B = stop - start
-        indices = np.empty((B, N), dtype=np.min_scalar_type(len(H) - 1))
-        u_meas, u_init = np.empty(B), np.empty(B)
-        for b in range(B):
-            rng = substream(seed, node, start + b)
-            u_meas[b] = rng.random()
-            u_init[b] = rng.random()
-            indices[b] = H.sample_terms(rng, N)
-        choice = np.minimum(np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1)
-        finals = evolve_indexed_batch(basis.T[choice], gates, indices)
-        values[start:stop] = measurer.sample_batch(finals, u_meas)
+    index_type = np.min_scalar_type(len(H) - 1)
+    if max(8 * len(counts) * int(shots), index_type.itemsize * max(counts)) > np.iinfo(np.intp).max:
+        raise OverflowError(f"{shots} shots of up to {max(counts)} steps at {len(counts)} "
+                            "nodes pass numpy's largest array")
+    values = np.empty((len(counts), shots))
+    for node, (N, angle) in enumerate(zip(counts, angles)):
+        gates = H.pauli_rotations(float(angle))
+        chunk = shot_chunk(len(H), N, H.dim)
+        for start in range(0, shots, chunk):
+            stop = min(start + chunk, shots)
+            B = stop - start
+            indices = np.empty((B, N), dtype=index_type)
+            u_meas, u_init = np.empty(B), np.empty(B)
+            for b in range(B):
+                rng = substream(seed, node, start + b)
+                u_meas[b] = rng.random()
+                u_init[b] = rng.random()
+                indices[b] = H.sample_terms(rng, N)
+            choice = np.minimum(np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1)
+            finals = evolve_indexed_batch(basis.T[choice], gates, indices)
+            values[node, start:stop] = measurer.sample_batch(finals, u_meas)
     return values

@@ -1,8 +1,8 @@
 """Command-line harness: node tables, channel runs, convergence scans,
 generator probes, order-scaling fits, and full pipeline estimates.
 
-Exit codes: 0 success, 2 usage errors, 3 numerical failures (logarithm
-nonexistence, non-convergent error bound, step counts past int64).
+Exit codes: 0 success, 2 usage errors, 3 numerical failures (no logarithm,
+non-convergent error bound, step counts past int64, shots past memory).
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def cmd_qdrift(args) -> int:
     _require_positive(args.steps, "--steps")
     _require_positive(args.shots, "--shots")
     seed = resolve_seed(args.seed)
-    values = sample_shots(H, A, psi0, args.time, args.steps, args.shots, seed)
+    values = sample_shots(H, A, psi0, args.time, [args.steps], args.shots, seed)[0]
     _write_csv(["shot", "value"], enumerate(values.tolist()), args.out)
     std = float(values.std(ddof=1)) if args.shots > 1 else 0.0
     _report(args, {"mean": float(values.mean()), "std": std}, seed=seed)
@@ -240,7 +240,7 @@ def cmd_qflo(args) -> int:
         raise UsageError(str(exc)) from None
     try:
         result = run(request)
-    except OverflowError as exc:
+    except (OverflowError, MemoryError) as exc:
         raise NumericalFailure(f"{exc}; lower --time or raise --epsilon") from None
     rows = [
         (i, n.step_count, n.shots, n.mean, n.standard_error, result.weights.b[i])
@@ -370,6 +370,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (LogarithmError, NearDefectiveError, NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: {exc}; lower --shots or --steps", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

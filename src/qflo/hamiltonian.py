@@ -166,8 +166,10 @@ class HamiltonianDecomposition:
 
     def dense(self) -> np.ndarray:
         self._require_cap()
-        terms = np.stack([t.dense() for t in self.terms])
-        return np.tensordot(self.weights, terms, axes=1)
+        perm, phase = self._term_gathers()
+        M = np.zeros((self.dim, self.dim), dtype=complex)   # no (L, d, d) stack of terms
+        np.add.at(M, (np.arange(self.dim), perm), self.weights[:, None] * phase)
+        return M
 
     def term_unitaries(self, angle: float) -> np.ndarray:
         """exp(-i angle H_j) for every term, stacked (L, d, d): the dense form
@@ -179,12 +181,18 @@ class HamiltonianDecomposition:
         self._require_cap()
         return self.pauli_rotations(angle).dense()
 
-    def pauli_rotations(self, angle: float) -> PauliRotations:
-        """exp(-i angle H_j) for every term as O(d) Pauli gates."""
+    def _term_gathers(self):
+        """(perm, phase), each (L, d): (s_j P_j psi)[y] = phase[j, y]
+        psi[perm[j, y]], from P_j|s> = i^#Y (-1)^popcount(s & z_j) |s ^ x_j>."""
         perm = np.arange(self.dim)[None, :] ^ self.x_masks[:, None]
         parity = popcount(perm & self.z_masks[:, None], self.n_qubits) & 1
         phase = (np.array([1, 1j, -1, -1j])[self.y_counts[:, None] % 4]
                  * self.signs[:, None] * (1 - 2 * parity))
+        return perm, phase
+
+    def pauli_rotations(self, angle: float) -> PauliRotations:
+        """exp(-i angle H_j) for every term as O(d) Pauli gates."""
+        perm, phase = self._term_gathers()
         return PauliRotations(cos=float(np.cos(angle)), perm=perm,
                               coef=(-1j * np.sin(angle)) * phase)
 

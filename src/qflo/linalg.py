@@ -48,16 +48,17 @@ def _as_square(M) -> np.ndarray:
 
 def hermiticity_defect(M) -> float:
     """max-norm of M - M^dag relative to the max-norm of M."""
-    M = _as_square(M)
-    scale = np.abs(M).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(M - M.conj().T).max() / scale)
+    return _defect(_as_square(M))
+
+
+def _defect(M) -> float:
+    scale = np.abs(M).max()   # M checked by _as_square
+    return float(np.abs(M - M.conj().T).max() / scale) if scale else 0.0
 
 
 def require_hermitian(M) -> np.ndarray:
     M = _as_square(M)
-    defect = hermiticity_defect(M)
+    defect = _defect(M)
     if defect > HERMITICITY_RTOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: relative defect {defect:.3e} > {HERMITICITY_RTOL:.1e}"

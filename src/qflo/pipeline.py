@@ -206,24 +206,20 @@ def run(request: QfloRequest) -> QfloResult:
     if request.mode == "noiseless":
         shots = 0
         norm_A = float(np.abs(hermitian_eig(A)[0]).max())   # ObservableMeasurer(A).norm
-        values = node_values_exact(H, A, request.initial_state, T, sched.step_counts).tolist()
-        per_node = tuple(
-            NodeStats(step_count=int(N), shots=0, mean=v, standard_error=0.0)
-            for N, v in zip(sched.step_counts, values)
-        )
+        values = node_values_exact(H, A, request.initial_state, T, sched.step_counts)
+        errors = np.zeros(m)
     else:
         measurer = ObservableMeasurer(A)
         norm_A = measurer.norm
         shots = shots_per_node(norm_A, budget.data, request.delta, m)
-        stats = []
-        for node_index, N in enumerate(sched.step_counts):
-            outcomes = sample_shots(H, measurer, request.initial_state, T, int(N),
-                                    shots, request.master_seed, node_index)
-            se = float(np.std(outcomes, ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
-            stats.append(NodeStats(step_count=int(N), shots=shots,
-                                   mean=float(np.mean(outcomes)), standard_error=se))
-        per_node = tuple(stats)
-        values = [n.mean for n in per_node]
+        outcomes = sample_shots(H, measurer, request.initial_state, T, sched.step_counts,
+                                shots, request.master_seed)
+        values = outcomes.mean(axis=1)
+        errors = outcomes.std(axis=1, ddof=1) / math.sqrt(shots) if shots > 1 else np.zeros(m)
+    per_node = tuple(
+        NodeStats(step_count=int(N), shots=shots, mean=float(v), standard_error=float(e))
+        for N, v, e in zip(sched.step_counts, values, errors)
+    )
 
     estimate = extrapolate(values, weights)
     s_m = 1.0 / int(sched.step_counts[-1])

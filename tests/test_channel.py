@@ -306,8 +306,8 @@ def evolve(psi0, H, indices, t):
 class TestTrajectories:
     def test_deterministic_for_seed(self, one_qubit):
         H, A, psi0 = one_qubit
-        a = sample_shots(H, A, psi0, 1.0, 50, 16, seed=123)
-        b = sample_shots(H, A, psi0, 1.0, 50, 16, seed=123)
+        a = sample_shots(H, A, psi0, 1.0, [50], 16, seed=123)[0]
+        b = sample_shots(H, A, psi0, 1.0, [50], 16, seed=123)[0]
         assert np.array_equal(a, b)
         assert a.shape == (16,)
         assert set(np.unique(a)) <= {1.0, -1.0}
@@ -331,13 +331,13 @@ class TestTrajectories:
     def test_rejects_unnormalized_state(self, one_qubit):
         H, A, _ = one_qubit
         with pytest.raises(ValueError):
-            sample_shots(H, A, 2 * KET0, 0.3, 3, 1, seed=1)
+            sample_shots(H, A, 2 * KET0, 0.3, [3], 1, seed=1)
 
     def test_rejects_non_finite_state(self, two_qubit):
         # |NaN - 1| > tol is False, so the norm check must fail a NaN norm itself
         H, A, _ = two_qubit
         with pytest.raises(ValueError, match="finite unit vector"):
-            sample_shots(H, A, [np.nan, 0, 0, 0], 1.0, 10, 5, seed=1)
+            sample_shots(H, A, [np.nan, 0, 0, 0], 1.0, [10], 5, seed=1)
         with pytest.raises(ValueError, match="finite unit vector"):
             node_values_exact(H, A, [np.nan, 0, 0, 0], 1.0, [10])
 
@@ -347,7 +347,7 @@ class TestTrajectories:
         H = parse_hamiltonian("1.5 ZI\n0.5 XI")
         A = parse_hamiltonian("1.0 ZI").dense()
         with pytest.raises(OverflowError, match="t = 1e\\+308"):
-            sample_shots(H, A, np.eye(4)[0], 1e308, 1, 4, seed=3)
+            sample_shots(H, A, np.eye(4)[0], 1e308, [1], 4, seed=3)
 
     def test_trajectory_average_approximates_channel(self, one_qubit, rng):
         # empirical mixture over sampled trajectories vs the exact channel
@@ -375,7 +375,7 @@ class TestTrajectories:
             rng.random()
             psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
             expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
-        assert sample_shots(H, A, psi0, T, N, 12, seed, node).tolist() == expected
+        assert sample_shots(H, A, psi0, T, [N] * (node + 1), 12, seed)[node].tolist() == expected
 
     def test_many_terms_keep_indices_in_two_bytes(self, monkeypatch):
         # 300 terms on 5 qubits: each index row is uint16, and every shot is
@@ -391,8 +391,8 @@ class TestTrajectories:
         engine = channel.evolve_indexed_batch
         monkeypatch.setattr(channel, "evolve_indexed_batch", lambda psis, gates, indices:
                             dtypes.append(indices.dtype) or engine(psis, gates, indices))
-        outcomes = sample_shots(H, A, psi0, T, N, shots, seed, node)
-        assert dtypes == [np.uint16]
+        outcomes = sample_shots(H, A, psi0, T, [N] * (node + 1), shots, seed)[node]
+        assert dtypes == [np.uint16] * (node + 1)
         measurer = ObservableMeasurer(A)
         expected = []
         for k in range(shots):
@@ -402,6 +402,44 @@ class TestTrajectories:
             psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
             expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
         assert outcomes.tolist() == expected
+
+
+    @pytest.mark.parametrize("counts", [[9, 4, 2], [5, 5, 3, 5]], ids=["distinct", "repeated"])
+    def test_rows_replay_their_node_streams(self, two_qubit, counts):
+        # row j is node j, whose shot k replays substream(seed, j, k); a
+        # repeated N is sampled again on its own streams
+        H, A, psi0 = two_qubit
+        T, shots, seed = 0.7, 6, 31
+        measurer = ObservableMeasurer(A)
+        outcomes = sample_shots(H, A, psi0, T, counts, shots, seed)
+        assert outcomes.shape == (len(counts), shots)
+        for j, N in enumerate(counts):
+            expected = []
+            for k in range(shots):
+                rng = substream(seed, j, k)
+                u_meas = rng.random()
+                rng.random()
+                psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
+                expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
+            assert outcomes[j].tolist() == expected
+
+    @pytest.mark.parametrize("counts", [[], [0], [5, 0, 3], [-2]])
+    def test_step_counts_are_refused_as_by_the_exact_path(self, two_qubit, counts):
+        H, A, psi0 = two_qubit
+        with pytest.raises(ValueError, match="N must be >= 1") as shot:
+            sample_shots(H, A, psi0, 1.0, counts, 4, seed=1)
+        with pytest.raises(ValueError) as exact:
+            node_values_exact(H, A, psi0, 1.0, counts)
+        assert str(shot.value) == str(exact.value)
+
+    @pytest.mark.parametrize("counts, shots", [([10], 2 ** 61), ([10, 5], 10 ** 20),
+                                               ([2 ** 63], 1)])
+    def test_arrays_past_the_address_space_are_refused(self, two_qubit, counts, shots):
+        # 2^64 bytes of outcomes, or 2^63 bytes of one shot's term indices:
+        # past np.intp, so refused before any allocation
+        H, A, psi0 = two_qubit
+        with pytest.raises(OverflowError, match="largest array"):
+            sample_shots(H, A, psi0, 1.0, counts, shots, seed=1)
 
 
 @pytest.mark.parametrize("text", [TWO_QUBIT_TEXT, HEISENBERG_CHAIN_5], ids=["2q", "5q"])
@@ -415,7 +453,7 @@ def test_calls_read_the_term_arrays(text, monkeypatch):
     masks = PauliString.masks
     monkeypatch.setattr(PauliString, "masks", lambda self: calls.append(self) or masks(self))
     node_values_exact(H, A, psi0, 0.5, [12, 5])
-    sample_shots(H, A, psi0, 0.5, 12, 8, seed=3)
+    sample_shots(H, A, psi0, 0.5, [12], 8, seed=3)
     if H.n_qubits <= channel.SUPEROP_QUBIT_CAP:
         generator_probe(H, 0.01, 1.0)
     assert calls == []
@@ -471,7 +509,7 @@ class TestBatchEvolution:
         monkeypatch.setattr(channel, "grouped_step_unitaries", spy)
         psi0 = np.eye(H.dim, dtype=complex)[0]
         shots = 2 * channel.shot_chunk(len(H), 400, H.dim)
-        sample_shots(H, parse_hamiltonian(obs).dense(), psi0, 0.8, 400, shots, seed=5)
+        sample_shots(H, parse_hamiltonian(obs).dense(), psi0, 0.8, [400], shots, seed=5)
         assert built == [6] * tables
 
     def test_group_codes_fit_smallest_type(self):
@@ -636,7 +674,7 @@ def test_shot_outcomes_follow_exact_distribution():
     rho = channel_iterate_exact(H, np.outer(psi0, psi0.conj()), T, N)
     p = np.array([np.trace(V.conj().T @ rho @ V).real for V in measurer._blocks])
     assert abs(p.sum() - 1.0) <= 1e-12 and p.min() * shots >= 5
-    outcomes = sample_shots(H, measurer, psi0, T, N, shots, seed=2024)
+    outcomes = sample_shots(H, measurer, psi0, T, [N], shots, seed=2024)[0]
     counts = np.array([np.sum(outcomes == v) for v in measurer.values])
     assert counts.sum() == shots
     statistic = np.sum((counts - shots * p) ** 2 / (shots * p))
@@ -656,7 +694,7 @@ def test_pinned_chain_outcomes(mixed, digest):
     state = rho0 if mixed else np.eye(H.dim)[0]
     measurer = ObservableMeasurer(A)
     assert measurer.values.size == H.dim
-    outcomes = sample_shots(H, measurer, state, 1.0, 200, 5000, seed=7)
+    outcomes = sample_shots(H, measurer, state, 1.0, [200], 5000, seed=7)[0]
     positions = np.searchsorted(measurer.values, outcomes).astype(np.uint8)
     assert np.array_equal(measurer.values[positions], outcomes)
     assert hashlib.sha256(positions.tobytes()).hexdigest() == digest
@@ -702,10 +740,10 @@ def test_tiles_give_the_same_outcomes(mixed, monkeypatch):
     state = rho0 if mixed else np.eye(H.dim)[0]
     measurer = ObservableMeasurer(A)
     assert channel.shot_chunk(len(H), 60, H.dim) == 256
-    tiled = sample_shots(H, measurer, state, 1.0, 60, 700, seed=3, node=2)
+    tiled = sample_shots(H, measurer, state, 1.0, [60] * 3, 700, seed=3)[2]
     monkeypatch.setattr(channel, "TILE_AMPLITUDES", 700 * H.dim)
     assert channel.shot_chunk(len(H), 60, H.dim) == 700
-    whole = sample_shots(H, measurer, state, 1.0, 60, 700, seed=3, node=2)
+    whole = sample_shots(H, measurer, state, 1.0, [60] * 3, 700, seed=3)[2]
     assert len(set(tiled)) > 10
     assert tiled.tobytes() == whole.tobytes()
 
@@ -747,22 +785,22 @@ class TestNegativeCoefficients:
 class TestQdriftRun:
     def test_deterministic_per_seed(self, one_qubit):
         H, A, psi0 = one_qubit
-        a = sample_shots(H, A, psi0, 1.0, 10, 8, seed=42)
-        b = sample_shots(H, A, psi0, 1.0, 10, 8, seed=42)
+        a = sample_shots(H, A, psi0, 1.0, [10], 8, seed=42)[0]
+        b = sample_shots(H, A, psi0, 1.0, [10], 8, seed=42)[0]
         assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_step(self, one_qubit):
         H, A, psi0 = one_qubit
         with pytest.raises(ValueError):
-            sample_shots(H, A, psi0, 1.0, 0, 8, seed=1)
+            sample_shots(H, A, psi0, 1.0, [0], 8, seed=1)
         with pytest.raises(ValueError):
-            sample_shots(H, A, psi0, 1.0, 10, 0, seed=1)
+            sample_shots(H, A, psi0, 1.0, [10], 0, seed=1)
 
     def test_batch_matches_single_runs(self, two_qubit, monkeypatch):
         H, A, psi0 = two_qubit
-        batch = sample_shots(H, A, psi0, 1.0, 20, 5, seed=3)
+        batch = sample_shots(H, A, psi0, 1.0, [20], 5, seed=3)[0]
         monkeypatch.setattr(channel, "TILE_AMPLITUDES", 1)
-        single = sample_shots(H, A, psi0, 1.0, 20, 5, seed=3)
+        single = sample_shots(H, A, psi0, 1.0, [20], 5, seed=3)[0]
         assert batch.tolist() == single.tolist()
 
     def test_mean_approximates_channel_expectation(self, one_qubit):
@@ -770,6 +808,6 @@ class TestQdriftRun:
         T, N, runs = 1.0, 10, 3000
         rho = np.outer(psi0, psi0.conj())
         target = expectation_exact(H, A, rho, T, N)
-        vals = sample_shots(H, A, psi0, T, N, runs, seed=0)
+        vals = sample_shots(H, A, psi0, T, [N], runs, seed=0)[0]
         se = np.std(vals, ddof=1) / np.sqrt(runs)
         assert abs(vals.mean() - target) <= 4 * se

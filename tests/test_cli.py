@@ -154,8 +154,21 @@ class TestQdrift:
         psi0 = np.full(8, 1 / math.sqrt(8), dtype=complex)
         expected = sample_shots(parse_hamiltonian(THREE_QUBIT),
                                 parse_hamiltonian(OBS_ZIZ).dense(),
-                                psi0, float(time), steps, 24, seed=5, node=0)
+                                psi0, float(time), [steps], 24, seed=5)[0]
         assert values == expected.tolist()
+
+    @pytest.mark.parametrize("steps, shots, message", [
+        (10, 2 ** 61, "largest array"),            # 2^64 bytes of outcomes
+        (2 ** 63, 1, "largest array"),             # 2^63 bytes of term indices
+        (2 ** 62, 1, "lower --shots or --steps"),  # 2^62 bytes, past any address space
+    ])
+    def test_oversized_request_exits_3(self, ham_file, obs_file, capsys, steps, shots, message):
+        argv = self._argv(ham_file, obs_file)
+        argv[argv.index("--steps") + 1] = str(steps)
+        argv[argv.index("--shots") + 1] = str(shots)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3
+        assert message in err
 
     def test_default_state_is_all_zeros(self, ham_file, obs_file, tmp_path, capsys):
         json_path = tmp_path / "q.json"
@@ -495,6 +508,13 @@ class TestQflo:
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
+
+    def test_shot_plan_past_the_largest_array_exits_3(self, ham_file, obs_file, capsys):
+        # eps = 1e-9 plans about 1e20 shots per node: refused before sampling
+        argv = self._argv(ham_file, obs_file, **{"--mode": "shot_sampled", "--epsilon": "1e-9"})
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3
+        assert "largest array" in err and "--epsilon" in err
 
     def _overflow(self, time, tmp_path, capsys):
         ham = tmp_path / "two_qubit.txt"
@@ -923,6 +943,8 @@ def cli_argvs(draw, root):
 def test_main_fuzz_exits_cleanly(fuzz_dir):
     big, z = str(fuzz_dir / "big.txt"), str(fuzz_dir / "z.txt")
     two, zero = str(fuzz_dir / "two.txt"), str(fuzz_dir / "zero.txt")
+    zi = str(fuzz_dir / "zi.txt")
+    qdrift = ["qdrift", "--hamiltonian", two, "--observable", zi, "--time", "1.0", "--seed", "1"]
 
     # overflowing step angles, whatever the derandomized draw reaches
     @given(argv=cli_argvs(fuzz_dir))
@@ -933,6 +955,11 @@ def test_main_fuzz_exits_cleanly(fuzz_dir):
     # an observable whose terms cancel: a budget of zero shots before the floor
     @example(argv=["qflo", "--hamiltonian", two, "--observable", zero, "--time", "0.3",
                    "--epsilon", "0.5", "--delta", "0.1", "--seed", "1", "--mode", "shot_sampled"])
+    # shot arrays past np.intp (OverflowError) and 2^62 bytes of one shot's
+    # term indices (MemoryError), past any address space: each exits 3
+    @example(argv=qdrift + ["--steps", "10", "--shots", str(2 ** 61)])
+    @example(argv=qdrift + ["--steps", "10", "--shots", str(10 ** 20)])
+    @example(argv=qdrift + ["--steps", str(2 ** 62), "--shots", "1"])
     @settings(max_examples=500, deadline=None, derandomize=True)
     def check(argv):
         out, err = io.StringIO(), io.StringIO()

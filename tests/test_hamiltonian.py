@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from qflo.hamiltonian import (
 from qflo.linalg import hermiticity_defect, spectral_norm
 
 from conftest import random_hamiltonian
+from test_channel import heisenberg_chain
 
 
 class TestParse:
@@ -97,6 +100,28 @@ class TestDense:
         H = parse_hamiltonian("1.0 " + "X" * 11)
         with pytest.raises(DimensionCapError):
             H.dense()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_kronecker_term_sum(self, seed):
+        # sum_j h_j s_j P_j from the Kronecker products of WeightedTerm.dense
+        rng = np.random.default_rng(seed)
+        H = random_hamiltonian(rng, int(rng.integers(1, 7)), int(rng.integers(1, 60)))
+        reference = sum(t.weight * t.dense() for t in H.terms)
+        assert np.abs(H.dense() - reference).max() <= 4 * np.finfo(float).eps * H.lam
+
+    def test_peak_memory_stays_near_the_result(self):
+        # the terms are added into one d x d matrix, never stacked as (L, d, d):
+        # 29 stacked terms of the 8-qubit chain peaked at 58x the result
+        H = parse_hamiltonian(heisenberg_chain(8))
+        tracemalloc.start()
+        try:
+            M = H.dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.shape == (256, 256)
+        assert peak <= 2 * M.nbytes
 
 
 class _FixedUniform:

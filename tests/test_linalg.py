@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflo import linalg
 from qflo.linalg import (
     LogarithmError,
     NearDefectiveError,
@@ -14,7 +15,9 @@ from qflo.linalg import (
     cptp_check,
     devectorize,
     hermitian_eig,
+    hermiticity_defect,
     matrix_log_principal,
+    require_hermitian,
     spectral_norm,
     unitary_exp,
     vectorize,
@@ -64,6 +67,20 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_require_hermitian_checks_its_input_once(monkeypatch):
+    calls = []
+    as_square = linalg._as_square
+    monkeypatch.setattr(linalg, "_as_square", lambda M: calls.append(1) or as_square(M))
+    assert np.array_equal(require_hermitian(Z), Z)
+    assert len(calls) == 1
+    with pytest.raises(NonHermitianError):
+        require_hermitian([[0, 1], [0, 0]])
+    # hermiticity_defect keeps its own check and value
+    assert hermiticity_defect([[0, 1], [0, 0]]) == 1.0
+    with pytest.raises(ValueError, match="non-finite"):
+        hermiticity_defect([[np.nan, 0], [0, 1]])
 
 
 class TestUnitaryExp:

@@ -390,6 +390,36 @@ class TestInputChecks:
         assert calls["require_hermitian"] <= 2
         assert calls["check_density_matrix"] == 0
 
+    def test_shot_run_decomposes_the_state_once(self, two_qubit, monkeypatch):
+        # one sample_shots call for all nodes: rho0 is checked and
+        # eigendecomposed once per run, not once per node
+        calls = {"sample_shots": 0, "check_density_matrix": 0, "eigh of rho0": 0}
+        H, A, _ = two_qubit
+        rho0 = np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "sample_shots",
+                            counted("sample_shots", pipeline.sample_shots))
+        for module in (linalg, channel):
+            monkeypatch.setattr(module, "check_density_matrix",
+                                counted("check_density_matrix", module.check_density_matrix))
+        eigh = np.linalg.eigh
+
+        def eigh_counting_rho0(M):
+            calls["eigh of rho0"] += np.array_equal(M, rho0)
+            return eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_counting_rho0)
+        res = run(QfloRequest(H, rho0, A, total_time=0.3, epsilon=0.1, delta=0.3,
+                              master_seed=3, mode="shot_sampled"))
+        assert res.order == 3
+        assert calls == {"sample_shots": 1, "check_density_matrix": 1, "eigh of rho0": 1}
+
     @pytest.mark.parametrize("mode", ["noiseless", "shot_sampled"])
     def test_one_rule_for_a_state_vector(self, two_qubit, mode):
         # |psi| = 1 + 8e-11 is a unit vector within UNIT_NORM_TOL in both
