@@ -12,13 +12,14 @@ radical, the Paulis of that span that commute with every term.  On the
 become 4 sectors of 64: two real, and a complex-conjugate pair of which
 only one is solved.  Neither the sectors nor ad_H depends on s, so each
 Hamiltonian's sectors and ad_H's block on each are built once, on its
-first probe, and kept read-only while it lives.  Each probed step builds
-Delta once and takes one ``eig`` per listed sector (3 of 64 on the chain):
-the eigenvalues of E_s are 1 + mu, and the minimum eigenvalue modulus,
-the logarithm log1p(mu), the eigenvector conditioning guard and the
-deviation from ad_H are all taken sector by sector.  Working on mu keeps
-the digits that 1 + mu would round away: on the 4-qubit chain at
-s = 2^-12 the deviation's relative error against an 80-bit
+first probe, and kept read-only while it lives, as is the term action that
+every Delta is filled from (``HamiltonianDecomposition.derived``).  Each
+probed step builds Delta once and takes one ``eig`` per listed sector (3
+of 64 on the chain): the eigenvalues of E_s are 1 + mu, and the minimum
+eigenvalue modulus, the logarithm log1p(mu), the eigenvector conditioning
+guard and the deviation from ad_H are all taken sector by sector.
+Working on mu keeps the digits that 1 + mu would round away: on the
+4-qubit chain at s = 2^-12 the deviation's relative error against an 80-bit
 extended-precision series for log(I + Delta) is 1.4e-14, where the
 complex superoperator's eigenvalues gave 1.8e-8.  The sector bases are
 orthonormal, so spectral norms, and with them the deviation, are those of
@@ -32,7 +33,6 @@ for callers that want it.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,36 +86,22 @@ class _SectorStructure(NamedTuple):
     ad_blocks: tuple  # ad_H on each sector, in order
 
 
-# Keyed by identity: a HamiltonianDecomposition is immutable and defines no
-# equality, so an entry is valid, and kept, exactly as long as its H lives.
-_SECTOR_STRUCTURES = weakref.WeakKeyDictionary()
-
-
 def _sector_structure(H: HamiltonianDecomposition) -> _SectorStructure:
     """H's symmetry sectors and ad_H's block on each.  Neither depends on
-    the step time, so they are built on H's first probe and shared, with
-    their arrays read-only, by every later one."""
-    structure = _SECTOR_STRUCTURES.get(H)
-    if structure is None:
-        sectors = tuple(pauli_sectors(H))
-        ad_H = pauli_adjoint(H)
-        structure = _SectorStructure(sectors, tuple(sector.block(ad_H) for sector in sectors))
-        for sector in sectors:
-            sector.pos.setflags(write=False)
-            sector.phase.setflags(write=False)
-        for block in structure.ad_blocks:
-            block.setflags(write=False)
-        _SECTOR_STRUCTURES[H] = structure
-    return structure
+    the step time: it is read through ``H.derived``, so built on H's first
+    probe and shared, read-only, by every later one."""
+    sectors = tuple(pauli_sectors(H))
+    ad_H = pauli_adjoint(H)
+    return _SectorStructure(sectors, tuple(sector.block(ad_H) for sector in sectors))
 
 
 def _channel_spectrum(H: HamiltonianDecomposition, t: float):
-    """H's ``_sector_structure``, the eigenpairs (mu, V) of each sector
+    """H's kept ``_sector_structure``, the eigenpairs (mu, V) of each sector
     block of Delta = E_t - I, and E_t's minimum eigenvalue modulus.  A
     paired sector's conjugate has the conjugate eigenpairs, so it takes no
     eigensolve of its own."""
     delta = channel_delta(H, t)
-    structure = _sector_structure(H)
+    structure = H.derived(_sector_structure)
     spectra = [np.linalg.eig(sector.block(delta)) for sector in structure.sectors]
     min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
     return structure, spectra, min_mod
@@ -212,8 +198,9 @@ def ek_bound_probe(H: HamiltonianDecomposition, T: float, k: int) -> dict:
                    for blocks in zip(*(p.blocks for p in probes))) / T ** (k - 1)
     bound = (4.0 * H.lam) ** k
     # Rounding in the matrix log is amplified by h^-(k-1) in the difference table.
+    ad_blocks = H.derived(_sector_structure).ad_blocks
     input_scale = max(max(p.deviation for p in probes),
-                      max(spectral_norm(block) for block in _sector_structure(H).ad_blocks))
+                      max(spectral_norm(block) for block in ad_blocks))
     noise_floor = 1e-13 * input_scale / (h ** (k - 1) * math.factorial(k - 1)) / T ** (k - 1)
     if noise_floor > max(estimate, 0.05 * bound):
         raise ConditioningError(

@@ -150,6 +150,7 @@ class HamiltonianDecomposition:
         span = int(np.diff(self._guide, append=len(terms) - 1).max())
         self._lifts = [1 << k for k in range(span.bit_length() - 1, -1, -1)]
         self._cdf = np.concatenate([cdf, np.full(span, np.inf)])
+        self._derived = {}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -164,9 +165,21 @@ class HamiltonianDecomposition:
                 f"{self.n_qubits} qubits exceeds the cap of {QUBIT_CAP}"
             )
 
+    def derived(self, build):
+        """``build(self)``, run on first use and kept, with every array in it
+        read-only, for as long as this Hamiltonian lives.  For the tables
+        derived from the terms alone, the same at every step time, so that
+        each is built once per Hamiltonian."""
+        table = self._derived.get(build)
+        if table is None:
+            table = build(self)
+            _freeze(table)
+            self._derived[build] = table
+        return table
+
     def dense(self) -> np.ndarray:
         self._require_cap()
-        perm, phase = self._term_gathers()
+        perm, phase = self.derived(_term_gathers)
         M = np.zeros((self.dim, self.dim), dtype=complex)   # no (L, d, d) stack of terms
         np.add.at(M, (np.arange(self.dim), perm), self.weights[:, None] * phase)
         return M
@@ -181,18 +194,9 @@ class HamiltonianDecomposition:
         self._require_cap()
         return self.pauli_rotations(angle).dense()
 
-    def _term_gathers(self):
-        """(perm, phase), each (L, d): (s_j P_j psi)[y] = phase[j, y]
-        psi[perm[j, y]], from P_j|s> = i^#Y (-1)^popcount(s & z_j) |s ^ x_j>."""
-        perm = np.arange(self.dim)[None, :] ^ self.x_masks[:, None]
-        parity = popcount(perm & self.z_masks[:, None], self.n_qubits) & 1
-        phase = (np.array([1, 1j, -1, -1j])[self.y_counts[:, None] % 4]
-                 * self.signs[:, None] * (1 - 2 * parity))
-        return perm, phase
-
     def pauli_rotations(self, angle: float) -> PauliRotations:
         """exp(-i angle H_j) for every term as O(d) Pauli gates."""
-        perm, phase = self._term_gathers()
+        perm, phase = self.derived(_term_gathers)
         return PauliRotations(cos=float(np.cos(angle)), perm=perm,
                               coef=(-1j * np.sin(angle)) * phase)
 
@@ -221,6 +225,25 @@ class HamiltonianDecomposition:
             f"{t.sign * t.weight:.17g} {t.pauli.letters}" for t in self.terms
         ]
         return "\n".join(lines) + "\n"
+
+
+def _term_gathers(H: HamiltonianDecomposition):
+    """(perm, phase), each (L, d): (s_j P_j psi)[y] = phase[j, y]
+    psi[perm[j, y]], from P_j|s> = i^#Y (-1)^popcount(s & z_j) |s ^ x_j>."""
+    perm = np.arange(H.dim)[None, :] ^ H.x_masks[:, None]
+    parity = popcount(perm & H.z_masks[:, None], H.n_qubits) & 1
+    phase = (np.array([1, 1j, -1, -1j])[H.y_counts[:, None] % 4]
+             * H.signs[:, None] * (1 - 2 * parity))
+    return perm, phase
+
+
+def _freeze(table):
+    """Make every array in ``table``, nested in tuples, read-only."""
+    if isinstance(table, np.ndarray):
+        table.setflags(write=False)
+    elif isinstance(table, tuple):
+        for item in table:
+            _freeze(item)
 
 
 def parse_hamiltonian(text: str) -> HamiltonianDecomposition:

@@ -66,16 +66,23 @@ def require_hermitian(M) -> np.ndarray:
     return M
 
 
-def check_density_matrix(rho) -> np.ndarray:
-    """Validate trace-1 PSD Hermitian input; returns the array unchanged."""
+def check_density_matrix(rho, eigenpairs: bool = False):
+    """Validate trace-1 PSD Hermitian input; returns the array unchanged or,
+    with ``eigenpairs``, (w, V) = eigh of its Hermitian part, the one
+    decomposition whose eigenvalues the PSD check reads."""
     rho = require_hermitian(rho)
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_TOL:.1e}")
-    wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
+    hermitian_part = (rho + rho.conj().T) / 2.0
+    if eigenpairs:
+        w, V = np.linalg.eigh(hermitian_part)
+    else:
+        w = np.linalg.eigvalsh(hermitian_part)
+    wmin = float(w.min())
     if wmin < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
-    return rho
+    return (w, V) if eigenpairs else rho
 
 
 def hermitian_eig(H):

@@ -18,6 +18,7 @@ from .richardson import (
     Weights,
     build_nodes,
     extrapolate,
+    strictly_decreasing,
     weights_from_steps,
 )
 
@@ -126,11 +127,8 @@ def step_counts(nodes: ChebyshevNodes, N_m: int, total_time: float) -> StepSched
     if N_m < 1:
         raise ValueError(f"N_m must be >= 1, got {N_m}")
     y = nodes.y
-    N = [math.ceil(N_m * int(yj) / int(y[-1])) for yj in y]
-    # y decreasing along the node order => N decreasing; dedup upward.
-    for i in range(len(N) - 2, -1, -1):
-        if N[i] <= N[i + 1]:
-            N[i] = N[i + 1] + 1
+    # y decreasing along the node order => N decreasing, up to collisions
+    N = strictly_decreasing(math.ceil(N_m * int(yj) / int(y[-1])) for yj in y)
     if max(N) > np.iinfo(np.int64).max:
         raise OverflowError(f"step count {max(N):.3e} does not fit in int64")
     return StepSchedule(step_counts=np.array(N, dtype=np.int64), total_time=total_time)

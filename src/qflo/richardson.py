@@ -54,6 +54,15 @@ def chebyshev_x(j: int, k: int) -> float:
     return math.sin(math.pi * (2 * j - 1) / (4 * k)) ** 2
 
 
+def strictly_decreasing(values) -> list:
+    """``values`` as ints, made strictly decreasing: from the second-to-last
+    entry back, each one not above its successor is raised to one more."""
+    out = [int(v) for v in values]
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = max(out[i], out[i + 1] + 1)
+    return out
+
+
 def build_nodes(m: int, squared: bool = True) -> ChebyshevNodes:
     """Chebyshev node schedule of order m.
 
@@ -65,12 +74,8 @@ def build_nodes(m: int, squared: bool = True) -> ChebyshevNodes:
         raise ValueError(f"order must be >= 1, got {m}")
     x = np.array([chebyshev_x(j, 2 * m) for j in range(1, m + 1)])
     R = math.sqrt(8.0) * m / math.pi
-    k = np.array([math.ceil(R / math.sqrt(xj)) for xj in x], dtype=np.int64)
-    # x increasing => k decreasing; ceiling can collide for small m.
-    # Resolve by bumping the smaller-index (larger) node upward.
-    for i in range(m - 2, -1, -1):
-        if k[i] <= k[i + 1]:
-            k[i] = k[i + 1] + 1
+    # x increasing => k decreasing, but the ceilings can collide for small m
+    k = np.array(strictly_decreasing(math.ceil(R / math.sqrt(xj)) for xj in x), dtype=np.int64)
     if squared and int(k[0]) ** 2 > np.iinfo(np.int64).max:
         raise OverflowError(f"step-count ratio k_1^2 = {int(k[0]) ** 2:.3e} of order {m} "
                             "does not fit in int64")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflo import channel
+from qflo import channel, hamiltonian, pipeline
 from qflo.channel import (
     ObservableMeasurer,
     channel_iterate_exact,
@@ -423,7 +423,7 @@ class TestTrajectories:
                 expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
             assert outcomes[j].tolist() == expected
 
-    @pytest.mark.parametrize("counts", [[], [0], [5, 0, 3], [-2]])
+    @pytest.mark.parametrize("counts", [[], [0], [5, 0, 3], [-2], [2.5], [3, 1.5]])
     def test_step_counts_are_refused_as_by_the_exact_path(self, two_qubit, counts):
         H, A, psi0 = two_qubit
         with pytest.raises(ValueError, match="N must be >= 1") as shot:
@@ -431,6 +431,16 @@ class TestTrajectories:
         with pytest.raises(ValueError) as exact:
             node_values_exact(H, A, psi0, 1.0, counts)
         assert str(shot.value) == str(exact.value)
+
+    @pytest.mark.parametrize("N", [0, -2, 2.5, np.float64(3.0)])
+    def test_iterate_refuses_step_counts_as_node_values_do(self, two_qubit, N):
+        # a non-integral N is refused, not truncated to the N below it
+        H, A, psi0 = two_qubit
+        with pytest.raises(ValueError, match="N must be >= 1") as iterate:
+            channel_iterate_exact(H, psi0, 1.0, N)
+        with pytest.raises(ValueError) as exact:
+            expectation_exact(H, A, psi0, 1.0, N)
+        assert str(iterate.value) == str(exact.value)
 
     @pytest.mark.parametrize("counts, shots", [([10], 2 ** 61), ([10, 5], 10 ** 20),
                                                ([2 ** 63], 1)])
@@ -811,3 +821,109 @@ class TestQdriftRun:
         vals = sample_shots(H, A, psi0, T, [N], runs, seed=0)[0]
         se = np.std(vals, ddof=1) / np.sqrt(runs)
         assert abs(vals.mean() - target) <= 4 * se
+
+
+def _counted_builds(monkeypatch, module, names) -> dict:
+    """Replaces each builder ``names`` of ``module`` with one that counts its
+    calls.  A table a Hamiltonian already keeps is not built again, so only
+    Hamiltonians built inside the test show their builds."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        build = getattr(module, name)
+
+        def count(H):
+            calls[name] += 1
+            return build(H)
+        return count
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
+def _arrays(table):
+    if isinstance(table, np.ndarray):
+        yield table
+    elif isinstance(table, tuple):
+        for item in table:
+            yield from _arrays(item)
+
+
+class TestDerivedTables:
+    """Each Hamiltonian builds the tables that do not depend on the step
+    time once, on first use, and keeps them read-only."""
+
+    def test_second_noiseless_run_builds_no_channel_table(self, two_qubit, monkeypatch):
+        _, A, psi0 = two_qubit
+        request = dict(initial_state=psi0, observable=A, total_time=1.0, epsilon=0.01,
+                       delta=0.1, master_seed=1)
+        fresh = pipeline.run(pipeline.QfloRequest(parse_hamiltonian(TWO_QUBIT_TEXT), **request))
+        calls = _counted_builds(monkeypatch, channel, ["_pauli_action", "pauli_cosets"])
+        H = parse_hamiltonian(TWO_QUBIT_TEXT)
+        first = pipeline.run(pipeline.QfloRequest(H, **request))
+        assert calls == {"_pauli_action": 1, "pauli_cosets": 1}
+        second = pipeline.run(pipeline.QfloRequest(H, **request))
+        assert calls == {"_pauli_action": 1, "pauli_cosets": 1}
+        assert len(first.per_node) > 1
+        for r in (first, second):
+            assert r.estimate.hex() == fresh.estimate.hex()
+            assert [n.mean.hex() for n in r.per_node] == [n.mean.hex() for n in fresh.per_node]
+
+    def test_stepping_path_builds_the_term_action_once(self, monkeypatch):
+        # above the powering cap every node steps over the kept term action
+        text = HEISENBERG_CHAIN_5
+        A = parse_hamiltonian("1.0 ZIIII").dense()
+        psi0 = np.eye(32, dtype=complex)[0]
+        fresh = node_values_exact(parse_hamiltonian(text), A, psi0, 0.5, [12, 5])
+        calls = _counted_builds(monkeypatch, channel, ["_pauli_action", "pauli_cosets"])
+        H = parse_hamiltonian(text)
+        for _ in range(2):
+            values = node_values_exact(H, A, psi0, 0.5, [12, 5])
+            assert [v.hex() for v in values] == [v.hex() for v in fresh]
+        channel_iterate_exact(H, psi0, 0.5, 3)
+        assert calls == {"_pauli_action": 1, "pauli_cosets": 0}
+
+    def test_shots_build_gate_gathers_once(self, two_qubit, monkeypatch):
+        _, A, psi0 = two_qubit
+        fresh = sample_shots(parse_hamiltonian(TWO_QUBIT_TEXT), A, psi0, 0.7, [9, 4, 2], 5, seed=3)
+        calls = _counted_builds(monkeypatch, hamiltonian, ["_term_gathers"])
+        H = parse_hamiltonian(TWO_QUBIT_TEXT)
+        for _ in range(2):
+            outcomes = sample_shots(H, A, psi0, 0.7, [9, 4, 2], 5, seed=3)
+            assert outcomes.tolist() == fresh.tolist()
+        exact_expectation(H, A, psi0, 0.7)
+        assert calls == {"_term_gathers": 1}
+
+    def test_kept_tables_are_read_only_and_results_writeable(self, two_qubit):
+        _, A, psi0 = two_qubit
+        H = parse_hamiltonian(TWO_QUBIT_TEXT)
+        probe = generator_probe(H, 0.125, 1.0)
+        node_values_exact(H, A, psi0, 1.0, [7, 3])
+        gates = H.pauli_rotations(0.3)
+        # term action, cosets, sectors, gate gathers
+        assert len(H._derived) == 4
+        arrays = [a for table in H._derived.values() for a in _arrays(table)]
+        assert len(arrays) > 4 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            gates.perm[0, 0] = 0
+        assert all(block.flags.writeable for block in probe.blocks)
+        assert gates.coef.flags.writeable
+        assert H.dense().flags.writeable
+
+    def test_density_matrix_is_decomposed_once_per_call(self, two_qubit, monkeypatch):
+        # the PSD check reads the eigenvalues of the one eigh whose
+        # eigenpairs the shot ensemble uses
+        H, A, _ = two_qubit
+        rho0 = np.diag([0.6, 0.3, 0.1, 0.0]).astype(complex)
+        before = sample_shots(H, A, rho0, 0.7, [9, 4], 6, seed=2)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(M, _decompose=getattr(np.linalg, name), _name=name):
+                if np.array_equal(M, rho0):
+                    calls.append(_name)
+                return _decompose(M)
+            monkeypatch.setattr(np.linalg, name, counting)
+        outcomes = sample_shots(H, A, rho0, 0.7, [9, 4], 6, seed=2)
+        assert calls == ["eigh"]
+        assert outcomes.tolist() == before.tolist()

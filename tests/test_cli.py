@@ -417,7 +417,8 @@ class TestGenerator:
     def test_sector_structure_is_read_only_and_dies_with_h(self):
         H = parse_hamiltonian(CHAIN_4)
         probe = generator.generator_probe(H, 0.125, 1.0)
-        structure = generator._sector_structure(H)
+        structure = H.derived(generator._sector_structure)
+        assert H.derived(generator._sector_structure) is structure
         arrays = [a for sector in structure.sectors for a in (sector.pos, sector.phase)]
         arrays += structure.ad_blocks
         assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
@@ -425,10 +426,30 @@ class TestGenerator:
             structure.ad_blocks[0][0, 0] = 0.0
         assert all(block.flags.writeable for block in probe.blocks)
         alive = weakref.ref(H)
-        del H
+        kept = weakref.ref(structure.ad_blocks[0])
+        del H, structure, arrays
         gc.collect()
-        assert alive() is None
-        assert all(s is not structure for s in generator._SECTOR_STRUCTURES.values())
+        assert alive() is None and kept() is None
+
+    def test_one_term_action_per_generator_call(self, tmp_path, monkeypatch, capsys):
+        # ad_H and the Delta of each of the four probes share one build
+        calls = {"_pauli_action": 0}
+        build = channel._pauli_action
+
+        def count(H):
+            calls["_pauli_action"] += 1
+            return build(H)
+
+        monkeypatch.setattr(channel, "_pauli_action", count)
+        path = tmp_path / "chain4.txt"
+        path.write_text(CHAIN_4)
+        code, out, _ = run_cli(
+            ["generator", "--hamiltonian", str(path), "--time", "1.0",
+             "--s-list", "0.125,0.03125,0.0078125,0.001953125"],
+            capsys,
+        )
+        assert code == 0 and len(out.strip().split("\n")) == 5
+        assert calls == {"_pauli_action": 1}
 
     @pytest.mark.parametrize("text, time", [(TWO_QUBIT, "2.0"), (DEPOLARIZING, repr(math.pi / 2))])
     def test_modulus_matches_existence_check(self, text, time, tmp_path, capsys):
