@@ -40,19 +40,24 @@ is the only shot sampler, one call for all nodes: the CLI's ``qdrift``
 shots are its row 0, the pipeline's node 0.  Its trajectories run on one
 engine, ``evolve_indexed_batch``: a batch of states, each under its own
 sequence of term indices, advanced by O(d) Pauli gates (a gather and an axpy
-per step) whatever the number of terms.  At d <= 4 (``_auto_group``) runs
-of consecutive steps are first folded into a table of dense step products,
-built once per engine call, so once per tile: ``sample_shots`` builds the
-gates once per node and passes the engine tiles of at most 2^14 / d
-states, so that a step's arrays stay in cache.  Measured on a
-shared 2-core x86-64 host with one BLAS thread, on one tile of states copied
-from one broadcast vector in C order, with 4-8 terms at d <= 8 (N = 300 and
-3000, medians of 7) and 17 at d >= 16 (there also on 176 states), in
-ns/gate; the table at d = 8 is no longer built:
+per step) whatever the number of terms.  Each gate is written
+cos (I + (coef / cos) P_j), so a step adds the tan-scaled gather to the
+state, and the factor cos goes back in as cos^k once at the end, or once
+per stride of k steps where |cos|^-N would pass 2^64.  At d <= 4
+(``_auto_group``) runs of consecutive steps are first folded into a table
+of dense step products, built once per engine call, so once per tile:
+``sample_shots`` builds the gates once per node and passes the engine
+tiles of at most 2^14 / d states, so that a step's arrays stay in cache.
+Measured on a shared 2-core x86-64 host with one BLAS thread, on one tile
+of states copied from one broadcast vector in C order, with 4-8 terms at
+d <= 8 (N = 300 and 3000) and 17 at d >= 16 (there also on 176 states),
+in ns/gate, interleaved medians of 7; the table at d = 8 is no longer
+built, and the table row dates from before cos was folded out of the
+Pauli steps:
 
     d          4        8        16        32         64
     table    21-32    67-91        -         -          -
-    Pauli    29-45    47-61     96-149   143-198    363-372
+    Pauli    22-35    45-46     69-83    121-136    231-252
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
@@ -62,6 +67,7 @@ shot's outcome does not depend on the order or batching of the others.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
@@ -478,10 +484,13 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     """Evolve a batch of states, each under its own index sequence.
 
     psis: (B, d), gates: the step's Pauli rotations over L terms, indices:
-    (B, N) in [0, L).  Each step is one batched gather plus an axpy.  At
-    d <= 4 consecutive steps are first folded into a product table, built
-    once per call; the grouping is fixed by (L, d, N), so results stay
-    deterministic for given indices.
+    (B, N) in [0, L).  Each step is a gather and an axpy: the gate is
+    cos (I + (coef / cos) P_j), so a step adds (coef / cos) psi[perm] to
+    psi, and the factor cos goes back in as one multiply by cos^k per
+    stride of k steps (``_fold_stride``).  At d <= 4 consecutive steps are
+    first folded into a product table, built once per call; the grouping is
+    fixed by (L, d, N), so results stay deterministic for given indices.
+    Gates with cos = 0 cannot be folded and are refused.
     """
     # C order: a broadcast or Fortran-ordered input would otherwise stay
     # strided, and every step's flat gather would copy the whole batch
@@ -490,6 +499,8 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     B, N = indices.shape
     if indices.size and not 0 <= indices.min() <= indices.max() < L:
         raise ValueError(f"term indices must lie in [0, {L})")
+    if gates.cos == 0:
+        raise ValueError("gates with cos 0 cannot be folded into tan-scaled steps")
     group = _auto_group(L, d, N)
     start = 0
     # Indices are range-checked above, so "clip" only skips take's bounds
@@ -515,18 +526,34 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     src = np.empty((B, d), dtype=np.intp)
     gathered = np.empty_like(out)
     coef = np.empty_like(out)
-    take_perm, take_coef, take_amps = gates.perm.take, gates.coef.take, out.take
-    multiply, add, cos = np.multiply, np.add, gates.cos
-    for i in range(start, N):
-        col = indices[:, i]
-        take_perm(col, axis=0, out=src, mode="clip")
-        add(src, offsets, out=src)
-        take_amps(src, out=gathered, mode="clip")
-        take_coef(col, axis=0, out=coef, mode="clip")
-        multiply(gathered, coef, out=gathered)
-        multiply(out, cos, out=out)
-        add(out, gathered, out=out)
+    cos = gates.cos
+    take_perm, take_coef, take_amps = gates.perm.take, (gates.coef / cos).take, out.take
+    multiply, add = np.multiply, np.add
+    stride = _fold_stride(cos, N - start)
+    for first in range(start, N, stride):
+        last = min(first + stride, N)
+        for i in range(first, last):
+            col = indices[:, i]
+            take_perm(col, axis=0, out=src, mode="clip")
+            add(src, offsets, out=src)
+            take_amps(src, out=gathered, mode="clip")
+            take_coef(col, axis=0, out=coef, mode="clip")
+            multiply(gathered, coef, out=gathered)
+            add(out, gathered, out=out)
+        multiply(out, cos ** (last - first), out=out)
     return out
+
+
+def _fold_stride(cos: float, steps: int) -> int:
+    """Steps between the multiplies by cos^k that undo the folding of cos
+    out of each gate.  Each folded step can grow a state by up to 1 / |cos|:
+    all ``steps`` at once when |cos|^-steps <= 2^64, else strides of
+    k = floor(44 / -ln|cos|), which grow it by at most e^44 < 2^64, so no
+    state overflows; a stride is at least one step."""
+    decay = -math.log(abs(cos))
+    if decay * steps <= 64 * math.log(2):
+        return steps
+    return max(int(44 / decay), 1)
 
 
 class ObservableMeasurer:
@@ -546,14 +573,22 @@ class ObservableMeasurer:
         self.shape = V.shape   # the observable's, so np.shape reads it
 
     def sample_batch(self, psis, uniforms) -> np.ndarray:
-        """One outcome per row of psis, driven by one uniform per row."""
+        """One outcome per row of psis, driven by one uniform per row.
+        Raises ArithmeticError for a row whose total probability is not
+        finite and positive, a NaN or zero state, which has no outcome."""
         psis = np.asarray(psis, dtype=complex)
         probs = np.stack(
             [np.sum(np.abs(psis @ block.conj()) ** 2, axis=1) for block in self._blocks],
             axis=1,
         )
         cum = np.cumsum(probs, axis=1)
-        cum /= cum[:, -1:]
+        total = cum[:, -1]
+        bad = ~((0 < total) & (total < np.inf))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ArithmeticError(f"state {row} has total probability {float(total[row])!r}, "
+                                  "not finite and positive; it cannot be measured")
+        cum /= total[:, None]
         idx = np.sum(cum <= uniforms[:, None], axis=1)
         idx = np.minimum(idx, self.values.size - 1)
         return self.values[idx]

@@ -567,6 +567,32 @@ class TestBatchEvolution:
         with pytest.raises(ValueError):
             evolve_indexed_batch(psi0[None, :], H.pauli_rotations(0.1), np.array([[0, 2]]))
 
+    def test_strided_rescale_keeps_states_finite(self, rng):
+        # |cos 1.5| ~ 0.071, so the folded steps grow a state by
+        # |cos|^-400 ~ e^1060, which a double cannot hold: the factor cos
+        # must go back in every few steps, not only at the end
+        H = parse_hamiltonian(HEISENBERG_CHAIN_5)
+        angle, B, N = 1.5, 8, 400
+        psis = rng.normal(size=(B, H.dim)) + 1j * rng.normal(size=(B, H.dim))
+        psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+        indices = rng.integers(0, len(H), size=(B, N)).astype(np.uint8)
+        finals = evolve_indexed_batch(psis, H.pauli_rotations(angle), indices)
+        assert np.isfinite(finals).all()
+        assert np.abs(np.linalg.norm(finals, axis=1) - 1.0).max() <= 1e-12
+        U = [unitary_exp(term.dense(), angle) for term in H.terms]
+        for b in range(B):
+            psi = psis[b]
+            for j in indices[b]:
+                psi = U[j] @ psi
+            assert np.abs(finals[b] - psi).max() <= 1e-11
+
+    def test_rejects_gates_with_cos_zero(self, one_qubit):
+        H, _, psi0 = one_qubit
+        quarter_turn = H.pauli_rotations(np.pi / 2)
+        gates = PauliRotations(cos=0.0, perm=quarter_turn.perm, coef=quarter_turn.coef)
+        with pytest.raises(ValueError, match="cos 0"):
+            evolve_indexed_batch(psi0[None, :], gates, np.array([[0, 1]]))
+
 
 @st.composite
 def pauli_sums(draw, max_qubits, min_qubits=1):
@@ -713,8 +739,10 @@ def test_pinned_chain_outcomes(mixed, digest):
 def dyadic_rotations(H):
     """H's Pauli gates with cos 3/4 and sin 1/2 in place of a step angle's:
     every gate entry and every product of gates is then exact, so the bits
-    of an evolution depend on the engine's own arithmetic alone, not on the
-    host's sin, cos or BLAS."""
+    of an evolution depend on the engine's own arithmetic, not on the host's
+    sin, cos or BLAS.  The Pauli steps divide coef by cos and put cos back
+    as 0.75^k once per stride, so their bits also rest on the C library's
+    pow."""
     quarter_turn = H.pauli_rotations(np.pi / 2)   # coef -i sign_j times the phases
     return PauliRotations(cos=0.75, perm=quarter_turn.perm, coef=0.5 * quarter_turn.coef)
 
@@ -723,22 +751,30 @@ def dyadic_rotations(H):
     # Pauli gates at d = 32, with the batch and step count of shot_heis5's
     # coarse node
     (HEISENBERG_CHAIN_5, 176, 673, 11, 1,
-     "0caae577f948bab4c2ca1e18f74007f47dc31d539efa29c5c2f1b38e76bf4054"),
+     "031adb85fc29fdc56abe1930765bbc0753a28ca7849c967e18aa7aab6f312b5a"),
     # the product table of 6 steps at d = 4, and 1015 = 6 * 169 + 1 leaves
     # one Pauli step
     (TWO_QUBIT_TEXT, 256, 1015, 12, 6,
-     "b2d3da67a069b9c22c1a31c50768648711308f026f436dc237760848c8a66ac7"),
+     "2364d382c0014522a19774a7f49321871b23dfcf22bc39eff1cda2ed62931702"),
 ], ids=["pauli-d32", "table-d4"])
 def test_pinned_engine_states(text, B, N, seed, group, digest):
     # sha256 of the final states' bytes, from the sampler's term draws and
-    # its broadcast initial state
+    # its broadcast initial state; the states also match the same gates'
+    # dense products applied one step at a time
     H = parse_hamiltonian(text)
     assert channel._auto_group(len(H), H.dim, N) == group
     indices = np.stack([H.sample_terms(substream(seed, 0, b), N) for b in range(B)])
     psi0 = np.eye(H.dim, dtype=complex)[0]
-    finals = evolve_indexed_batch(np.broadcast_to(psi0, (B, H.dim)), dyadic_rotations(H),
+    gates = dyadic_rotations(H)
+    finals = evolve_indexed_batch(np.broadcast_to(psi0, (B, H.dim)), gates,
                                   indices.astype(np.uint8))
     assert hashlib.sha256(finals.tobytes()).hexdigest() == digest
+    U = gates.dense()
+    psis = np.tile(psi0, (B, 1))
+    for i in range(N):
+        psis = np.einsum("bij,bj->bi", U[indices[:, i]], psis)
+    scale = np.linalg.norm(psis, axis=1)
+    assert np.all(np.abs(finals - psis).max(axis=1) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -779,6 +815,13 @@ class TestMeasurement:
         mean_true = 0.7 * 2.0 + 0.3 * (-1.0)
         se = np.std(vals, ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - mean_true) <= 4 * se
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0], [0, 0]], ids=["nan", "zero"])
+    def test_unmeasurable_state_is_refused(self, bad):
+        # such a row once measured as the lowest eigenvalue, with no warning
+        psis = np.array([bad, [0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(ArithmeticError, match="state 0"):
+            ObservableMeasurer(Z).sample_batch(psis, np.full(3, 0.5))
 
 
 class TestNegativeCoefficients:

@@ -170,6 +170,14 @@ class TestQdrift:
         assert code == 3
         assert message in err
 
+    def test_unmeasurable_states_exit_3(self, ham_file, obs_file, capsys, monkeypatch):
+        monkeypatch.setattr(channel, "evolve_indexed_batch",
+                            lambda psis, gates, indices: np.full(psis.shape, np.nan + 0j))
+        code, out, err = run_cli(self._argv(ham_file, obs_file), capsys)
+        assert code == 3
+        assert out == ""
+        assert "not finite and positive" in err
+
     def test_default_state_is_all_zeros(self, ham_file, obs_file, tmp_path, capsys):
         json_path = tmp_path / "q.json"
         argv = self._argv(ham_file, obs_file) + ["--json", str(json_path)]
