@@ -717,6 +717,64 @@ def test_shot_outcomes_follow_exact_distribution():
     assert chi2.sf(statistic, p.size - 1) >= 1e-3
 
 
+THREE_QUBIT_WITH_Y = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n-0.2 ZXY\n0.6 XII\n"
+CHAIN5_FIELDS = "1.0 ZIIII\n0.5 IZIII\n0.25 IIZII\n"
+# 171 terms whose cumulative probabilities fall alternately just above and
+# just below edges of the sampler's 256 guide buckets, so that the lifts,
+# not the bucket, decide a third of the draws between X and Z
+GUIDE_EDGES = "".join(f"{1 / 256 + 1e-5!r} X\n{2 / 256 - 1e-5 - 1e-7!r} Z\n"
+                      for _ in range(85)) + f"{1 / 256 + 85e-7!r} Z\n"
+ORACLE_CASES = {
+    # id: (H, observable text or None for a random one, state rank, T, step counts, row)
+    # N = 31 and 41 leave one Pauli step after the 6-step table products
+    "d2-table": ("0.6 X\n0.4 Z\n", "1.0 Z", 1, 1.0, [31], 0),
+    "d4-table": (TWO_QUBIT_TEXT, None, 1, 1.0, [41], 0),
+    "d8-pauli": (THREE_QUBIT_WITH_Y, None, 1, 1.5, [25], 0),
+    "d32-pauli": (HEISENBERG_CHAIN_5, CHAIN5_FIELDS, 1, 1.0, [30], 0),
+    # lam T / N = 1.5: |cos|^-400 overflows a double, so cos goes back in strides
+    "d32-strided": (HEISENBERG_CHAIN_5, CHAIN5_FIELDS, 1, 400 * 1.5 / 14.5, [400], 0),
+    "rank3-d8": (THREE_QUBIT_WITH_Y, None, 3, 1.2, [20], 0),
+    "guide-lifts": (GUIDE_EDGES, "1.0 Z", 1, 1.0, [20], 0),
+    # 2-step table products and one Pauli step at N = 9
+    "row2-d4": (TWO_QUBIT_TEXT, None, 1, 1.0, [50, 20, 9], 2),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=list(ORACLE_CASES))
+def test_shot_counts_follow_the_exact_channel(case):
+    # The law of sample_shots' outcomes on every engine path: counts of each
+    # outcome against p_k = tr[Pi_k E^N(rho0)] from node_values_exact, Pi_k
+    # the measurer's eigenprojectors.  An exact binomial test for two
+    # outcomes, else chi-square; fixed seeds, and a Bonferroni threshold
+    # over the cases, keep it deterministic.
+    from scipy.stats import binomtest, chi2
+
+    text, obs, rank, T, counts, row = ORACLE_CASES[case]
+    H = parse_hamiltonian(text)
+    seed = 100 + list(ORACLE_CASES).index(case)
+    rho0, A = state_and_observable(H.dim, False, seed)
+    if obs is not None:
+        A = parse_hamiltonian(obs).dense()
+    if rank > 1:
+        M = np.random.default_rng(seed).normal(size=(H.dim, rank)) * (1 + 1j)
+        rho0 = M @ M.conj().T / np.trace(M @ M.conj().T).real
+        assert np.linalg.matrix_rank(rho0) == rank
+    state = rho0 if rank > 1 else np.linalg.eigh(rho0)[1][:, -1]
+    shots = 20000
+    measurer = ObservableMeasurer(A)
+    p = np.array([node_values_exact(H, V @ V.conj().T, rho0, T, counts)[row]
+                  for V in measurer._blocks])
+    assert abs(p.sum() - 1.0) <= 1e-12 and p.min() * shots >= 5
+    outcomes = sample_shots(H, measurer, state, T, counts, shots, seed=seed)[row]
+    hits = np.array([np.sum(outcomes == v) for v in measurer.values])
+    assert hits.sum() == shots
+    if p.size == 2:
+        pvalue = binomtest(int(hits[0]), shots, p[0]).pvalue
+    else:
+        pvalue = chi2.sf(np.sum((hits - shots * p) ** 2 / (shots * p)), p.size - 1)
+    assert pvalue >= 1e-3 / len(ORACLE_CASES)
+
+
 @pytest.mark.parametrize("mixed, digest", [
     (False, "5445511aaf20648c1c27f86bafeec946c7e56176e86829e27c39fee166329078"),
     (True, "d771f0688cd9cae2cb51ee374acbdef69800fd1bbe211f9bf64235cca69e4d6a"),
