@@ -61,8 +61,14 @@ Pauli steps:
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
-spawn keys.  Shot k of node j draws from substream(seed, j, k) alone, so a
-shot's outcome does not depend on the order or batching of the others.
+spawn keys.  Node j draws from the one stream substream(seed, j), and its
+shot k reads uniforms [k (N + 2), (k + 1) (N + 2)) of it, so a shot's
+outcome does not depend on how the others are tiled or drawn.  PCG64 jumps
+ahead in O(log n) (O'Neill, HMC-CS-2014-0905; ``PCG64.advance``), so a
+fresh stream advanced by k (N + 2) replays shot k alone.  The sampler
+draws each tile's rows as slabs of at most TILE_AMPLITUDES uniforms, 128
+KiB, and looks up a whole slab's terms in one call; a row longer than that
+is drawn alone.
 """
 
 from __future__ import annotations
@@ -86,7 +92,8 @@ _GROUP_TABLE_CAP = 4096
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for (seed, path) via SeedSequence spawn keys."""
+    """Independent generator for (seed, path) via SeedSequence spawn keys:
+    substream(seed, j) is the stream of node j of ``sample_shots``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
 
 
@@ -487,10 +494,13 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     (B, N) in [0, L).  Each step is a gather and an axpy: the gate is
     cos (I + (coef / cos) P_j), so a step adds (coef / cos) psi[perm] to
     psi, and the factor cos goes back in as one multiply by cos^k per
-    stride of k steps (``_fold_stride``).  At d <= 4 consecutive steps are
-    first folded into a product table, built once per call; the grouping is
-    fixed by (L, d, N), so results stay deterministic for given indices.
-    Gates with cos = 0 cannot be folded and are refused.
+    stride of k steps (``_fold_stride``).  The Pauli steps read their term
+    indices through one (K, B) intp buffer, K = TILE_AMPLITUDES // B,
+    refilled once per K steps, so that a step's gathers take a contiguous
+    intp row and do not convert a strided column of ``indices``.  At d <= 4
+    consecutive steps are first folded into a product table, built once per
+    call; the grouping is fixed by (L, d, N), so results stay deterministic
+    for given indices.  Gates with cos = 0 cannot be folded and are refused.
     """
     # C order: a broadcast or Fortran-ordered input would otherwise stay
     # strided, and every step's flat gather would copy the whole batch
@@ -526,20 +536,25 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     src = np.empty((B, d), dtype=np.intp)
     gathered = np.empty_like(out)
     coef = np.empty_like(out)
+    # the index columns of up to K steps, copied as contiguous intp rows, so
+    # that each take reads its indices without a cast of a strided column
+    columns = np.empty((max(1, min(TILE_AMPLITUDES // max(B, 1), N - start)), B), dtype=np.intp)
     cos = gates.cos
     take_perm, take_coef, take_amps = gates.perm.take, (gates.coef / cos).take, out.take
     multiply, add = np.multiply, np.add
     stride = _fold_stride(cos, N - start)
     for first in range(start, N, stride):
         last = min(first + stride, N)
-        for i in range(first, last):
-            col = indices[:, i]
-            take_perm(col, axis=0, out=src, mode="clip")
-            add(src, offsets, out=src)
-            take_amps(src, out=gathered, mode="clip")
-            take_coef(col, axis=0, out=coef, mode="clip")
-            multiply(gathered, coef, out=gathered)
-            add(out, gathered, out=out)
+        for block in range(first, last, len(columns)):
+            cols = columns[:last - block]
+            cols[...] = indices[:, block:block + len(cols)].T
+            for col in cols:
+                take_perm(col, axis=0, out=src, mode="clip")
+                add(src, offsets, out=src)
+                take_amps(src, out=gathered, mode="clip")
+                take_coef(col, axis=0, out=coef, mode="clip")
+                multiply(gathered, coef, out=gathered)
+                add(out, gathered, out=out)
         multiply(out, cos ** (last - first), out=out)
     return out
 
@@ -615,13 +630,16 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_c
     Hermitian matrix or its ``ObservableMeasurer``.  The measurer, the state's
     check and its eigen-ensemble are built once per call, the gates per row.
 
-    Shot k of row j draws from substream(seed, j, k) in a fixed order: the
-    measurement uniform, the initial-state uniform, which picks a member of
-    the ensemble (a unit vector has one), then the N term uniforms; a
-    repeated N is drawn again on its own streams.  Each row's shots are
-    evolved in tiles of ``shot_chunk(L, N, d)`` consecutive shots, at most
-    2^14 / d, so that each tile's states stay in cache; as every shot has its
-    own substream, the tiling does not change any outcome.
+    Row j draws from the one stream substream(seed, j), and shot k reads its
+    uniforms [k (N + 2), (k + 1) (N + 2)) in a fixed order: the measurement
+    uniform, the initial-state uniform, which picks a member of the ensemble
+    (a unit vector has one), then the N term uniforms; a repeated N is drawn
+    again on its own stream.  Each row's shots are evolved in tiles of
+    ``shot_chunk(L, N, d)`` consecutive shots, at most 2^14 / d, so that each
+    tile's states stay in cache.  A tile draws its rows as (R, N + 2) slabs,
+    R = max(1, TILE_AMPLITUDES // (N + 2)), and looks up each slab's terms in
+    one ``lookup_terms`` call.  As each shot's uniforms sit at a fixed offset
+    of its row's stream, neither the tiling nor the slabs change any outcome.
     """
     counts = _step_counts(step_counts)
     if shots < 1:
@@ -647,17 +665,18 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_c
     for node, (N, angle) in enumerate(zip(counts, angles)):
         gates = H.pauli_rotations(float(angle))
         chunk = shot_chunk(len(H), N, H.dim)
+        rows = max(1, TILE_AMPLITUDES // (N + 2))   # one slab's rows of N + 2 uniforms
+        rng = substream(seed, node)
         for start in range(0, shots, chunk):
             stop = min(start + chunk, shots)
             B = stop - start
             indices = np.empty((B, N), dtype=index_type)
-            u_meas, u_init = np.empty(B), np.empty(B)
-            for b in range(B):
-                rng = substream(seed, node, start + b)
-                u_meas[b] = rng.random()
-                u_init[b] = rng.random()
-                indices[b] = H.sample_terms(rng, N)
-            choice = np.minimum(np.sum(pop_cdf[None, :] <= u_init[:, None], axis=1), pops.size - 1)
+            heads = np.empty((B, 2))   # the measurement and initial-state uniforms
+            for first in range(0, B, rows):
+                slab = rng.random((min(rows, B - first), N + 2))
+                heads[first:first + len(slab)] = slab[:, :2]
+                indices[first:first + len(slab)] = H.lookup_terms(slab[:, 2:])
+            choice = np.minimum(np.sum(pop_cdf[None, :] <= heads[:, 1:], axis=1), pops.size - 1)
             finals = evolve_indexed_batch(basis.T[choice], gates, indices)
-            values[node, start:stop] = measurer.sample_batch(finals, u_meas)
+            values[node, start:stop] = measurer.sample_batch(finals, heads[:, 0])
     return values

@@ -202,8 +202,12 @@ class HamiltonianDecomposition:
 
     def sample_terms(self, rng, count: int) -> np.ndarray:
         """Draw ``count`` indices, index j with probability p_j = h_j / lambda,
-        from one ``rng.random(count)``: each uniform u maps to the number of
-        cumulative probabilities c_j <= u, exactly as
+        from one ``rng.random(count)``, through ``lookup_terms``."""
+        return self.lookup_terms(rng.random(count))
+
+    def lookup_terms(self, u) -> np.ndarray:
+        """The term index of each uniform in u, an array of any shape: the
+        number of cumulative probabilities c_j <= u, exactly as
         ``searchsorted(cdf, u, side="right")``.
 
         The guide-table method (Chen and Asau, AIIE Trans. 6, 1974; Devroye,
@@ -212,7 +216,6 @@ class HamiltonianDecomposition:
         at the right answer or within a span of it, and a fixed sequence of
         branch-free lifts, at most bit_length(L) deep, closes the span.
         """
-        u = rng.random(count)
         idx = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
         for step in self._lifts:
             # c[idx + step - 1] <= u: the step stays at or below the answer

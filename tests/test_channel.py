@@ -303,6 +303,18 @@ def evolve(psi0, H, indices, t):
                                 np.asarray(indices)[None, :])[0]
 
 
+def replayed_shot(H, measurer, psi0, T, N, seed, node, k):
+    """Shot k of node j rebuilt alone: a fresh substream(seed, j) advanced by
+    k (N + 2), then the measurement uniform, the initial-state uniform and
+    the N term uniforms."""
+    rng = substream(seed, node)
+    rng.bit_generator.advance(k * (N + 2))
+    u_meas = rng.random()
+    rng.random()
+    psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
+    return measurer.sample_batch(psi[None, :], np.array([u_meas]))[0]
+
+
 class TestTrajectories:
     def test_deterministic_for_seed(self, one_qubit):
         H, A, psi0 = one_qubit
@@ -362,24 +374,21 @@ class TestTrajectories:
         # Monte Carlo error ~ 1/sqrt(runs)
         assert np.abs(acc - exact).max() <= 5.0 / np.sqrt(runs)
 
-    def test_shot_draw_layout(self, two_qubit):
-        # shot k of node j: measurement uniform, initial-state uniform, then
-        # the N term uniforms, all from substream(seed, j, k)
+    def test_shot_draw_layout(self, two_qubit, monkeypatch):
+        # 12 shots in tiles of 10 and 2, drawn in slabs of 3 rows of 11
+        # uniforms: every shot, on either side of a tile or slab boundary,
+        # replays its own uniforms of node 2's stream
         H, A, psi0 = two_qubit
         T, N, seed, node = 0.7, 9, 31, 2
+        monkeypatch.setattr(channel, "TILE_AMPLITUDES", 40)
+        assert channel.shot_chunk(len(H), N, H.dim) == 10 and 40 // (N + 2) == 3
         measurer = ObservableMeasurer(A)
-        expected = []
-        for k in range(12):
-            rng = substream(seed, node, k)
-            u_meas = rng.random()
-            rng.random()
-            psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
-            expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
+        expected = [replayed_shot(H, measurer, psi0, T, N, seed, node, k) for k in range(12)]
         assert sample_shots(H, A, psi0, T, [N] * (node + 1), 12, seed)[node].tolist() == expected
 
     def test_many_terms_keep_indices_in_two_bytes(self, monkeypatch):
         # 300 terms on 5 qubits: each index row is uint16, and every shot is
-        # still the replay of its own substream's draws
+        # still the replay of its own uniforms of its node's stream
         paulis = [np.base_repr(k, 4).zfill(5).translate(str.maketrans("0123", "IXYZ"))
                   for k in range(1, 301)]
         H = parse_hamiltonian("".join(f"{(-1) ** k * (0.2 + k % 7 / 10):.1f} {p}\n"
@@ -394,33 +403,21 @@ class TestTrajectories:
         outcomes = sample_shots(H, A, psi0, T, [N] * (node + 1), shots, seed)[node]
         assert dtypes == [np.uint16] * (node + 1)
         measurer = ObservableMeasurer(A)
-        expected = []
-        for k in range(shots):
-            rng = substream(seed, node, k)
-            u_meas = rng.random()
-            rng.random()
-            psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
-            expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
+        expected = [replayed_shot(H, measurer, psi0, T, N, seed, node, k) for k in range(shots)]
         assert outcomes.tolist() == expected
 
 
     @pytest.mark.parametrize("counts", [[9, 4, 2], [5, 5, 3, 5]], ids=["distinct", "repeated"])
     def test_rows_replay_their_node_streams(self, two_qubit, counts):
-        # row j is node j, whose shot k replays substream(seed, j, k); a
-        # repeated N is sampled again on its own streams
+        # row j is node j, whose shot k replays uniforms [k (N + 2), (k + 1) (N + 2))
+        # of substream(seed, j); a repeated N is sampled again on its own stream
         H, A, psi0 = two_qubit
         T, shots, seed = 0.7, 6, 31
         measurer = ObservableMeasurer(A)
         outcomes = sample_shots(H, A, psi0, T, counts, shots, seed)
         assert outcomes.shape == (len(counts), shots)
         for j, N in enumerate(counts):
-            expected = []
-            for k in range(shots):
-                rng = substream(seed, j, k)
-                u_meas = rng.random()
-                rng.random()
-                psi = evolve(psi0, H, H.sample_terms(rng, N), T / N)
-                expected.append(measurer.sample_batch(psi[None, :], np.array([u_meas]))[0])
+            expected = [replayed_shot(H, measurer, psi0, T, N, seed, j, k) for k in range(shots)]
             assert outcomes[j].tolist() == expected
 
     @pytest.mark.parametrize("counts", [[], [0], [5, 0, 3], [-2], [2.5], [3, 1.5]])
@@ -776,9 +773,9 @@ def test_shot_counts_follow_the_exact_channel(case):
 
 
 @pytest.mark.parametrize("mixed, digest", [
-    (False, "5445511aaf20648c1c27f86bafeec946c7e56176e86829e27c39fee166329078"),
-    (True, "d771f0688cd9cae2cb51ee374acbdef69800fd1bbe211f9bf64235cca69e4d6a"),
-])
+    (False, "ab7de94e2983e7779bbf68112b5d7ea0a4986f00ff91beb5555152bdb991f182"),
+    (True, "92c50a095d5a84950d95a339a9d81bfbf236b539dc397f30ffa3837dc7834562"),
+], ids=["False", "True"])
 def test_pinned_chain_outcomes(mixed, digest):
     # 5000 shots of 200 steps on the 5-qubit chain, in ten tiles, through
     # a random observable with 32 distinct eigenvalues.  The outcomes are
@@ -850,6 +847,25 @@ def test_tiles_give_the_same_outcomes(mixed, monkeypatch):
     whole = sample_shots(H, measurer, state, 1.0, [60] * 3, 700, seed=3)[2]
     assert len(set(tiled)) > 10
     assert tiled.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("text, N", [(TWO_QUBIT_TEXT, 100), (HEISENBERG_CHAIN_5, 200)],
+                         ids=["d4-table", "d32-pauli"])
+def test_slabs_give_the_same_outcomes(text, N, monkeypatch):
+    # 300 shots at two nodes from a mixed state, drawn in the default tiles
+    # and slabs, then in slabs of one row (tiles of 37 and 9 shots), then as
+    # one tile drawn as one slab
+    H = parse_hamiltonian(text)
+    rho0, A = state_and_observable(H.dim, True, 8)
+    measurer = ObservableMeasurer(A)
+    shots = 300
+    outcomes = []
+    for amplitudes in (channel.TILE_AMPLITUDES, 3 * N // 2, shots * (N + 2) * H.dim):
+        monkeypatch.setattr(channel, "TILE_AMPLITUDES", amplitudes)
+        outcomes.append(sample_shots(H, measurer, rho0, 1.0, [N, N // 3], shots, seed=4))
+    assert 3 * N // 2 // (N + 2) == 1
+    assert len(set(outcomes[0][0])) > 2
+    assert outcomes[1].tobytes() == outcomes[0].tobytes() == outcomes[2].tobytes()
 
 
 class TestMeasurement:

@@ -131,7 +131,7 @@ class TestQdrift:
         # pinned under the shot layout the pipeline's nodes use
         code, out, _ = run_cli(self._three_qubit_argv(tmp_path, "0.8", 30, 24), capsys)
         assert code == 0
-        values = "-1 1 1 1 1 -1 1 -1 -1 -1 1 -1 -1 1 1 1 1 -1 -1 -1 -1 -1 -1 1".split()
+        values = "-1 1 1 -1 -1 -1 -1 1 -1 -1 1 -1 -1 -1 -1 -1 1 1 -1 1 -1 -1 -1 -1".split()
         assert out == "shot,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values))
 
     @pytest.mark.parametrize("time,steps", [("0.8", 30), ("1.0", 49), ("0.1", 95)])
