@@ -536,8 +536,6 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     src = np.empty((B, d), dtype=np.intp)
     gathered = np.empty_like(out)
     coef = np.empty_like(out)
-    # the index columns of up to K steps, copied as contiguous intp rows, so
-    # that each take reads its indices without a cast of a strided column
     columns = np.empty((max(1, min(TILE_AMPLITUDES // max(B, 1), N - start)), B), dtype=np.intp)
     cos = gates.cos
     take_perm, take_coef, take_amps = gates.perm.take, (gates.coef / cos).take, out.take
@@ -622,6 +620,21 @@ def shot_chunk(L: int, N: int, d: int) -> int:
     return max(1, min(TILE_AMPLITUDES // d, CHUNK_INDEX_BYTES // max(row_bytes, 1)))
 
 
+def _draw_tile(H: HamiltonianDecomposition, rng, B: int, N: int, index_type):
+    """The next B shots of N steps from rng: their measurement and
+    initial-state uniforms, (B, 2), and their term indices, (B, N), drawn as
+    (R, N + 2) slabs of at most TILE_AMPLITUDES uniforms, each looked up in
+    one call.  Returning frees the last slab before the tile is evolved."""
+    rows = max(1, TILE_AMPLITUDES // (N + 2))
+    heads = np.empty((B, 2))
+    indices = np.empty((B, N), dtype=index_type)
+    for first in range(0, B, rows):
+        slab = rng.random((min(rows, B - first), N + 2))
+        heads[first:first + len(slab)] = slab[:, :2]
+        indices[first:first + len(slab)] = H.lookup_terms(slab[:, 2:])
+    return heads, indices
+
+
 def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_counts,
                  shots: int, seed: int) -> np.ndarray:
     """(len(step_counts), shots) outcomes: row j holds one measured outcome of
@@ -636,10 +649,9 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_c
     (a unit vector has one), then the N term uniforms; a repeated N is drawn
     again on its own stream.  Each row's shots are evolved in tiles of
     ``shot_chunk(L, N, d)`` consecutive shots, at most 2^14 / d, so that each
-    tile's states stay in cache.  A tile draws its rows as (R, N + 2) slabs,
-    R = max(1, TILE_AMPLITUDES // (N + 2)), and looks up each slab's terms in
-    one ``lookup_terms`` call.  As each shot's uniforms sit at a fixed offset
-    of its row's stream, neither the tiling nor the slabs change any outcome.
+    tile's states stay in cache, and each tile is drawn in slabs of rows
+    (``_draw_tile``).  As each shot's uniforms sit at a fixed offset of its
+    row's stream, neither the tiling nor the slabs change any outcome.
     """
     counts = _step_counts(step_counts)
     if shots < 1:
@@ -665,18 +677,12 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_c
     for node, (N, angle) in enumerate(zip(counts, angles)):
         gates = H.pauli_rotations(float(angle))
         chunk = shot_chunk(len(H), N, H.dim)
-        rows = max(1, TILE_AMPLITUDES // (N + 2))   # one slab's rows of N + 2 uniforms
         rng = substream(seed, node)
         for start in range(0, shots, chunk):
             stop = min(start + chunk, shots)
-            B = stop - start
-            indices = np.empty((B, N), dtype=index_type)
-            heads = np.empty((B, 2))   # the measurement and initial-state uniforms
-            for first in range(0, B, rows):
-                slab = rng.random((min(rows, B - first), N + 2))
-                heads[first:first + len(slab)] = slab[:, :2]
-                indices[first:first + len(slab)] = H.lookup_terms(slab[:, 2:])
+            heads, indices = _draw_tile(H, rng, stop - start, N, index_type)
             choice = np.minimum(np.sum(pop_cdf[None, :] <= heads[:, 1:], axis=1), pops.size - 1)
             finals = evolve_indexed_batch(basis.T[choice], gates, indices)
+            del indices   # not held while the next tile is drawn
             values[node, start:stop] = measurer.sample_batch(finals, heads[:, 0])
     return values

@@ -201,6 +201,9 @@ def test_sampler_matches_binary_search(kind, L, seed):
     draws = H.sample_terms(rng, u.size)
     assert rng.calls == 1
     assert np.array_equal(draws, np.searchsorted(cdf, u, side="right"))
+    # the lookup alone, on a 2-D view with a negative stride, as on a slab
+    assert np.array_equal(H.lookup_terms(np.stack([u, u])[:, ::-1]),
+                          np.stack([draws, draws])[:, ::-1])
     assert len(H._lifts) <= L.bit_length()
 
 
