@@ -21,17 +21,16 @@ The generator analysis eigensolves per sector; the powering below stays on
 the cosets.  None of these tables depends on the step time: each
 Hamiltonian builds its term action (``_pauli_action``), its cosets and its
 gate gathers once, on first use, and keeps them read-only while it lives
-(``HamiltonianDecomposition.derived``).  The term action, (L, d^2) int64
-targets and int8 signs, is the largest: 157 KB at 5 qubits, 17 MB at 8 and
-350 MB at 10 on the Heisenberg chain.  Only exact-channel and generator
-calls build it, and each of those already holds more than that at its peak.
+(``HamiltonianDecomposition.derived``).  The term action, (L, d^2) int8
+signs, is the largest: 17 KB at 5 qubits, 1.9 MB at 8 and 39 MB at 10 on
+the Heisenberg chain.
 
 Exact node values tr[A E^N(rho0)] (``node_values_exact``, one call for all
 nodes of a run) are a . v for real Pauli vectors from the O(d^3) transform
 ``_pauli_coefficients``.  Up to SUPEROP_QUBIT_CAP qubits v = R^N v0 comes
 from one square-and-multiply, Delta <- 2 Delta + Delta^2, over the stacked
 (node x coset) blocks, at O(L d^2 + (d^6 / C^2) log N) per node for C
-cosets; above it each node steps v N times with no matrix, at O(N L d^2).
+cosets; above it each node sums a binomial series, at O(lam T L d^2).
 On the two-qubit benchmark the powered values agree with 40-digit
 references to 2e-16 at N = 806 and N = 105345.
 
@@ -73,6 +72,7 @@ is drawn alone.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from typing import NamedTuple
@@ -115,19 +115,13 @@ def _product_phase(a, q, n: int) -> np.ndarray:
             - popcount((ax ^ x) & (az ^ z), n) + 2 * popcount(az & x, n)) % 4
 
 
-def _pauli_action(H: HamiltonianDecomposition):
-    """(target, sign), each (L, d^2), over Paulis q = x d + z.
-
-    Where term j anticommutes with sigma_q, -i s_j P_j sigma_q = sign[j, q]
-    sigma_{target[j, q]} with sign +-1 and target q ^ p_j; where they
-    commute, sign is 0; it is stored as int8.
-    """
-    p = _term_masks(H)[:, None]
-    q = np.arange(H.dim ** 2)
-    e = _product_phase(p, q, H.n_qubits)
+def _pauli_action(H: HamiltonianDecomposition) -> np.ndarray:
+    """(L, d^2) int8 signs over Paulis q = x d + z: where term j
+    anticommutes with sigma_q, -i s_j P_j sigma_q = sign[j, q] sigma_{q ^ p_j}
+    with sign +-1; where they commute, sign is 0."""
+    e = _product_phase(_term_masks(H)[:, None], np.arange(H.dim ** 2), H.n_qubits)
     # -i i^e for odd e; even e (commuting) gives no action
-    sign = np.array([0, 1, 0, -1], dtype=np.int8)[e] * H.signs[:, None]
-    return p ^ q, sign
+    return np.array([0, 1, 0, -1], dtype=np.int8)[e] * H.signs[:, None]
 
 
 def pauli_term_matrix(H: HamiltonianDecomposition, diag, off) -> np.ndarray:
@@ -141,11 +135,12 @@ def pauli_term_matrix(H: HamiltonianDecomposition, diag, off) -> np.ndarray:
         raise DimensionCapError(
             f"superoperator construction capped at {SUPEROP_QUBIT_CAP} qubits, got {H.n_qubits}"
         )
-    target, sign = H.derived(_pauli_action)
+    sign = H.derived(_pauli_action)
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     d2 = H.dim ** 2
     cols = np.arange(d2)
+    target = _term_masks(H)[:, None] ^ cols
     M = np.zeros(diag.shape[:-1] + (d2, d2))
     M[..., cols, cols] = diag @ np.abs(sign)
     for j in range(len(H)):
@@ -329,18 +324,32 @@ def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np
     so each squaring is Delta <- 2 Delta + Delta^2 and each set bit of N one
     v <- v + Delta v; the nodes with bits left stay a prefix of the stack,
     which is cut to them before each squaring.  Above the cap each node
-    steps N times with no matrix, v <- v + dv v + sum_j w_j v[target_j] over
-    ``_pauli_action``, with dv = diag @ |sign| and w_j = -off_j sign_j.
+    takes pieces of n steps, v <- sum_{k <= 27} C(n, k) Delta^k v: with n b
+    <= 2, b the largest row sum of |Delta|, term k is below 2^k / k!, so the
+    tail is below 2^-64 (none for n <= 27), and a node takes about lam T
+    pieces.  u[q ^ p_j] in Delta u is a flip of u, (2,) * 2n, over p_j's bits.
     """
     if H.n_qubits > SUPEROP_QUBIT_CAP:
-        target, sign = H.derived(_pauli_action)
-        out = np.repeat(v0[None], len(counts), axis=0)
-        for v, N in zip(out, counts):
+        m = 2 * H.n_qubits
+        sign = H.derived(_pauli_action).reshape((len(H),) + (2,) * m)
+        flips = [tuple(k for k in range(m) if p >> (m - 1 - k) & 1) for p in _term_masks(H)]
+        out = []
+        for N in counts:
             diag, off = _step_weights(H, T / N)
-            dv, w = diag @ np.abs(sign), -off[:, None] * sign
-            for _ in range(N):
-                v += dv * v + np.einsum("jq,jq->q", w, v[target])
-        return out
+            b = np.abs(off).sum() - diag.sum()   # sum_j p_j (2 sin^2 theta + |sin 2 theta|)
+            n = N if b * N <= 2.0 else max(1, int(2.0 / b))
+            dv = sum(d_j * (s != 0) for d_j, s in zip(diag, sign))
+            v = v0.reshape(sign.shape[1:])
+            for first in range(0, N, n):
+                piece = min(n, N - first)
+                term, v = v, v.copy()
+                for k in range(1, min(27, piece) + 1):
+                    term = dv * term - sum(w * s * np.flip(term, axes)
+                                           for w, s, axes in zip(off, sign, flips))
+                    term *= (piece - k + 1) / k
+                    v += term
+            out.append(v.reshape(-1))
+        return np.array(out)
     cosets = H.derived(pauli_cosets)
     delta = channel_delta(H, np.array([T / N for N in counts]))
     delta = delta[:, cosets[:, :, None], cosets[:, None, :]]
@@ -385,18 +394,20 @@ def _density_matrix(state) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _integer(value, least: int = 1, name: str = "N") -> int:
+    """``value`` as an int; ValueError unless ``operator.index`` takes it and it is >= least."""
+    with contextlib.suppress(TypeError):
+        if operator.index(value) >= least:
+            return operator.index(value)
+    raise ValueError(f"{name} must be >= {least} and an integer, got {value}")
+
+
 def _step_counts(step_counts) -> list:
-    """``step_counts`` as ints; ValueError unless there is at least one and
-    each is an integer, as ``operator.index`` takes one, and >= 1."""
-    counts = list(step_counts)
-    try:
-        counts = [operator.index(N) for N in counts]
-    except TypeError:
-        pass
-    else:
-        if counts and min(counts) >= 1:
-            return counts
-    raise ValueError(f"N must be >= 1 and an integer, got {counts}")
+    """``step_counts`` as ints, each by ``_integer``; ValueError for none."""
+    counts = [_integer(N) for N in step_counts]
+    if not counts:
+        raise ValueError("N must be >= 1 and an integer, got no step count")
+    return counts
 
 
 def channel_iterate_exact(H: HamiltonianDecomposition, rho0, T: float, N: int) -> np.ndarray:
@@ -654,8 +665,7 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_c
     row's stream, neither the tiling nor the slabs change any outcome.
     """
     counts = _step_counts(step_counts)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots, seed = _integer(shots, name="shots"), _integer(seed, 0, "seed")
     _require_shapes(H, initial_state, A)
     angles = _step_angle(H, [T / N for N in counts])
     measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
@@ -670,7 +680,7 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_c
     pop_cdf = np.cumsum(pops)
     pop_cdf[-1] = 1.0
     index_type = np.min_scalar_type(len(H) - 1)
-    if max(8 * len(counts) * int(shots), index_type.itemsize * max(counts)) > np.iinfo(np.intp).max:
+    if max(8 * len(counts) * shots, index_type.itemsize * max(counts)) > np.iinfo(np.intp).max:
         raise OverflowError(f"{shots} shots of up to {max(counts)} steps at {len(counts)} "
                             "nodes pass numpy's largest array")
     values = np.empty((len(counts), shots))

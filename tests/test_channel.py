@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qflo import channel, hamiltonian, pipeline
@@ -663,6 +663,12 @@ def test_powering_matches_kraus_loop(case):
     assert_matches_kraus_oracle(case)
 
 
+# N = 1, and N = 27 and 28 on either side of the exact binomial sum, at
+# lam T = 1; then lam T = 24 in 1000 steps, which takes 25 pieces
+@example(case=(parse_hamiltonian(HEISENBERG_CHAIN_5), 1 / 14.5, 1, False, 3))
+@example(case=(parse_hamiltonian(HEISENBERG_CHAIN_5), 1 / 14.5, 27, True, 4))
+@example(case=(parse_hamiltonian(HEISENBERG_CHAIN_5), 1 / 14.5, 28, False, 5))
+@example(case=(parse_hamiltonian(HEISENBERG_CHAIN_5), 24 / 14.5, 1000, True, 6))
 @given(case=powering_cases(5, 5))
 @settings(max_examples=15, deadline=None)
 def test_stepping_matches_kraus_loop_above_the_cap(case):
@@ -922,6 +928,14 @@ class TestQdriftRun:
             sample_shots(H, A, psi0, 1.0, [0], 8, seed=1)
         with pytest.raises(ValueError):
             sample_shots(H, A, psi0, 1.0, [10], 0, seed=1)
+        with pytest.raises(ValueError, match="^shots must be >= 1 and an integer, got 2.5$"):
+            sample_shots(H, A, psi0, 1.0, [10], 2.5, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, 2.5, -1, np.float64(3.0)])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, one_qubit, seed):
+        H, A, psi0 = one_qubit
+        with pytest.raises(ValueError, match=f"^seed must be >= 0 and an integer, got {seed}$"):
+            sample_shots(H, A, psi0, 1.0, [10], 8, seed=seed)
 
     def test_batch_matches_single_runs(self, two_qubit, monkeypatch):
         H, A, psi0 = two_qubit
@@ -1000,6 +1014,10 @@ class TestDerivedTables:
             assert [v.hex() for v in values] == [v.hex() for v in fresh]
         channel_iterate_exact(H, psi0, 0.5, 3)
         assert calls == {"_pauli_action": 1, "pauli_cosets": 0}
+        # the kept term action is the int8 signs alone, one byte per (term, Pauli)
+        action = H.derived(channel._pauli_action)
+        assert isinstance(action, np.ndarray) and action.dtype == np.int8
+        assert action.nbytes == len(H) * H.dim ** 2 and not action.flags.writeable
 
     def test_shots_build_gate_gathers_once(self, two_qubit, monkeypatch):
         _, A, psi0 = two_qubit

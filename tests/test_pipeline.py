@@ -295,6 +295,13 @@ class TestRunShotSampled:
         res2 = run(self._request(one_qubit, seed=12))
         assert res1.estimate != res2.estimate
 
+    @pytest.mark.parametrize("seed", [None, 2.5, -1, "7"])
+    def test_refuses_a_seed_that_cannot_be_replayed(self, one_qubit, seed, monkeypatch):
+        # None would draw OS entropy, a run that can be neither replayed nor reported
+        monkeypatch.setattr(channel, "substream", None)   # no stream may be made first
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+            run(self._request(one_qubit, seed=seed))
+
     def test_fixture_regression(self, one_qubit):
         res = run(self._request(one_qubit))
         assert res.shots_per_node == 220
