@@ -23,7 +23,8 @@ Hamiltonian builds its term action (``_pauli_action``), its cosets and its
 gate gathers once, on first use, and keeps them read-only while it lives
 (``HamiltonianDecomposition.derived``).  The term action, (L, d^2) int8
 signs, is the largest: 17 KB at 5 qubits, 1.9 MB at 8 and 39 MB at 10 on
-the Heisenberg chain.
+the Heisenberg chain.  It is built in chunks of terms whose int64 phases
+number at most TILE_AMPLITUDES, so its build peaks at 5.8 MiB at 8 qubits.
 
 Exact node values tr[A E^N(rho0)] (``node_values_exact``, one call for all
 nodes of a run) are a . v for real Pauli vectors from the O(d^3) transform
@@ -118,10 +119,19 @@ def _product_phase(a, q, n: int) -> np.ndarray:
 def _pauli_action(H: HamiltonianDecomposition) -> np.ndarray:
     """(L, d^2) int8 signs over Paulis q = x d + z: where term j
     anticommutes with sigma_q, -i s_j P_j sigma_q = sign[j, q] sigma_{q ^ p_j}
-    with sign +-1; where they commute, sign is 0."""
-    e = _product_phase(_term_masks(H)[:, None], np.arange(H.dim ** 2), H.n_qubits)
+    with sign +-1; where they commute, sign is 0.  Built in chunks of terms
+    whose phases number at most TILE_AMPLITUDES, so that the int64
+    temporaries stay small next to the signs kept."""
+    masks, q = _term_masks(H), np.arange(H.dim ** 2)
     # -i i^e for odd e; even e (commuting) gives no action
-    return np.array([0, 1, 0, -1], dtype=np.int8)[e] * H.signs[:, None]
+    action = np.array([0, 1, 0, -1], dtype=np.int8)
+    sign = np.empty((len(H), q.size), dtype=np.int8)
+    rows = max(1, TILE_AMPLITUDES // q.size)
+    for start in range(0, len(H), rows):
+        chunk = slice(start, start + rows)
+        e = _product_phase(masks[chunk, None], q, H.n_qubits)
+        sign[chunk] = action[e] * H.signs[chunk, None]
+    return sign
 
 
 def pauli_term_matrix(H: HamiltonianDecomposition, diag, off) -> np.ndarray:

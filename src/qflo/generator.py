@@ -17,7 +17,11 @@ every Delta is filled from (``HamiltonianDecomposition.derived``).  Each
 probed step builds Delta once and takes one ``eig`` per listed sector (3
 of 64 on the chain): the eigenvalues of E_s are 1 + mu, and the minimum
 eigenvalue modulus, the logarithm log1p(mu), the eigenvector conditioning
-guard and the deviation from ad_H are all taken sector by sector.
+guard and the deviation from ad_H are all taken sector by sector.  A
+probe on the chain makes 9 LAPACK calls: 3 ``eig``, 3 ``inv`` of the
+eigenvectors, which the logarithm and the guard's Frobenius bound share,
+and 3 SVDs, one per sector's spectral norm; the guard takes SVDs of its
+own only when that bound exceeds sqrt(LOG_COND_CAP) (``linalg._log_from_eig``).
 Working on mu keeps the digits that 1 + mu would round away: on the
 4-qubit chain at s = 2^-12 the deviation's relative error against an 80-bit
 extended-precision series for log(I + Delta) is 1.4e-14, where the

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1018,6 +1019,34 @@ class TestDerivedTables:
         action = H.derived(channel._pauli_action)
         assert isinstance(action, np.ndarray) and action.dtype == np.int8
         assert action.nbytes == len(H) * H.dim ** 2 and not action.flags.writeable
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_term_action_chunks_match_one_build(self, n):
+        # chunks of TILE_AMPLITUDES // d^2 terms: 1 term from 7 qubits up,
+        # and a part-filled last chunk at 5 and 6
+        rng = np.random.default_rng(n)
+        strings = sorted({"".join(rng.choice(list("IXYZ"), n)) for _ in range(3 * n + 2)})
+        H = parse_hamiltonian("".join(f"{(-1) ** k * (k + 1) / 8!r} {p}\n"
+                                      for k, p in enumerate(strings)))
+        masks = H.x_masks * H.dim + H.z_masks
+        e = channel._product_phase(masks[:, None], np.arange(H.dim ** 2), n)
+        one_build = np.array([0, 1, 0, -1], dtype=np.int8)[e] * H.signs[:, None]
+        action = channel._pauli_action(H)
+        assert action.dtype == np.int8 and action.shape == one_build.shape
+        assert action.tobytes() == one_build.tobytes()
+
+    def test_term_action_build_peaks_near_the_signs_kept(self):
+        # one build of the 8-qubit chain's (29, 65536) phases peaked at 33x
+        # the 1.8 MiB it keeps
+        H = parse_hamiltonian(heisenberg_chain(8))
+        tracemalloc.start()
+        try:
+            action = channel._pauli_action(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert action.nbytes == len(H) * 4 ** 8
+        assert peak <= 4 * action.nbytes
 
     def test_shots_build_gate_gathers_once(self, two_qubit, monkeypatch):
         _, A, psi0 = two_qubit

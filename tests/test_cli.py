@@ -1,8 +1,10 @@
 import contextlib
 import gc
+import inspect
 import io
 import json
 import math
+import sys
 import warnings
 import weakref
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qflo import channel, cli, generator
+from qflo import channel, cli, generator, linalg
 from qflo.channel import sample_shots
 from qflo.cli import main
 from qflo.hamiltonian import parse_hamiltonian
@@ -351,6 +353,27 @@ class TestGenerator:
         assert builds == 4
         assert eigs == 4 * [((64, 64), "f"), ((64, 64), "f"), ((64, 64), "c")]
 
+    def test_chain_probes_take_svds_only_for_spectral_norms(self, tmp_path, monkeypatch, capsys):
+        # the conditioning guard reads its Frobenius bound (64 to 83 here)
+        # from the inverses the logarithm keeps, so each probe's only SVDs
+        # are the three of its deviation's spectral norms
+        svds, svd = [], np.linalg.svd
+        norm_code = linalg.spectral_norm.__code__
+
+        def recording_svd(*args, **kwargs):
+            frame, in_norm = sys._getframe(1), False
+            while frame is not None and not in_norm:
+                in_norm, frame = frame.f_code is norm_code, frame.f_back
+            svds.append(in_norm)
+            return svd(*args, **kwargs)
+
+        # np.linalg.norm reaches svd through its own module's globals
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", recording_svd)
+        self._spy_generator(
+            CHAIN_4, "0.125,0.03125,0.0078125,0.001953125", tmp_path, monkeypatch, capsys)
+        assert svds == 12 * [True]
+
     @staticmethod
     def _count_structure_builds(monkeypatch):
         """Counts calls of ``pauli_sectors`` and ``pauli_adjoint`` made from
@@ -506,6 +529,25 @@ class TestGenerator:
         for row, (modulus, deviation) in zip(rows, self.PINNED_VEC_BASIS):
             assert float(row[2]) == pytest.approx(modulus, rel=1e-9)
             assert float(row[4]) == pytest.approx(deviation, rel=1e-9)
+
+    def test_pinned_chain_table(self, tmp_path, capsys):
+        # The 4-qubit Heisenberg chain: the only pinned run through 64-wide
+        # sectors, a complex-conjugate pair among them.
+        path = tmp_path / "chain4.txt"
+        path.write_text(CHAIN_4)
+        code, out, _ = run_cli(
+            ["generator", "--hamiltonian", str(path), "--time", "1.0",
+             "--s-list", "0.125,0.03125,0.0078125,0.001953125"],
+            capsys,
+        )
+        assert code == 0
+        assert out == (
+            "s,t,min_eig_modulus,log_exists,deviation\n"
+            "0.125,0.125,0.016428676096595967,true,105.81095752720793\n"
+            "0.03125,0.03125,0.85932237440865922,true,5.4370636631958389\n"
+            "0.0078125,0.0078125,0.9908677062906176,true,1.3035434831304469\n"
+            "0.001953125,0.001953125,0.99942788524874027,true,0.32507742658757183\n"
+        )
 
 
 class TestQflo:

@@ -183,6 +183,82 @@ class TestMatrixLog:
         assert np.abs(matrix_log_principal(S) - M).max() <= 1e-8
 
 
+
+def _svd_first_log_from_eig(spectra) -> list:
+    """The conditioning guard as an SVD of every eigenvector block, taken
+    before the logarithm inverts them: the oracle for ``_log_from_eig``."""
+    min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
+    if min_mod <= linalg.LOG_EIG_TOL:
+        raise LogarithmError(min_mod)
+    sv = [np.linalg.svd(V, compute_uv=False) for _, V in spectra]
+    with np.errstate(divide="ignore"):
+        cond = float(max(s[0] for s in sv) / min(s[-1] for s in sv))
+    if cond > linalg.LOG_COND_CAP:
+        raise NearDefectiveError(
+            f"near-defective superoperator: eigenvector condition number {cond:.3e} > "
+            f"{linalg.LOG_COND_CAP:.1e}"
+        )
+    return [(V * linalg._log1p(mu)) @ np.linalg.inv(V) for mu, V in spectra]
+
+
+def _eigenpairs(seed, d, kappa, scale=1.0):
+    """(mu, V) with V = scale Q diag(sigma) R, Q and R random unitaries and
+    sigma log-spaced from 1 down to 1 / kappa, so kappa_2(V) = kappa."""
+    rng = np.random.default_rng(seed)
+    V = scale * (random_unitary(rng, d) * np.geomspace(1.0, 1.0 / kappa, d)) @ random_unitary(rng, d)
+    return 0.2 * (rng.normal(size=d) + 1j * rng.normal(size=d)), V
+
+
+def _singular_eigenpairs():
+    mu, V = _eigenpairs(1, 4, 10.0)
+    V[:, -1] = 0.0   # an exact zero pivot: inv raises
+    return [(mu, V)]
+
+
+def _nan_eigenpairs():
+    mu, V = _eigenpairs(2, 4, 10.0)
+    V[1, 2] = np.nan
+    return [(mu, V)]
+
+
+def _no_log_eigenpairs():
+    mu, V = _eigenpairs(3, 8, 1e12)
+    mu[0] = -1.0
+    return [(mu, V)]
+
+
+GUARD_CASES = {
+    **{f"kappa {kappa:g}": (lambda kappa=kappa: [_eigenpairs(0, 8, kappa)])
+       for kappa in (1.0, 1e3, 1e4, 1e7, 1e8 * (1 - 1e-2), 1e8 * (1 + 1e-2), 1e12)},
+    "kappa 10 at d = 64": lambda: [_eigenpairs(4, 64, 10.0)],
+    "singular": _singular_eigenpairs,
+    "nan": _nan_eigenpairs,
+    "no logarithm": _no_log_eigenpairs,
+    "one of three blocks ill-conditioned": lambda: [
+        _eigenpairs(5, 8, 2.0), _eigenpairs(6, 8, 1e12), _eigenpairs(7, 4, 3.0)],
+    "one of three blocks at kappa 1e3": lambda: [
+        _eigenpairs(8, 8, 2.0), _eigenpairs(9, 8, 1e3), _eigenpairs(10, 4, 3.0)],
+    # each block is unitary up to scale; the block-diagonal whole is not
+    "blocks scaled 1e2, 1, 1e-2": lambda: [
+        _eigenpairs(11, 4, 1.0, 1e2), _eigenpairs(12, 4, 1.0), _eigenpairs(13, 4, 1.0, 1e-2)],
+    "blocks scaled 1e5, 1, 1e-5": lambda: [
+        _eigenpairs(14, 4, 1.0, 1e5), _eigenpairs(15, 4, 1.0), _eigenpairs(16, 4, 1.0, 1e-5)],
+}
+
+
+def _guard_outcome(log_from_eig, spectra):
+    try:
+        return [block.tobytes() for block in log_from_eig(spectra)]
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", GUARD_CASES.values(), ids=GUARD_CASES.keys())
+def test_conditioning_guard_matches_svd_first_guard(case):
+    # the same error with the same message, or logarithms equal to the bit
+    expected = _guard_outcome(_svd_first_log_from_eig, case())
+    assert _guard_outcome(linalg._log_from_eig, case()) == expected
+
 class TestCptpCheck:
     def test_unitary_channel(self, rng):
         S = conjugation_superoperator(random_unitary(rng, 4))
