@@ -16,11 +16,14 @@ Delta is block diagonal over the cosets of the GF(2) span of the term masks
 (``pauli_cosets``; 2 blocks of 128 on the 4-qubit Heisenberg chain), and
 within each coset over the symmetry sectors of ``pauli_sectors``: the joint
 eigenspaces of left multiplication by the radical, the Paulis of that span
-that commute with every term (4 sectors of 64 on the chain, split by XXXX).
-The generator analysis eigensolves per sector; the powering below stays on
-the cosets.  None of these tables depends on the step time: each
-Hamiltonian builds its term action (``_pauli_action``), its cosets and its
-gate gathers once, on first use, and keeps them read-only while it lives
+that commute with every term (4 sectors of 64 on the chain, split by XXXX),
+and of the relabellings by the qubit involutions that map H to itself (the
+chain's reflection splits them into blocks of 40, 24 and 32).  The
+generator analysis eigensolves per sector, 6 blocks of at most 40 on the
+chain; the powering below stays on the cosets.  None of these tables
+depends on the step time: each Hamiltonian builds its term action
+(``_pauli_action``), its cosets and its gate gathers once, on first use,
+and keeps them read-only while it lives
 (``HamiltonianDecomposition.derived``).  The term action, (L, d^2) int8
 signs, is the largest: 17 KB at 5 qubits, 1.9 MB at 8 and 39 MB at 10 on
 the Heisenberg chain.  It is built in chunks of terms whose int64 phases
@@ -74,6 +77,7 @@ is drawn alone.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import operator
 from typing import NamedTuple
@@ -189,23 +193,111 @@ def pauli_cosets(H: HamiltonianDecomposition) -> np.ndarray:
 
 class PauliSector(NamedTuple):
     """An orthonormal basis V of one symmetry sector of the Pauli basis:
-    column a of V holds phase[g, a] / 2^(k/2) at Pauli pos[g, a], for the
-    2^k elements g of the radical, with pos[0] the orbit representatives.
-    phase is +-1 where the sector is its own complex conjugate and +-1, +-i
-    where it is ``paired``: then conj(V) spans a further sector, which is
-    not listed."""
+    column a of V is sum_g phase[g, a] e_{pos[g, a]}, divided by the square
+    root of the number of its nonzero phases, with pos[0] the orbit
+    representatives, where phase is 1.  The columns cover disjoint Paulis;
+    where a column covers fewer than the widest, phase 0 pads it, at its
+    representative.  phase is +-1 where the sector is its own complex
+    conjugate and +-1, +-i where it is ``paired``: then conj(V) spans a
+    further sector, which is not listed."""
 
     pos: np.ndarray
     phase: np.ndarray
     paired: bool
 
     def block(self, M) -> np.ndarray:
-        """V^dag M V for a d^2 x d^2 matrix M that commutes with the
-        radical's left multiplications, as every ``pauli_term_matrix`` does:
-        M V lies in the sector, so its coefficients are read off at the
-        representatives, (M V)[pos[0]] 2^(k/2)."""
-        return sum(M[np.ix_(self.pos[0], self.pos[h])] * self.phase[h]
-                   for h in range(len(self.pos)))
+        """V^dag M V for a d^2 x d^2 matrix M that keeps the sector, as every
+        ``pauli_term_matrix`` does: M V lies in the sector, so its
+        coefficients are read off at the representatives, as (M V)[pos[0]]
+        times each row's column norm.  One gather for all rows of pos."""
+        B = sum(M[self.pos[0][:, None], self.pos[:, None, :]] * self.phase[:, None, :])
+        width = np.count_nonzero(self.phase, axis=0)
+        if width.min() < width.max():   # the column norms differ
+            B = B * np.sqrt(width[:, None] / width)
+        return B
+
+
+def _radical(H: HamiltonianDecomposition) -> list:
+    """Echelon generators of the radical: the Paulis of the span of the term
+    masks that commute with every term."""
+    span = H.derived(pauli_cosets)[0]   # the coset of 0
+    central = (_product_phase(_term_masks(H)[:, None], span, H.n_qubits) & 1 == 0).all(axis=0)
+    return _gf2_basis(span[central])
+
+
+def _permute_qubits(q, perm, n: int):
+    """The Pauli indices q = x d + z with qubit i's letter moved to qubit
+    perm[i]; a relabelling of qubits maps sigma_q to that Pauli with no
+    phase."""
+    out = q & 0
+    for i, j in enumerate(perm):
+        for shift in (n, 0):
+            out |= ((q >> (shift + n - 1 - i)) & 1) << (shift + n - 1 - j)
+    return out
+
+
+def _compose(p, q) -> tuple:
+    return tuple(p[i] for i in q)
+
+
+def _qubit_involutions(H: HamiltonianDecomposition) -> tuple:
+    """The qubit involutions that split ``pauli_sectors``, as permutation
+    tuples: a maximal commuting set, chosen greedily in lexicographic order
+    among the involutions pi that map H to itself, each term to a term with
+    a bit-identical signed coefficient (as multisets, so duplicate terms
+    count), that keep every coset of ``pauli_cosets`` and fix every radical
+    Pauli, and that are not products of those already chosen.  Symmetries
+    that are not involutions, such as 3-cycles and ring translations, are
+    not used: their characters are not real."""
+    n = H.n_qubits
+    masks = _term_masks(H)
+    coefficients = list(zip(H.weights.tolist(), H.signs.tolist()))
+    terms = sorted(zip(masks.tolist(), coefficients))
+    basis = _gf2_basis(masks)
+    q = np.arange(H.dim ** 2)
+    labels = _reduce(q, basis)
+    radical = _radical(H)
+    identity = tuple(range(n))
+    chosen, group = [], {identity}
+    for perm in itertools.permutations(range(n)):
+        if (perm in group or _compose(perm, perm) != identity
+                or any(_compose(perm, p) != _compose(p, perm) for p in chosen)):
+            continue
+        image = _permute_qubits(masks, perm, n).tolist()
+        if (sorted(zip(image, coefficients)) == terms
+                and np.array_equal(_reduce(_permute_qubits(q, perm, n), basis), labels)
+                and all(_permute_qubits(s, perm, n) == s for s in radical)):
+            chosen.append(perm)
+            group |= {_compose(g, perm) for g in group}
+    return tuple(chosen)
+
+
+def _split(sector: PauliSector, perm, n: int) -> list:
+    """The +1 and -1 eigenspaces, those not empty, of the relabelling S of
+    the qubit involution ``perm`` in ``sector``, as ``PauliSector`` s.  S
+    keeps the sector and maps its column v_a to c v_b, |c| = 1, with b the
+    column that holds pi(pos[0, a]): a pair of columns a < b becomes
+    (v_a +- S v_a) / sqrt(2), and a column with b = a stays in the
+    eigenspace of c = +-1, its phase at pi(pos[0, a])."""
+    pos, phase = sector.pos, sector.phase
+    cols = np.arange(pos.shape[1])
+    filled = phase != 0
+    owner = np.zeros(1 << 2 * n, dtype=int)
+    owner[pos[filled]] = np.broadcast_to(cols, pos.shape)[filled]
+    image = _permute_qubits(pos, perm, n)
+    partner = owner[image[0]]
+    pair = partner > cols
+    c = phase[((pos == image[0]) & filled).argmax(axis=0), cols].real
+    both = np.concatenate([pos, np.where(pair, image, pos[0])])
+    sectors = []
+    for eps in (1, -1):
+        keep = pair | ((partner == cols) & (eps * c > 0))
+        v = np.concatenate([phase, np.where(pair, eps * phase, 0)])[:, keep]
+        rows = (v != 0).any(axis=1)
+        if keep.any():
+            p = both[rows][:, keep]
+            sectors.append(PauliSector(np.where(v[rows] != 0, p, p[0]), v[rows], sector.paired))
+    return sectors
 
 
 def pauli_sectors(H: HamiltonianDecomposition) -> list:
@@ -226,12 +318,22 @@ def pauli_sectors(H: HamiltonianDecomposition) -> list:
     eps and eps flipped on the anticommuting generators, and only the first
     of each pair is listed.  With a trivial radical the sectors are the
     cosets, with phase 1.
+
+    Each sector is then split, in turn, into the +1 and -1 eigenspaces of
+    the relabelling S of each of H's ``_qubit_involutions``: S maps H to
+    itself, so it commutes with ad_H and every Delta, and it fixes the
+    radical, so it keeps each sector.  Its characters are real, so real
+    sectors stay real and a paired sector's split pairs with its
+    conjugate's.  The 4-qubit chain's reflection i <-> 3 - i splits its
+    three sectors of 64 into 40 + 24, 32 + 32 and a pair of 32 + 32.  With
+    no such involution the sectors are the radical's alone.
     """
     n = H.n_qubits
+    if n > SUPEROP_QUBIT_CAP:
+        raise DimensionCapError(
+            f"symmetry sectors capped at {SUPEROP_QUBIT_CAP} qubits, got {n}")
     cosets = H.derived(pauli_cosets)
-    span = cosets[0]   # the coset of 0
-    central = (_product_phase(_term_masks(H)[:, None], span, n) & 1 == 0).all(axis=0)
-    radical = _gf2_basis(span[central])
+    radical = _radical(H)
     pos = cosets[_reduce(cosets, radical) == cosets].reshape(len(cosets), 1, -1)
     phase = np.ones(pos.shape, dtype=complex)
     signs = np.ones((1, 1))   # eps^g over sector labels eps and elements g
@@ -248,6 +350,8 @@ def pauli_sectors(H: HamiltonianDecomposition) -> list:
         for eps in labels[labels <= labels ^ anti[c]]:
             v = signs[eps][:, None] * phase[c]
             sectors.append(PauliSector(pos[c], v if anti[c] else v.real, bool(anti[c])))
+    for perm in _qubit_involutions(H):
+        sectors = [part for sector in sectors for part in _split(sector, perm, n)]
     return sectors
 
 

@@ -7,24 +7,27 @@ matrix I + Delta built by ``channel.channel_delta`` in O(L d^2).  Delta,
 and ad_H with it, is block diagonal over the symmetry sectors of
 ``channel.pauli_sectors``: the cosets of the GF(2) span of the term masks,
 each split into the joint +-1 eigenspaces of left multiplication by the
-radical, the Paulis of that span that commute with every term.  On the
-4-qubit Heisenberg chain the radical is {I, XXXX}, and the 2 cosets of 128
-become 4 sectors of 64: two real, and a complex-conjugate pair of which
-only one is solved.  Neither the sectors nor ad_H depends on s, so each
-Hamiltonian's sectors and ad_H's block on each are built once, on its
-first probe, and kept read-only while it lives, as is the term action that
-every Delta is filled from (``HamiltonianDecomposition.derived``).  Each
-probed step builds Delta once and takes one ``eig`` per listed sector (3
-of 64 on the chain): the eigenvalues of E_s are 1 + mu, and the minimum
-eigenvalue modulus, the logarithm log1p(mu), the eigenvector conditioning
-guard and the deviation from ad_H are all taken sector by sector.  A
-probe on the chain makes 9 LAPACK calls: 3 ``eig``, 3 ``inv`` of the
-eigenvectors, which the logarithm and the guard's Frobenius bound share,
-and 3 SVDs, one per sector's spectral norm; the guard takes SVDs of its
-own only when that bound exceeds sqrt(LOG_COND_CAP) (``linalg._log_from_eig``).
+radical, the Paulis of that span that commute with every term, and of the
+qubit-permutation involutions that map H to itself.  On the 4-qubit
+Heisenberg chain the radical is {I, XXXX}, and the 2 cosets of 128 become 4
+sectors of 64: two real, and a complex-conjugate pair of which only one is
+solved.  The chain's reflection i <-> 3 - i splits each of the 3 solved
+sectors in two, into blocks of 40 and 24, 32 and 32, and a paired 32 and
+32.  Neither the sectors nor ad_H depends on s, so each Hamiltonian's
+sectors and ad_H's block on each are built once, on its first probe, and
+kept read-only while it lives, as is the term action that every Delta is
+filled from (``HamiltonianDecomposition.derived``).  Each probed step builds
+Delta once and takes one ``eig`` per listed sector (6 of at most 40 on the
+chain): the eigenvalues of E_s are 1 + mu, and the minimum eigenvalue
+modulus, the logarithm log1p(mu), the eigenvector conditioning guard and
+the deviation from ad_H are all taken sector by sector.  A probe on the
+chain makes 18 LAPACK calls: 6 ``eig``, 6 ``inv`` of the eigenvectors,
+which the logarithm and the guard's Frobenius bound share, and 6 SVDs, one
+per sector's spectral norm; the guard takes SVDs of its own only when that
+bound exceeds sqrt(LOG_COND_CAP) (``linalg._log_from_eig``).
 Working on mu keeps the digits that 1 + mu would round away: on the
 4-qubit chain at s = 2^-12 the deviation's relative error against an 80-bit
-extended-precision series for log(I + Delta) is 1.4e-14, where the
+extended-precision series for log(I + Delta) is 1.7e-14, where the
 complex superoperator's eigenvalues gave 1.8e-8.  The sector bases are
 orthonormal, so spectral norms, and with them the deviation, are those of
 the vec-basis superoperators.  G(s) is kept only as
@@ -126,12 +129,14 @@ def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> Generato
     """G(s) - ad_H, G(s) = log(E_s) / (-i s T), sector by sector in the
     Pauli basis, and its spectral norm, the largest over the sectors; raises
     LogarithmError, carrying E_s's ``min_eig_modulus``, when no logarithm
-    exists, and ArithmeticError when the step time s T underflows to 0."""
+    exists, and ArithmeticError when the step time s T is below the normal
+    range: there 1 / t overflows, and G(s) with it."""
     if s <= 0:
         raise ValueError(f"inverse step count s must be > 0, got {s}")
     t = s * T
-    if t == 0.0:
-        raise ArithmeticError(f"step time t = s T underflows to 0 at s = {s!r}, T = {T!r}")
+    if t < np.finfo(float).tiny:
+        raise ArithmeticError(
+            f"step time t = s T = {t!r} is subnormal or 0 at s = {s!r}, T = {T!r}")
     structure, spectra, min_mod = _channel_spectrum(H, t)
     blocks = tuple(log_block / (-1j * t) - ad_block
                    for ad_block, log_block in zip(structure.ad_blocks, _log_from_eig(spectra)))

@@ -345,18 +345,20 @@ class TestGenerator:
         assert builds == 3
         assert eigs == 3 * [((4, 4), "f"), ((4, 4), "f"), ((4, 4), "c")]
 
-    def test_chain_probes_three_64_wide_sectors(self, tmp_path, monkeypatch, capsys):
+    def test_chain_probes_six_symmetry_sectors(self, tmp_path, monkeypatch, capsys):
         # the 4-qubit Heisenberg chain's two cosets of 128 split by XXXX into
-        # two real sectors and one complex-conjugate pair, all 64 wide
+        # two real sectors and one complex-conjugate pair, all 64 wide, and
+        # the reflection i <-> 3 - i splits each of those in two
         builds, eigs = self._spy_generator(
             CHAIN_4, "0.125,0.03125,0.0078125,0.001953125", tmp_path, monkeypatch, capsys)
         assert builds == 4
-        assert eigs == 4 * [((64, 64), "f"), ((64, 64), "f"), ((64, 64), "c")]
+        assert eigs == 4 * [((40, 40), "f"), ((24, 24), "f"), ((32, 32), "f"),
+                            ((32, 32), "f"), ((32, 32), "c"), ((32, 32), "c")]
 
     def test_chain_probes_take_svds_only_for_spectral_norms(self, tmp_path, monkeypatch, capsys):
-        # the conditioning guard reads its Frobenius bound (64 to 83 here)
+        # the conditioning guard reads its Frobenius bound (40 to 52 here)
         # from the inverses the logarithm keeps, so each probe's only SVDs
-        # are the three of its deviation's spectral norms
+        # are the six of its deviation's spectral norms
         svds, svd = [], np.linalg.svd
         norm_code = linalg.spectral_norm.__code__
 
@@ -372,7 +374,7 @@ class TestGenerator:
         monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", recording_svd)
         self._spy_generator(
             CHAIN_4, "0.125,0.03125,0.0078125,0.001953125", tmp_path, monkeypatch, capsys)
-        assert svds == 12 * [True]
+        assert svds == 24 * [True]
 
     @staticmethod
     def _count_structure_builds(monkeypatch):
@@ -452,7 +454,7 @@ class TestGenerator:
         assert H.derived(generator._sector_structure) is structure
         arrays = [a for sector in structure.sectors for a in (sector.pos, sector.phase)]
         arrays += structure.ad_blocks
-        assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+        assert len(arrays) == 18 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             structure.ad_blocks[0][0, 0] = 0.0
         assert all(block.flags.writeable for block in probe.blocks)
@@ -531,8 +533,11 @@ class TestGenerator:
             assert float(row[4]) == pytest.approx(deviation, rel=1e-9)
 
     def test_pinned_chain_table(self, tmp_path, capsys):
-        # The 4-qubit Heisenberg chain: the only pinned run through 64-wide
-        # sectors, a complex-conjugate pair among them.
+        # The 4-qubit Heisenberg chain: the only pinned run through sectors
+        # split by a qubit involution, complex-conjugate pairs among them.
+        # Against 40-digit mpmath references from the same Delta, the
+        # deviations' relative errors are 2e-14 at s = 0.125 and below 1e-15
+        # at the others, and the moduli are within 7.1e-16.
         path = tmp_path / "chain4.txt"
         path.write_text(CHAIN_4)
         code, out, _ = run_cli(
@@ -543,10 +548,10 @@ class TestGenerator:
         assert code == 0
         assert out == (
             "s,t,min_eig_modulus,log_exists,deviation\n"
-            "0.125,0.125,0.016428676096595967,true,105.81095752720793\n"
-            "0.03125,0.03125,0.85932237440865922,true,5.4370636631958389\n"
-            "0.0078125,0.0078125,0.9908677062906176,true,1.3035434831304469\n"
-            "0.001953125,0.001953125,0.99942788524874027,true,0.32507742658757183\n"
+            "0.125,0.125,0.016428676096594104,true,105.81095752721767\n"
+            "0.03125,0.03125,0.85932237440865888,true,5.4370636631958336\n"
+            "0.0078125,0.0078125,0.9908677062906176,true,1.3035434831304491\n"
+            "0.001953125,0.001953125,0.99942788524874027,true,0.32507742658757216\n"
         )
 
 
@@ -721,6 +726,19 @@ class TestErrorHandling:
         assert code == 3
         assert "numerical failure" in err and named in err
         assert "Traceback" not in err and "nan" not in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", ["1e-310", "1e-320"])
+    def test_subnormal_step_time_is_numerical_failure(self, s, tmp_path, monkeypatch, capsys):
+        # a step time s T below the normal range warned of an overflow in
+        # the division by t, then failed an SVD with a traceback
+        (tmp_path / "two_qubit.txt").write_text(TWO_QUBIT)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["generator", "--hamiltonian", "two_qubit.txt", "--time", "1", "--s-list", s], capsys)
+        assert code == 3
+        assert "numerical failure" in err and f"s = {float(s)!r}, T = 1.0" in err
+        assert "Traceback" not in err and out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("files, argv, named", [

@@ -1,11 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qflo.benchmarks import ONE_QUBIT_TEXT
 from qflo.channel import (
+    _gf2_basis,
+    _product_phase,
+    _qubit_involutions,
+    _reduce,
+    _term_masks,
     channel_delta,
     exact_expectation,
     expectation_exact,
@@ -69,6 +76,7 @@ TWO_QUBIT = "0.3 ZZ\n0.3 XI\n0.2 IX\n0.2 YZ\n"
 HEISENBERG_CHAIN_4 = "".join(
     f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
 ) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
+HEISENBERG_RING_4 = HEISENBERG_CHAIN_4 + "".join(f"1.0 {p}II{p}\n" for p in "XYZ")
 
 
 class TestPauliBasis:
@@ -86,10 +94,38 @@ class TestPauliBasis:
     def test_radical_splits_cosets_into_three_sectors(self, text, width):
         # XXXX (XX) lies in the span of the terms and commutes with each: the
         # coset that commutes with it splits into two real sectors, the other
-        # into a complex-conjugate pair, listed once
+        # into a complex-conjugate pair, listed once.  The chain's reflection
+        # i <-> 3 - i then splits each of the three in two: its columns pair
+        # an orbit of 2 Paulis with its mirror image, or keep a mirror
+        # symmetric orbit alone, padded with phase 0
         sectors = pauli_sectors(parse_hamiltonian(text))
-        assert [(s.pos.shape, s.phase.dtype.kind, s.paired) for s in sectors] == [
-            ((2, width), "f", False), ((2, width), "f", False), ((2, width), "c", True)]
+        expected = [((2, width), "f", False), ((2, width), "f", False), ((2, width), "c", True)]
+        if text == HEISENBERG_CHAIN_4:
+            expected = [((4, 40), "f", False), ((4, 24), "f", False), ((4, 32), "f", False),
+                        ((4, 32), "f", False), ((4, 32), "c", True), ((4, 32), "c", True)]
+        assert [(s.pos.shape, s.phase.dtype.kind, s.paired) for s in sectors] == expected
+
+    def test_ring_splits_by_two_commuting_reflections(self):
+        # the 4-site ring's involutions, in lexicographic order: (1 3) is
+        # taken; (0 1)(2 3) does not commute with it; (0 2) does and is
+        # taken; (0 2)(1 3) is their product.  So each of its three
+        # radical sectors of 64 splits four ways
+        H = parse_hamiltonian(HEISENBERG_RING_4)
+        assert _qubit_involutions(H) == ((0, 3, 2, 1), (2, 1, 0, 3))
+        widths = [s.pos.shape[1] for s in pauli_sectors(H)]
+        assert widths == [28, 12, 12, 12, 24, 16, 16, 8, 24, 16, 16, 8]
+
+    def test_swap_that_moves_the_radical_is_not_used(self):
+        # XY <-> YX maps H to itself but moves the radical Pauli XY, so it
+        # would map a sector to another one
+        H = parse_hamiltonian("0.5 XY\n0.5 YX\n")
+        assert _qubit_involutions(H) == ()
+        assert [s.pos.shape for s in pauli_sectors(H)] == 10 * [(4, 1)]
+
+    def test_sectors_are_capped_with_the_matrices_they_block(self):
+        # the involution search tries every qubit permutation
+        with pytest.raises(DimensionCapError):
+            pauli_sectors(parse_hamiltonian("1.0 XXIII\n1.0 IIIXX\n"))
 
     def test_trivial_radical_sectors_are_the_cosets(self):
         H = parse_hamiltonian("0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n")
@@ -138,8 +174,42 @@ def _sector_basis(sector, d2):
     """The dense d^2 x m orthonormal basis a ``PauliSector`` stands for."""
     V = np.zeros((d2, sector.pos.shape[1]), dtype=complex)
     for pos, phase in zip(sector.pos, sector.phase):
-        V[pos, np.arange(pos.size)] = phase / np.sqrt(len(sector.pos))
-    return V
+        V[pos, np.arange(pos.size)] += phase
+    return V / np.linalg.norm(V, axis=0)
+
+
+def _involutions(n: int) -> list:
+    """Every qubit permutation of order 2 on n qubits."""
+    return [p for p in itertools.permutations(range(n))
+            if p != tuple(range(n)) and all(p[j] == i for i, j in enumerate(p))]
+
+
+def _relabel(letters: str, perm) -> str:
+    """The Pauli string with qubit i's letter moved to qubit perm[i]."""
+    out = list(letters)
+    for i, j in enumerate(perm):
+        out[j] = letters[i]
+    return "".join(out)
+
+
+@st.composite
+def involution_closed_sums(draw):
+    """A Pauli sum on 2-4 qubits that a drawn qubit involution maps to
+    itself: each drawn term comes with its image under it, at the same
+    coefficient, once or twice over.  Optionally X^n or Z^n is a term too,
+    and then every other term commutes with it, so that it lies in the
+    radical."""
+    n = draw(st.integers(2, 4))
+    perm = draw(st.sampled_from(_involutions(n)))
+    symmetries = [c * n for c in draw(st.sampled_from(["", "X", "Z"]))]
+    lines = [f"{draw(st.floats(0.05, 2.0))!r} {g}" for g in symmetries]
+    for _ in range(draw(st.integers(1, 5))):
+        letters = "".join(draw(st.sampled_from("IXYZ")) for _ in range(n))
+        if all(_commute(letters, g) for g in symmetries):
+            coeff = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1]))
+            orbit = {letters, _relabel(letters, perm)}
+            lines += [f"{coeff!r} {p}" for p in sorted(orbit)] * draw(st.integers(1, 2))
+    return parse_hamiltonian("\n".join(lines))
 
 
 @given(H=symmetric_pauli_sums(), theta=st.floats(0.02, 0.45))
@@ -148,11 +218,80 @@ def _sector_basis(sector, d2):
 @example(H=parse_hamiltonian("0.5 XXXX"), theta=0.02)
 @settings(max_examples=60, deadline=None)
 def test_sector_probe_matches_vec_basis_oracle(H, theta):
-    # G - ad_H, its norm and E_t's smallest eigenvalue modulus against the
-    # complex vec-basis superoperators, at step angle lam t = theta < 1/2.
     # The oracle's log is scipy's: on 0.5 XXXX at theta = 0.02, where
     # G - ad_H is 0, matrix_log_principal's eig of the degenerate S put
     # 1.8e-12 into G with one BLAS thread, against the 1e-12 tolerance
+    _check_against_vec_basis_oracle(H, theta)
+
+
+@given(H=involution_closed_sums(), theta=st.floats(0.02, 0.45))
+@example(H=parse_hamiltonian(HEISENBERG_RING_4), theta=0.1)
+@example(H=parse_hamiltonian("0.5 XY\n0.5 YX\n0.3 ZZ\n"), theta=0.3)
+@example(H=parse_hamiltonian("0.3 XX\n0.3 XX\n0.2 ZI\n0.2 IZ\n0.7 YY\n"), theta=0.2)
+@example(H=parse_hamiltonian("0.4 ZZZ\n0.5 XYI\n0.5 IYX\n0.2 ZIZ\n"), theta=0.4)
+@settings(max_examples=60, deadline=None)
+def test_involution_sectors_match_vec_basis_oracle(H, theta):
+    # Sums that a qubit involution maps to itself, with duplicate terms and
+    # terms that it fixes, whose sectors it splits where it keeps the
+    # cosets and fixes the radical
+    _check_against_vec_basis_oracle(H, theta)
+
+
+def _radical_sectors(H) -> list:
+    """(pos, phase, paired) of each sector the radical alone splits the
+    cosets into, built as ``pauli_sectors`` built them before qubit
+    involutions split them further: the reference for a Hamiltonian that no
+    qubit involution maps to itself."""
+    n = H.n_qubits
+    cosets = pauli_cosets(H)
+    span = cosets[0]
+    central = (_product_phase(_term_masks(H)[:, None], span, n) & 1 == 0).all(axis=0)
+    radical = _gf2_basis(span[central])
+    pos = cosets[_reduce(cosets, radical) == cosets].reshape(len(cosets), 1, -1)
+    phase = np.ones(pos.shape, dtype=complex)
+    signs = np.ones((1, 1))
+    anti = np.zeros(len(cosets), dtype=int)
+    for i, s in enumerate(radical):
+        i_power = np.array([1, 1j, -1, -1j])[_product_phase(s, pos, n)]
+        phase = np.concatenate([phase, phase * i_power], axis=1)
+        pos = np.concatenate([pos, pos ^ s], axis=1)
+        signs = np.kron([[1, 1], [1, -1]], signs)
+        anti |= (_product_phase(s, cosets[:, 0], n) & 1) << i
+    labels = np.arange(len(signs))
+    sectors = []
+    for c in range(len(cosets)):
+        for eps in labels[labels <= labels ^ anti[c]]:
+            v = signs[eps][:, None] * phase[c]
+            sectors.append((pos[c], v if anti[c] else v.real, bool(anti[c])))
+    return sectors
+
+
+def _maps_to_itself(H, perm) -> bool:
+    """Whether relabelling the qubits by perm permutes H's signed terms."""
+    terms = sorted((t.weight, t.sign, t.pauli.letters) for t in H.terms)
+    return sorted((t.weight, t.sign, _relabel(t.pauli.letters, perm)) for t in H.terms) == terms
+
+
+@given(H=symmetric_pauli_sums())
+@example(H=parse_hamiltonian(TWO_QUBIT))
+@example(H=parse_hamiltonian("0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n"))
+@example(H=parse_hamiltonian("0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n"))
+@settings(max_examples=60, deadline=None)
+def test_sectors_without_involution_are_the_radical_sectors(H):
+    # no qubit involution maps H to itself: the sectors are the radical's,
+    # array for array
+    assume(not any(_maps_to_itself(H, perm) for perm in _involutions(H.n_qubits)))
+    sectors = pauli_sectors(H)
+    reference = _radical_sectors(H)
+    assert len(sectors) == len(reference)
+    for sector, (pos, phase, paired) in zip(sectors, reference):
+        assert sector.paired == paired and sector.phase.dtype == phase.dtype
+        assert np.array_equal(sector.pos, pos) and np.array_equal(sector.phase, phase)
+
+
+def _check_against_vec_basis_oracle(H, theta):
+    """G - ad_H, its norm and E_t's smallest eigenvalue modulus against the
+    complex vec-basis superoperators, at step angle lam t = theta < 1/2."""
     t = theta / H.lam
     probe = generator_probe(H, t, 1.0)
     S = channel_superoperator(H, t)
@@ -262,6 +401,20 @@ class TestGeneratorProbe:
         H, _, _ = one_qubit
         with pytest.raises(ArithmeticError, match=r"s = 1e-300, T = 1e-300"):
             generator_probe(H, 1e-300, T=1e-300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e-310, 1e-320, 2.0 ** -1074])
+    def test_subnormal_step_time_names_s_and_t(self, two_qubit, s):
+        # 1 / t overflows below the normal range: G(s) divided by t was
+        # infinite, and its SVD did not converge
+        H, _, _ = two_qubit
+        with pytest.raises(ArithmeticError, match=rf"t = s T = {s!r} .* s = {s!r}, T = 1.0"):
+            generator_probe(H, s, T=1.0)
+
+    def test_smallest_normal_step_time_is_probed(self, two_qubit):
+        H, _, _ = two_qubit
+        probe = generator_probe(H, np.finfo(float).tiny, T=1.0)
+        assert probe.min_eig_modulus == 1.0 and probe.deviation <= 1e-14
 
     def test_overflowing_step_angle_names_t(self, one_qubit):
         H, _, _ = one_qubit
