@@ -60,7 +60,6 @@ from .pipeline import (
 )
 from .richardson import (
     ChebyshevNodes,
-    StepSchedule,
     Weights,
     build_nodes,
     chebyshev_x,

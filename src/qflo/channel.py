@@ -54,12 +54,9 @@ tiles of at most 2^14 / d states, so that a step's arrays stay in cache.
 Measured on a shared 2-core x86-64 host with one BLAS thread, on one tile
 of states copied from one broadcast vector in C order, with 4-8 terms at
 d <= 8 (N = 300 and 3000) and 17 at d >= 16 (there also on 176 states),
-in ns/gate, interleaved medians of 7; the table at d = 8 is no longer
-built, and the table row dates from before cos was folded out of the
-Pauli steps:
+in ns/gate of the Pauli steps, interleaved medians of 7:
 
     d          4        8        16        32         64
-    table    21-32    67-91        -         -          -
     Pauli    22-35    45-46     69-83    121-136    231-252
 
 Randomness is organized as counter-based substreams: every (seed, path)

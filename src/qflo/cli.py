@@ -272,12 +272,12 @@ def cmd_orderfit(args) -> int:
         s_values, errors = [], []
         for scale in scale_list:
             N_m = math.ceil(args.n_base / scale)
-            estimate, sched, _ = richardson_estimate_noiseless(
+            estimate, counts, _ = richardson_estimate_noiseless(
                 H, psi0, A, args.time, m, N_m
             )
-            s_m = 1.0 / int(sched.step_counts[-1])
+            s_m = 1.0 / int(counts[-1])
             err = abs(estimate - exact)
-            rows.append((m, scale, int(sched.step_counts[-1]), s_m, err))
+            rows.append((m, scale, int(counts[-1]), s_m, err))
             s_values.append(s_m)
             errors.append(err)
         fit = _slope_fit(s_values, errors)

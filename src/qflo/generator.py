@@ -131,6 +131,8 @@ def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> Generato
     LogarithmError, carrying E_s's ``min_eig_modulus``, when no logarithm
     exists, and ArithmeticError when the step time s T is below the normal
     range: there 1 / t overflows, and G(s) with it."""
+    if not 0 < T < math.inf:
+        raise ValueError(f"total time T must be positive and finite, got {T!r}")
     if s <= 0:
         raise ValueError(f"inverse step count s must be > 0, got {s}")
     t = s * T
@@ -200,6 +202,8 @@ def ek_bound_probe(H: HamiltonianDecomposition, T: float, k: int) -> dict:
     """
     if k not in (2, 3, 4):
         raise ValueError(f"probe supports k in {{2, 3, 4}}, got {k}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"total time T must be positive and finite, got {T!r}")
     h = 0.1 / (T * H.lam * 2 ** k)
     nodes = np.array([i * h for i in range(1, k + 1)])
     probes = [generator_probe(H, s, T) for s in nodes]

@@ -1,5 +1,5 @@
-"""End-to-end estimator: order selection, step schedule, shot budgeting,
-node execution, extrapolation, and error-budget accounting.
+"""End-to-end estimator: the plan (order, step counts, weights, shots, gate
+count, error bound), fixed before any node runs, then the nodes' work.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .hamiltonian import HamiltonianDecomposition
 from .linalg import hermitian_eig
 from .richardson import (
     ChebyshevNodes,
-    StepSchedule,
     Weights,
     build_nodes,
     extrapolate,
@@ -109,9 +108,12 @@ def base_step_count(lam: float, T: float, epsilon: float, m: int, one_norm: floa
     step size s_m = 1/N_m the error bound is taken at.
 
     The "pseudocode" schedule swaps |b|_1 for ln(m) in the power factor.
+    The count is floored at 1, where the product underflows at tiny lam T.
     """
     if lam * T <= 0:
         raise ValueError("lambda * T must be > 0")
+    if schedule not in ("squared", "pseudocode"):
+        raise ValueError(f"unknown schedule {schedule!r}")
     factor = one_norm if schedule == "squared" else math.log(m)
     try:
         count = 4.0 * (8.0 * lam * T) ** 2 * (factor / epsilon) ** (1.0 / m)
@@ -119,11 +121,11 @@ def base_step_count(lam: float, T: float, epsilon: float, m: int, one_norm: floa
         count = math.inf
     if math.isinf(count):
         raise OverflowError(f"step count {count:.3e} does not fit in int64")
-    return math.ceil(count)
+    return max(1, math.ceil(count))
 
 
-def step_counts(nodes: ChebyshevNodes, N_m: int, total_time: float) -> StepSchedule:
-    """Realized integer step counts N_j = ceil(N_m y_j / y_m), made distinct."""
+def step_counts(nodes: ChebyshevNodes, N_m: int) -> np.ndarray:
+    """Realized int64 step counts N_j = ceil(N_m y_j / y_m), made strictly decreasing."""
     if N_m < 1:
         raise ValueError(f"N_m must be >= 1, got {N_m}")
     y = nodes.y
@@ -131,7 +133,7 @@ def step_counts(nodes: ChebyshevNodes, N_m: int, total_time: float) -> StepSched
     N = strictly_decreasing(math.ceil(N_m * int(yj) / int(y[-1])) for yj in y)
     if max(N) > np.iinfo(np.int64).max:
         raise OverflowError(f"step count {max(N):.3e} does not fit in int64")
-    return StepSchedule(step_counts=np.array(N, dtype=np.int64), total_time=total_time)
+    return np.array(N, dtype=np.int64)
 
 
 def budget_split(epsilon: float, one_norm: float) -> ErrorBudget:
@@ -154,80 +156,85 @@ def richardson_error_bound(lam: float, T: float, s_m: float, m: int,
                            norm_A: float, one_norm: float):
     """Extrapolation-error series |A| |b|_1 sum_{j>=m} (8 lam T s_m)^j
     * sum_{l=1}^m (8 lam T)^l / l!, with the geometric tail summed in
-    closed form, q^m / (1 - q) for q = 8 lam T s_m.
+    closed form, q^m / (1 - q) for q = 8 lam T s_m, and the inner terms as
+    x^l / l! = (x^(l-1) / (l-1)!) x / l, finite where x^l and l! are not.
 
     Returns (bound, convergent); non-convergent (ratio >= 1) is reported,
-    never summed.
+    never summed, and a bound that is not finite raises OverflowError.
     """
     q = 8.0 * lam * T * s_m
     if q >= 1.0:
         return math.inf, False
     x = 8.0 * lam * T
     inner = 0.0
-    fact = 1.0
+    term = 1.0
     for l in range(1, m + 1):
-        fact *= l
-        inner += x ** l / fact
-    return norm_A * one_norm * inner * q ** m / (1.0 - q), True
+        term *= x / l
+        inner += term
+    bound = norm_A * one_norm * inner * q ** m / (1.0 - q)
+    if not math.isfinite(bound):
+        raise OverflowError(f"error bound of order {m} at lambda T = {lam * T!r} is not finite")
+    return bound, True
 
 
 def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int):
     """Noiseless order-m estimate on the squared schedule whose coarsest node
     takes N_m steps.
 
-    Returns (estimate, StepSchedule, Weights); the backbone of the
+    Returns (estimate, step counts, Weights); the backbone of the
     order-scaling experiments, where N_m is swept directly.
     """
-    sched = step_counts(build_nodes(m), N_m, T)
-    weights = weights_from_steps(sched.step_times)
-    values = node_values_exact(H, A, initial_state, T, sched.step_counts)
-    return extrapolate(values, weights), sched, weights
+    counts = step_counts(build_nodes(m), N_m)
+    weights = weights_from_steps(T / counts)
+    values = node_values_exact(H, A, initial_state, T, counts)
+    return extrapolate(values, weights), counts, weights
 
 
 def run(request: QfloRequest) -> QfloResult:
     H = request.hamiltonian
     A = request.observable   # checked by the measurer, or hermitian_eig and the exact path
     T = request.total_time
+
+    # The plan, fixed before any node runs.  The budget split uses
+    # ideal-node weights: it must be fixed before shots are allocated, and
+    # only the ratios of the nodes matter.
     m = select_order(request.epsilon, request.order_policy)
     nodes = build_nodes(m, squared=(request.schedule == "squared"))
-
-    # Budget split uses ideal-node weights: it must be fixed before shots
-    # are allocated, and only the ratios of the nodes matter.
     ideal_weights = weights_from_steps(1.0 / nodes.y.astype(float))
     budget = budget_split(request.epsilon, ideal_weights.one_norm)
-
     N_m = base_step_count(H.lam, T, budget.extrapolation, m,
                           ideal_weights.one_norm, request.schedule)
-    sched = step_counts(nodes, N_m, T)
-    weights = weights_from_steps(sched.step_times)
-
+    counts = step_counts(nodes, N_m)
+    weights = weights_from_steps(T / counts)
     if request.mode == "noiseless":
-        shots = 0
         norm_A = float(np.abs(hermitian_eig(A)[0]).max())   # ObservableMeasurer(A).norm
-        values = node_values_exact(H, A, request.initial_state, T, sched.step_counts)
-        errors = np.zeros(m)
+        shots = 0
     else:
         measurer = ObservableMeasurer(A)
         norm_A = measurer.norm
         shots = shots_per_node(norm_A, budget.data, request.delta, m)
-        outcomes = sample_shots(H, measurer, request.initial_state, T, sched.step_counts,
-                                shots, request.master_seed)
+    gates = sum(counts.tolist()) * max(shots, 1)   # Python ints: exact past int64
+    bound, convergent = richardson_error_bound(H.lam, T, 1.0 / int(counts[-1]), m, norm_A,
+                                               weights.one_norm)
+
+    if request.mode == "noiseless":
+        values = node_values_exact(H, A, request.initial_state, T, counts)
+        errors = np.zeros(m)
+    else:
+        outcomes = sample_shots(H, measurer, request.initial_state, T, counts, shots,
+                                request.master_seed)
         values = outcomes.mean(axis=1)
         errors = outcomes.std(axis=1, ddof=1) / math.sqrt(shots) if shots > 1 else np.zeros(m)
-    per_node = tuple(
-        NodeStats(step_count=int(N), shots=shots, mean=float(v), standard_error=float(e))
-        for N, v, e in zip(sched.step_counts, values, errors)
-    )
 
-    estimate = extrapolate(values, weights)
-    s_m = 1.0 / int(sched.step_counts[-1])
-    bound, convergent = richardson_error_bound(H.lam, T, s_m, m, norm_A, weights.one_norm)
     return QfloResult(
-        estimate=estimate,
-        per_node=per_node,
+        estimate=extrapolate(values, weights),
+        per_node=tuple(
+            NodeStats(step_count=int(N), shots=shots, mean=float(v), standard_error=float(e))
+            for N, v, e in zip(counts, values, errors)
+        ),
         weights=weights,
-        total_gate_count=int(np.sum(sched.step_counts * max(shots, 1))),
-        max_depth=int(sched.step_counts.max()),
+        total_gate_count=gates,
+        max_depth=int(counts.max()),
         theoretical_bound=bound,
         bound_convergent=convergent,
         error_budget=budget,

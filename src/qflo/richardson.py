@@ -29,16 +29,6 @@ class ChebyshevNodes:
 
 
 @dataclass(frozen=True)
-class StepSchedule:
-    step_counts: np.ndarray  # distinct positive integers N_j, node order
-    total_time: float
-
-    @property
-    def step_times(self) -> np.ndarray:
-        return self.total_time / self.step_counts
-
-
-@dataclass(frozen=True)
 class Weights:
     b: np.ndarray
 

@@ -70,10 +70,10 @@ def test_criterion_02_order_m_scaling(one_qubit):
             s_values, errors = [], []
             for scale in (1.0, 0.5, 0.25, 0.125):
                 N_m = math.ceil(8 / scale)
-                estimate, sched, _ = richardson_estimate_noiseless(
+                estimate, counts, _ = richardson_estimate_noiseless(
                     H, psi0, A, T, m, N_m
                 )
-                s_values.append(1.0 / int(sched.step_counts[-1]))
+                s_values.append(1.0 / int(counts[-1]))
                 errors.append(abs(estimate - exact))
             fit = fit_loglog_slope(s_values, errors)
             assert fit.slope >= m - 0.3, f"order {m}: slope {fit.slope:.3f}"

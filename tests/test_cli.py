@@ -614,6 +614,25 @@ class TestQflo:
         err = self._overflow("1e200", tmp_path, capsys)
         assert "step count inf does not fit in int64" in err
 
+    @pytest.mark.parametrize("text, time", [(TWO_QUBIT, "1e-300"),
+                                            ("1e-300 ZZ\n1e-300 XI\n", "1.0")])
+    def test_vanishing_lam_t_takes_one_step_at_the_last_node(self, text, time, tmp_path,
+                                                              capsys):
+        # 4 (8 lam T)^2 underflows to 0 there: N_m is floored at 1 step
+        ham = tmp_path / "ham.txt"
+        ham.write_text(text)
+        obs = tmp_path / "zi.txt"
+        obs.write_text("1.0 ZI\n")
+        json_path = tmp_path / "qflo.json"
+        argv = ["qflo", "--hamiltonian", str(ham), "--observable", str(obs), "--time", time,
+                "--epsilon", "0.05", "--delta", "0.1", "--seed", "1", "--mode", "noiseless",
+                "--json", str(json_path)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        outputs = json.loads(json_path.read_text())["outputs"]
+        assert outputs["bound_convergent"] is True
+        assert outputs["per_node"][-1]["step_count"] == 1
+
     def test_bad_epsilon_is_usage_error(self, ham_file, obs_file, capsys):
         argv = self._argv(ham_file, obs_file, **{"--epsilon": "2.0"})
         code, _, err = run_cli(argv, capsys)

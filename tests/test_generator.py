@@ -397,6 +397,12 @@ class TestGeneratorProbe:
         with pytest.raises(ValueError):
             generator_probe(H, 0.0, T=1.0)
 
+    @pytest.mark.parametrize("T", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_time_not_positive_and_finite(self, one_qubit, T):
+        H, _, _ = one_qubit
+        with pytest.raises(ValueError, match=rf"T must be positive and finite, got {T!r}"):
+            generator_probe(H, 0.1, T)
+
     def test_underflowing_step_time_names_s_and_T(self, one_qubit):
         H, _, _ = one_qubit
         with pytest.raises(ArithmeticError, match=r"s = 1e-300, T = 1e-300"):
@@ -481,6 +487,12 @@ class TestEkBoundProbe:
         H, _, _ = one_qubit
         with pytest.raises(ValueError):
             ek_bound_probe(H, 1.0, k=5)
+
+    @pytest.mark.parametrize("T", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_time_not_positive_and_finite(self, one_qubit, T):
+        H, _, _ = one_qubit
+        with pytest.raises(ValueError, match=rf"T must be positive and finite, got {T!r}"):
+            ek_bound_probe(H, T, 2)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_estimate_within_bound(self, one_qubit, k):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,17 +55,23 @@ class TestStepBudgeting:
         expected = math.ceil(4 * 64 * (math.log(5) / 0.01) ** (1 / 5))
         assert got == expected
 
+    def test_base_step_count_floors_at_one(self):
+        # 4 (8 lam T)^2 underflows to 0 at lam T = 1e-300
+        assert base_step_count(1.0, 1e-300, 0.05, 3, 1.4) == 1
+        assert base_step_count(2e-300, 1.0, 0.05, 3, 1.4, schedule="pseudocode") == 1
+
+    def test_base_step_count_refuses_unknown_schedule(self):
+        with pytest.raises(ValueError, match="unknown schedule 'cubed'"):
+            base_step_count(1.0, 1.0, 0.01, 5, 1.0, schedule="cubed")
+
     def test_step_counts_scale_with_finest(self):
         nodes = build_nodes(2)
-        sched = step_counts(nodes, 16, 1.0)
-        assert list(sched.step_counts) == [100, 16]
-        sched = step_counts(nodes, 32, 1.0)
-        assert list(sched.step_counts) == [200, 32]
+        assert list(step_counts(nodes, 16)) == [100, 16]
+        assert list(step_counts(nodes, 32)) == [200, 32]
 
     def test_step_counts_dedup_keeps_strict_order(self):
         nodes = build_nodes(8)
-        sched = step_counts(nodes, 1, 1.0)
-        N = sched.step_counts
+        N = step_counts(nodes, 1)
         assert np.all(np.diff(N) < 0)
         raw = [math.ceil(int(y) / int(nodes.y[-1])) for y in nodes.y]
         assert np.all(N >= raw)
@@ -72,11 +79,11 @@ class TestStepBudgeting:
 
     def test_step_counts_int64_overflow_names_count(self):
         with pytest.raises(OverflowError, match="step count 6.250e\\+19 does not fit"):
-            step_counts(build_nodes(2), 10 ** 19, 1.0)
+            step_counts(build_nodes(2), 10 ** 19)
 
     def test_step_counts_validation(self):
         with pytest.raises(ValueError):
-            step_counts(build_nodes(2), 0, 1.0)
+            step_counts(build_nodes(2), 0)
 
     def test_budget_identity(self):
         for eps, bn in [(0.1, 1.38), (0.03, 2.0), (0.5, 1.0)]:
@@ -123,6 +130,22 @@ class TestErrorBound:
         assert convergent
         assert 0 < bound < 1.0
 
+    def test_high_order_at_unit_lam_t_is_finite(self):
+        # 8^l passes the float range at l = 342, though sum_l 8^l / l! < e^8
+        bound, convergent = richardson_error_bound(
+            lam=1.0, T=1.0, s_m=0.0625, m=400, norm_A=1.0, one_norm=1.4
+        )
+        inner = sum(Fraction(8) ** l / math.factorial(l) for l in range(1, 401))
+        assert convergent
+        assert bound == pytest.approx(float(Fraction(14, 10) * inner * Fraction(1, 2) ** 399),
+                                      rel=1e-12)
+
+    def test_non_finite_bound_names_order_and_lam_t(self):
+        # at 8 lam T = 1000 the inner sum passes the float range by l = 400
+        with pytest.raises(OverflowError,
+                           match=r"error bound of order 400 at lambda T = 125.0 is not finite"):
+            richardson_error_bound(lam=1.0, T=125.0, s_m=1e-7, m=400, norm_A=1.0, one_norm=1.4)
+
     def test_decreases_with_step(self):
         args = dict(lam=1.0, T=1.0, m=3, norm_A=1.0, one_norm=1.4)
         b1, _ = richardson_error_bound(s_m=1e-3, **args)
@@ -142,8 +165,8 @@ class TestNoiselessEstimate:
         T = 1.0
         rho = np.outer(psi0, psi0.conj())
         exact = exact_expectation(H, A, rho, T)
-        est, sched, _ = richardson_estimate_noiseless(H, psi0, A, T, m=3, N_m=32)
-        single = expectation_exact(H, A, rho, T, int(sched.step_counts[-1]))
+        est, counts, _ = richardson_estimate_noiseless(H, psi0, A, T, m=3, N_m=32)
+        single = expectation_exact(H, A, rho, T, int(counts[-1]))
         assert abs(est - exact) < abs(single - exact) / 10
 
     def test_order_two_error_scaling(self, one_qubit):
@@ -264,6 +287,19 @@ class TestRunNoiseless:
         s_m = 1.0 / res.per_node[-1].step_count
         assert (res.theoretical_bound, res.bound_convergent) == richardson_error_bound(
             H.lam, 0.4, s_m, res.order, norm_A, res.weights.one_norm)
+
+    def test_non_finite_bound_is_refused_before_any_node_runs(self, one_qubit, monkeypatch):
+        def no_node(*args):
+            raise AssertionError("a node ran before the plan was refused")
+
+        monkeypatch.setattr(pipeline, "node_values_exact", no_node)
+        monkeypatch.setattr(pipeline, "sample_shots", no_node)
+        H, A, psi0 = one_qubit
+        request = QfloRequest(H, psi0, A, total_time=125.0, epsilon=math.exp(-400.5), delta=0.3,
+                              master_seed=1)
+        with pytest.raises(OverflowError,
+                           match=r"error bound of order 401 at lambda T = 125.0 is not finite"):
+            run(request)
 
     def test_to_dict_round_numbers(self, one_qubit):
         H, A, psi0 = one_qubit
