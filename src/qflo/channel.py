@@ -40,35 +40,41 @@ references to 2e-16 at N = 806 and N = 105345.
 
 A shot is one qDRIFT run followed by one measurement, and ``sample_shots``
 is the only shot sampler, one call for all nodes: the CLI's ``qdrift``
-shots are its row 0, the pipeline's node 0.  Its trajectories run on one
-engine, ``evolve_indexed_batch``: a batch of states, each under its own
-sequence of term indices, advanced by O(d) Pauli gates (a gather and an axpy
-per step) whatever the number of terms.  Each gate is written
+shots are its row 0, the pipeline's node 0.  Averaged over its random
+gates a run of N steps leaves E^N(rho0) (Campbell, PRL 123, 070503, 2019),
+and each shot draws its own gates, so a node's shots are i.i.d. with law
+p_k = tr[Pi_k E^N(rho0)], Pi_k the measurer's eigenprojectors.  Up to
+SUPEROP_QUBIT_CAP qubits they are drawn from it (``_law_shots``), at
+O(log N) block products per node, as in ``node_values_exact``, and one
+uniform per shot.  Above the cap the circuits are simulated
+(``_trajectory_shots``) on one engine,
+``evolve_indexed_batch``: a batch of states, each under its own sequence of
+term indices, advanced by O(d) Pauli gates (a gather and an axpy per step)
+whatever the number of terms.  Each gate is written
 cos (I + (coef / cos) P_j), so a step adds the tan-scaled gather to the
 state, and the factor cos goes back in as cos^k once at the end, or once
-per stride of k steps where |cos|^-N would pass 2^64.  At d <= 4
-(``_auto_group``) runs of consecutive steps are first folded into a table
-of dense step products, built once per engine call, so once per tile:
-``sample_shots`` builds the gates once per node and passes the engine
-tiles of at most 2^14 / d states, so that a step's arrays stay in cache.
-Measured on a shared 2-core x86-64 host with one BLAS thread, on one tile
-of states copied from one broadcast vector in C order, with 4-8 terms at
-d <= 8 (N = 300 and 3000) and 17 at d >= 16 (there also on 176 states),
-in ns/gate of the Pauli steps, interleaved medians of 7:
+per stride of k steps where |cos|^-N would pass 2^64.  The sampler builds
+the gates once per node and passes the engine tiles of at most 2^14 / d
+states, so that a step's arrays stay in cache.  Measured on a shared 2-core
+x86-64 host with one BLAS thread, on one tile of states copied from one
+broadcast vector in C order, with 4-8 terms at d <= 8 (N = 300 and 3000)
+and 17 at d >= 16 (there also on 176 states), in ns/gate, interleaved
+medians of 7:
 
     d          4        8        16        32         64
     Pauli    22-35    45-46     69-83    121-136    231-252
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
-spawn keys.  Node j draws from the one stream substream(seed, j), and its
-shot k reads uniforms [k (N + 2), (k + 1) (N + 2)) of it, so a shot's
-outcome does not depend on how the others are tiled or drawn.  PCG64 jumps
-ahead in O(log n) (O'Neill, HMC-CS-2014-0905; ``PCG64.advance``), so a
-fresh stream advanced by k (N + 2) replays shot k alone.  The sampler
-draws each tile's rows as slabs of at most TILE_AMPLITUDES uniforms, 128
-KiB, and looks up a whole slab's terms in one call; a row longer than that
-is drawn alone.
+spawn keys.  Node j draws from the one stream substream(seed, j).  Its
+shot k reads uniform k of it on the law path, uniforms
+[k (N + 2), (k + 1) (N + 2)) on the trajectory path, so a shot's outcome
+does not depend on how the others are tiled or drawn.  PCG64 jumps ahead
+in O(log n) (O'Neill, HMC-CS-2014-0905; ``PCG64.advance``), so a fresh
+stream advanced by k, or k (N + 2), replays shot k alone.  The trajectory
+sampler draws each tile's rows as slabs of at most TILE_AMPLITUDES
+uniforms, 128 KiB, and looks up a whole slab's terms in one call; a row
+longer than that is drawn alone.
 """
 
 from __future__ import annotations
@@ -90,7 +96,6 @@ CHUNK_INDEX_BYTES = 2 ** 27
 DEGENERACY_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 SUPEROP_QUBIT_CAP = 4
-_GROUP_TABLE_CAP = 4096
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -565,50 +570,6 @@ def exact_expectation(H: HamiltonianDecomposition, A, rho0, T: float) -> float:
     return complex(np.trace(A @ U @ rho0 @ U.conj().T)).real
 
 
-def grouped_step_unitaries(unitaries, group: int) -> np.ndarray:
-    """Products of ``group`` consecutive step unitaries for every index tuple.
-
-    Entry ``code`` holds U[i_{g-1}] @ ... @ U[i_0] where
-    code = i_0 + L i_1 + ... + L^(g-1) i_{g-1} (first-applied term least
-    significant).
-    """
-    table = unitaries
-    for _ in range(group - 1):
-        # new[j, c] = U[j] @ table[c]; flattening keeps j most significant
-        table = np.matmul(unitaries[:, None, :, :], table[None, :, :, :])
-        table = table.reshape(-1, *unitaries.shape[1:])
-    return table
-
-
-def _auto_group(L: int, d: int, N: int) -> int:
-    """Steps folded into one table product; 1 means Pauli gates only.
-
-    The table is built only at d <= 4, where it measured faster per gate (the
-    module docstring's table) and 1.07-1.26x faster end to end on the
-    two-qubit benchmark.  At d = 8 it was slower in every case measured: end
-    to end, 1.09-1.13x the Pauli time on a 3-qubit, 4-term Hamiltonian.
-    """
-    group = 1
-    while (
-        group < 6
-        and L ** (group + 1) <= _GROUP_TABLE_CAP
-        and N >= 4 * (group + 1)
-    ):
-        group += 1
-    return group if d <= 4 else 1
-
-
-def _group_codes(indices, L: int, group: int, n_groups: int) -> np.ndarray:
-    """(B, n_groups) table codes of the first n_groups * group steps, in the
-    smallest integer type that holds L^group, read straight from ``indices``."""
-    codes = np.zeros((indices.shape[0], n_groups), dtype=np.min_scalar_type(L ** group - 1))
-    stop = n_groups * group
-    for k in range(group - 1, -1, -1):
-        codes *= L
-        np.add(codes, indices[:, k:stop:group], out=codes, casting="unsafe")
-    return codes
-
-
 def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     """Evolve a batch of states, each under its own index sequence.
 
@@ -616,13 +577,11 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
     (B, N) in [0, L).  Each step is a gather and an axpy: the gate is
     cos (I + (coef / cos) P_j), so a step adds (coef / cos) psi[perm] to
     psi, and the factor cos goes back in as one multiply by cos^k per
-    stride of k steps (``_fold_stride``).  The Pauli steps read their term
+    stride of k steps (``_fold_stride``).  The steps read their term
     indices through one (K, B) intp buffer, K = TILE_AMPLITUDES // B,
     refilled once per K steps, so that a step's gathers take a contiguous
-    intp row and do not convert a strided column of ``indices``.  At d <= 4
-    consecutive steps are first folded into a product table, built once per
-    call; the grouping is fixed by (L, d, N), so results stay deterministic
-    for given indices.  Gates with cos = 0 cannot be folded and are refused.
+    intp row and do not convert a strided column of ``indices``.  Gates
+    with cos = 0 cannot be folded and are refused.
     """
     # C order: a broadcast or Fortran-ordered input would otherwise stay
     # strided, and every step's flat gather would copy the whole batch
@@ -633,37 +592,24 @@ def evolve_indexed_batch(psis, gates: PauliRotations, indices) -> np.ndarray:
         raise ValueError(f"term indices must lie in [0, {L})")
     if gates.cos == 0:
         raise ValueError("gates with cos 0 cannot be folded into tan-scaled steps")
-    group = _auto_group(L, d, N)
-    start = 0
-    # Indices are range-checked above, so "clip" only skips take's bounds
-    # buffering.  The loops call bound ``take`` methods and write every
-    # product into a buffer allocated once: at these batch sizes numpy's
-    # per-call overhead is a large share of a step.
-    if group > 1:
-        table = grouped_step_unitaries(gates.dense(), group)
-        n_groups = N // group
-        start = n_groups * group
-        codes = _group_codes(indices, L, group, n_groups)
-        take_products = table.take
-        products = np.empty((B, d, d), dtype=complex)
-        for i in range(n_groups):
-            take_products(codes[:, i], axis=0, out=products, mode="clip")
-            out = np.einsum("bij,bj->bi", products, out)
-    if start == N:
+    if N == 0:
         return out
-    # flat positions b d + perm[j, y], with the row offsets b d held as a
-    # full (B, d) array: adding a broadcast (B, 1) column cost about 11% of
-    # a step more at d = 32
+    # Indices are range-checked above, so "clip" only skips take's bounds
+    # buffering.  The loop calls bound ``take`` methods and writes every
+    # product into a buffer allocated once: at these batch sizes numpy's
+    # per-call overhead is a large share of a step.  The flat positions
+    # b d + perm[j, y] take the row offsets b d as a full (B, d) array:
+    # adding a broadcast (B, 1) column cost about 11% of a step more at d = 32
     offsets = np.repeat(np.arange(0, B * d, d), d).reshape(B, d)
     src = np.empty((B, d), dtype=np.intp)
     gathered = np.empty_like(out)
     coef = np.empty_like(out)
-    columns = np.empty((max(1, min(TILE_AMPLITUDES // max(B, 1), N - start)), B), dtype=np.intp)
+    columns = np.empty((max(1, min(TILE_AMPLITUDES // max(B, 1), N)), B), dtype=np.intp)
     cos = gates.cos
     take_perm, take_coef, take_amps = gates.perm.take, (gates.coef / cos).take, out.take
     multiply, add = np.multiply, np.add
-    stride = _fold_stride(cos, N - start)
-    for first in range(start, N, stride):
+    stride = _fold_stride(cos, N)
+    for first in range(0, N, stride):
         last = min(first + stride, N)
         for block in range(first, last, len(columns)):
             cols = columns[:last - block]
@@ -723,10 +669,13 @@ class ObservableMeasurer:
             row = int(np.argmax(bad))
             raise ArithmeticError(f"state {row} has total probability {float(total[row])!r}, "
                                   "not finite and positive; it cannot be measured")
-        cum /= total[:, None]
-        idx = np.sum(cum <= uniforms[:, None], axis=1)
-        idx = np.minimum(idx, self.values.size - 1)
-        return self.values[idx]
+        return self._pick(cum, uniforms)
+
+    def _pick(self, cum, uniforms) -> np.ndarray:
+        """The outcome each uniform picks from cumulative probabilities cum,
+        (B, K) or (K,) for all: the first whose share of the total passes it."""
+        idx = np.sum(cum / cum[..., -1:] <= uniforms[:, None], axis=1)
+        return self.values[np.minimum(idx, self.values.size - 1)]
 
 
 def shot_chunk(L: int, N: int, d: int) -> int:
@@ -757,43 +706,84 @@ def _draw_tile(H: HamiltonianDecomposition, rng, B: int, N: int, index_type):
     return heads, indices
 
 
+def _ensemble(initial_state):
+    """(pops, basis): the checked initial state as the ensemble both shot
+    paths sample, a unit vector alone or a density matrix's eigenvectors
+    whose eigenvalues pass 1e-12, with those eigenvalues renormalised."""
+    if np.ndim(initial_state) == 2:
+        evals, evecs = check_density_matrix(initial_state, eigenpairs=True)
+        keep = evals > 1e-12
+        return evals[keep] / evals[keep].sum(), evecs[:, keep]
+    return np.ones(1), unit_state(initial_state)[:, None]
+
+
 def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_counts,
                  shots: int, seed: int) -> np.ndarray:
     """(len(step_counts), shots) outcomes: row j holds one measured outcome of
     A for each of ``shots`` qDRIFT runs of N = step_counts[j] steps of time
     T/N from ``initial_state`` (a unit vector or a density matrix).  A is a
-    Hermitian matrix or its ``ObservableMeasurer``.  The measurer, the state's
-    check and its eigen-ensemble are built once per call, the gates per row.
-
-    Row j draws from the one stream substream(seed, j), and shot k reads its
-    uniforms [k (N + 2), (k + 1) (N + 2)) in a fixed order: the measurement
-    uniform, the initial-state uniform, which picks a member of the ensemble
-    (a unit vector has one), then the N term uniforms; a repeated N is drawn
-    again on its own stream.  Each row's shots are evolved in tiles of
-    ``shot_chunk(L, N, d)`` consecutive shots, at most 2^14 / d, so that each
-    tile's states stay in cache, and each tile is drawn in slabs of rows
-    (``_draw_tile``).  As each shot's uniforms sit at a fixed offset of its
-    row's stream, neither the tiling nor the slabs change any outcome.
+    Hermitian matrix or its ``ObservableMeasurer``.  The measurer and the
+    state's check and eigen-ensemble are built once per call.  Row j draws
+    from substream(seed, j): from the exact outcome law up to
+    SUPEROP_QUBIT_CAP qubits (``_law_shots``), else from simulated circuits
+    (``_trajectory_shots``); a repeated N is drawn again on its own stream.
     """
     counts = _step_counts(step_counts)
     shots, seed = _integer(shots, name="shots"), _integer(seed, 0, "seed")
     _require_shapes(H, initial_state, A)
-    angles = _step_angle(H, [T / N for N in counts])
     measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
-    if np.ndim(initial_state) == 2:
-        evals, evecs = check_density_matrix(initial_state, eigenpairs=True)
-        keep = evals > 1e-12
-        pops = evals[keep] / evals[keep].sum()
-        basis = evecs[:, keep]
-    else:   # a pure state is the one-member ensemble
-        pops = np.ones(1)
-        basis = unit_state(initial_state)[:, None]
+    ensemble = _ensemble(initial_state)
+    index_bytes = np.min_scalar_type(len(H) - 1).itemsize * max(counts)
+    if max(8 * len(counts) * shots, index_bytes) > np.iinfo(np.intp).max:
+        raise OverflowError(f"{shots} shots of up to {max(counts)} steps at {len(counts)} "
+                            "nodes pass numpy's largest array")
+    sample = _law_shots if H.n_qubits <= SUPEROP_QUBIT_CAP else _trajectory_shots
+    return sample(H, measurer, ensemble, T, counts, shots, seed)
+
+
+def _law_shots(H: HamiltonianDecomposition, measurer: ObservableMeasurer, ensemble,
+               T: float, counts: list, shots: int, seed: int) -> np.ndarray:
+    """``sample_shots`` from each node's law p_k = tr(V_k^dag rho_N V_k), V_k
+    the measurer's eigenvector blocks, rho_N = E^N(rho0) from one
+    ``_pauli_powers`` call and rho0 the ensemble's mixture of normalised
+    members.  Shot k of row j maps uniform k of substream(seed, j), and no
+    other, through p's cumulative sum.  ArithmeticError for a p with an entry
+    below -1e-12 or a sum off 1 by more than 1e-12."""
+    pops, basis = ensemble
+    basis = basis / np.linalg.norm(basis, axis=0)
+    v0 = _pauli_coefficients((basis * pops) @ basis.conj().T).real
+    distinct = sorted(set(counts), reverse=True)
+    rhos = _pauli_operator(_pauli_powers(H, v0, T, distinct))
+    law = np.stack([np.einsum("ai,nab,bi->n", V.conj(), rhos, V).real
+                    for V in measurer._blocks], axis=1)
+    cum = np.cumsum(law, axis=1)
+    for N, p, total in zip(distinct, law, cum[:, -1]):
+        if not (p.min() >= -1e-12 and abs(total - 1.0) <= 1e-12):
+            raise ArithmeticError(f"outcome law at N = {N} has least entry {float(p.min())!r} "
+                                  f"and sum {float(total)!r}: not a probability vector")
+    values = np.empty((len(counts), shots))
+    for node, N in enumerate(counts):
+        node_cum, rng = cum[distinct.index(N)], substream(seed, node)
+        for start in range(0, shots, TILE_AMPLITUDES):
+            stop = min(start + TILE_AMPLITUDES, shots)
+            values[node, start:stop] = measurer._pick(node_cum, rng.random(stop - start))
+    return values
+
+
+def _trajectory_shots(H: HamiltonianDecomposition, measurer: ObservableMeasurer, ensemble,
+                      T: float, counts: list, shots: int, seed: int) -> np.ndarray:
+    """``sample_shots`` from simulated qDRIFT circuits, the gates built once
+    per row.  Shot k of row j reads uniforms [k (N + 2), (k + 1) (N + 2)) of
+    substream(seed, j): the measurement uniform, the initial-state uniform,
+    which picks an ensemble member, then the N term uniforms.  Each row runs
+    in tiles of ``shot_chunk(L, N, d)`` shots, each drawn in slabs of rows
+    (``_draw_tile``); as each shot's uniforms sit at a fixed offset of its
+    row's stream, neither changes any outcome."""
+    pops, basis = ensemble
     pop_cdf = np.cumsum(pops)
     pop_cdf[-1] = 1.0
     index_type = np.min_scalar_type(len(H) - 1)
-    if max(8 * len(counts) * shots, index_type.itemsize * max(counts)) > np.iinfo(np.intp).max:
-        raise OverflowError(f"{shots} shots of up to {max(counts)} steps at {len(counts)} "
-                            "nodes pass numpy's largest array")
+    angles = _step_angle(H, [T / N for N in counts])
     values = np.empty((len(counts), shots))
     for node, (N, angle) in enumerate(zip(counts, angles)):
         gates = H.pauli_rotations(float(angle))

@@ -133,8 +133,8 @@ def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> Generato
     range: there 1 / t overflows, and G(s) with it."""
     if not 0 < T < math.inf:
         raise ValueError(f"total time T must be positive and finite, got {T!r}")
-    if s <= 0:
-        raise ValueError(f"inverse step count s must be > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"inverse step count s must be positive and finite, got {s!r}")
     t = s * T
     if t < np.finfo(float).tiny:
         raise ArithmeticError(

@@ -20,7 +20,7 @@ from qflo.channel import (
 from qflo.benchmarks import TWO_QUBIT_TEXT
 from qflo.generator import generator_probe
 from qflo.hamiltonian import PauliRotations, PauliString, parse_hamiltonian
-from qflo.linalg import unitary_exp, vectorize
+from qflo.linalg import devectorize, unitary_exp, vectorize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -304,6 +304,14 @@ def evolve(psi0, H, indices, t):
                                 np.asarray(indices)[None, :])[0]
 
 
+def trajectory_shots(H, A, state, T, counts, shots, seed):
+    """``sample_shots`` through its trajectory engine, the path it takes
+    above SUPEROP_QUBIT_CAP, at any qubit count."""
+    measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
+    return channel._trajectory_shots(H, measurer, channel._ensemble(state), T, list(counts),
+                                     shots, seed)
+
+
 def replayed_shot(H, measurer, psi0, T, N, seed, node, k):
     """Shot k of node j rebuilt alone: a fresh substream(seed, j) advanced by
     k (N + 2), then the measurement uniform, the initial-state uniform and
@@ -385,7 +393,8 @@ class TestTrajectories:
         assert channel.shot_chunk(len(H), N, H.dim) == 10 and 40 // (N + 2) == 3
         measurer = ObservableMeasurer(A)
         expected = [replayed_shot(H, measurer, psi0, T, N, seed, node, k) for k in range(12)]
-        assert sample_shots(H, A, psi0, T, [N] * (node + 1), 12, seed)[node].tolist() == expected
+        outcomes = trajectory_shots(H, A, psi0, T, [N] * (node + 1), 12, seed)
+        assert outcomes[node].tolist() == expected
 
     def test_many_terms_keep_indices_in_two_bytes(self, monkeypatch):
         # 300 terms on 5 qubits: each index row is uint16, and every shot is
@@ -415,7 +424,7 @@ class TestTrajectories:
         H, A, psi0 = two_qubit
         T, shots, seed = 0.7, 6, 31
         measurer = ObservableMeasurer(A)
-        outcomes = sample_shots(H, A, psi0, T, counts, shots, seed)
+        outcomes = trajectory_shots(H, A, psi0, T, counts, shots, seed)
         assert outcomes.shape == (len(counts), shots)
         for j, N in enumerate(counts):
             expected = [replayed_shot(H, measurer, psi0, T, N, seed, j, k) for k in range(shots)]
@@ -491,44 +500,8 @@ class TestBatchEvolution:
             psi = U[indices[b, 1]] @ (U[indices[b, 0]] @ psi0)
             assert np.abs(batch[b] - psi).max() <= 1e-12
 
-    def test_table_only_below_cutoff(self):
-        # the product table is built only at d <= 4; else Pauli gates only
-        assert channel._auto_group(4, 4, 100) > 1
-        assert channel._auto_group(8, 8, 100) == 1
-        assert channel._auto_group(17, 8, 100) == 1
-        assert channel._auto_group(4, 16, 100) == 1
-        assert channel._auto_group(17, 32, 4207) == 1
-
-    @pytest.mark.parametrize("text, obs, tables", [
-        # the pinned 3-qubit shots of the CLI tests, at d = 8
-        ("0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n", "1.0 ZIZ", 0),
-        # criterion 8's two-qubit benchmark, at d = 4: one table per tile
-        (TWO_QUBIT_TEXT, "1.0 ZI", 2),
-    ], ids=["d8-pauli", "d4-table"])
-    def test_engine_choice_in_sample_shots(self, text, obs, tables, monkeypatch):
-        H = parse_hamiltonian(text)
-        built = []
-        grouped = channel.grouped_step_unitaries
-
-        def spy(unitaries, group):
-            built.append(group)
-            return grouped(unitaries, group)
-
-        monkeypatch.setattr(channel, "grouped_step_unitaries", spy)
-        psi0 = np.eye(H.dim, dtype=complex)[0]
-        shots = 2 * channel.shot_chunk(len(H), 400, H.dim)
-        sample_shots(H, parse_hamiltonian(obs).dense(), psi0, 0.8, [400], shots, seed=5)
-        assert built == [6] * tables
-
-    def test_group_codes_fit_smallest_type(self):
-        indices = np.array([[3, 1, 2, 0, 1, 3, 2]], dtype=np.uint8)
-        codes = channel._group_codes(indices, 4, 3, 2)
-        assert codes.dtype == np.uint8
-        assert codes.tolist() == [[3 + 4 * 1 + 16 * 2, 0 + 4 * 1 + 16 * 3]]
-        assert channel._group_codes(indices, 16, 3, 2).dtype == np.uint16
-
     def test_shot_chunk_bounds_index_bytes(self):
-        # criterion 8's two-qubit tiles keep their 4096 shots
+        # at most 2^14 / d shots, fewer where their (B, N) indices pass CHUNK_INDEX_BYTES
         assert channel.shot_chunk(4, 17905, 4) == channel.TILE_AMPLITUDES // 4 == 4096
         assert channel.shot_chunk(17, 4207, 32) == 512
         assert channel.shot_chunk(17, 673, 64) == 256
@@ -609,8 +582,7 @@ def pauli_sums(draw, max_qubits, min_qubits=1):
 @st.composite
 def indexed_evolutions(draw):
     """A random Pauli-sum Hamiltonian on 1-6 qubits, a step angle and a batch
-    of index sequences whose length reaches both sides of the table cutoff
-    and tails shorter than a group."""
+    of 1-4 index sequences of 0-31 steps."""
     H = draw(pauli_sums(6))
     angle = draw(st.floats(-3.2, 3.2))
     B = draw(st.integers(1, 4))
@@ -700,25 +672,64 @@ def test_pauli_channel_matches_kron_oracle(H, t):
 
 
 def test_shot_outcomes_follow_exact_distribution():
-    # Chi-square of sample_shots' outcome counts against
-    # p_k = tr[Pi_k E^N(rho0)] from the exact channel, Pi_k the measurer's
-    # eigenprojectors.
+    # Chi-square of the law path's outcome counts at two nodes, from a pure
+    # and from a mixed state, against p_k = tr[Pi_k S^N(rho0)], with S the
+    # vec-basis superoperator of ``channel_superoperator``, which the law
+    # path does not build, and Pi_k the measurer's eigenprojectors
     from scipy.stats import chi2
 
-    H = parse_hamiltonian("0.5 XYI\n0.3 IZZ\n0.4 YIX\n-0.2 ZXY\n0.6 XII\n")
+    H = parse_hamiltonian(THREE_QUBIT_WITH_Y)
     A = parse_hamiltonian("1.0 ZII\n0.5 IZI\n0.25 IIZ\n").dense()
-    psi0 = np.zeros(H.dim, dtype=complex)
-    psi0[0] = 1.0
-    T, N, shots = 1.5, 12, 20000
+    T, counts, shots = 1.5, [12, 5], 20000
     measurer = ObservableMeasurer(A)
-    rho = channel_iterate_exact(H, np.outer(psi0, psi0.conj()), T, N)
-    p = np.array([np.trace(V.conj().T @ rho @ V).real for V in measurer._blocks])
-    assert abs(p.sum() - 1.0) <= 1e-12 and p.min() * shots >= 5
-    outcomes = sample_shots(H, measurer, psi0, T, [N], shots, seed=2024)[0]
-    counts = np.array([np.sum(outcomes == v) for v in measurer.values])
-    assert counts.sum() == shots
-    statistic = np.sum((counts - shots * p) ** 2 / (shots * p))
-    assert chi2.sf(statistic, p.size - 1) >= 1e-3
+    mixed, _ = state_and_observable(H.dim, True, 9)
+    for state in (np.eye(H.dim, dtype=complex)[0], mixed):
+        rho0 = state if state.ndim == 2 else np.outer(state, state.conj())
+        outcomes = sample_shots(H, measurer, state, T, counts, shots, seed=2024)
+        for row, N in enumerate(counts):
+            S = channel.channel_superoperator(H, T / N)
+            rho = devectorize(np.linalg.matrix_power(S, N) @ vectorize(rho0))
+            p = np.array([np.trace(V.conj().T @ rho @ V).real for V in measurer._blocks])
+            assert abs(p.sum() - 1.0) <= 1e-12 and p.min() * shots >= 5
+            hits = np.array([np.sum(outcomes[row] == v) for v in measurer.values])
+            assert hits.sum() == shots
+            statistic = np.sum((hits - shots * p) ** 2 / (shots * p))
+            assert chi2.sf(statistic, p.size - 1) >= 1e-3 / 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_trajectories_run_only_above_the_cap(n, monkeypatch):
+    # up to SUPEROP_QUBIT_CAP = 4 qubits the shots come from their law alone
+    H = parse_hamiltonian(heisenberg_chain(n))
+    A = parse_hamiltonian("1.0 Z" + "I" * (n - 1)).dense()
+    evolved = []
+    engine = channel.evolve_indexed_batch
+    monkeypatch.setattr(channel, "evolve_indexed_batch", lambda psis, gates, indices:
+                        evolved.append(indices.shape) or engine(psis, gates, indices))
+    outcomes = sample_shots(H, A, np.eye(H.dim)[0], 0.5, [20, 7], 16, seed=3)
+    assert outcomes.shape == (2, 16) and set(outcomes.ravel()) <= {-1.0, 1.0}
+    assert evolved == ([(16, 20), (16, 7)] if n > channel.SUPEROP_QUBIT_CAP else [])
+
+
+def test_law_shot_k_reads_uniform_k(monkeypatch):
+    # shot k of node j is the outcome that uniform k of substream(seed, j)
+    # picks from the node's cumulative law, also when the uniforms are
+    # drawn in slabs of 7; a repeated N is drawn again on its own stream
+    H = parse_hamiltonian(TWO_QUBIT_TEXT)
+    rho0, A = state_and_observable(H.dim, True, 12)
+    measurer = ObservableMeasurer(A)
+    T, counts, shots, seed = 0.7, [9, 4, 9], 40, 31
+    law = np.array([node_values_exact(H, V @ V.conj().T, rho0, T, counts)
+                    for V in measurer._blocks]).T
+    outcomes = sample_shots(H, measurer, rho0, T, counts, shots, seed)
+    monkeypatch.setattr(channel, "TILE_AMPLITUDES", 7)
+    assert sample_shots(H, measurer, rho0, T, counts, shots, seed).tobytes() == outcomes.tobytes()
+    assert measurer.values.size == 4 and outcomes[0].tolist() != outcomes[2].tolist()
+    for j, cum in enumerate(np.cumsum(law, axis=1)):
+        u = substream(seed, j).random(shots)
+        assert np.abs(u[:, None] - cum).min() > 1e-9   # no uniform at an edge
+        expected = measurer.values[np.searchsorted(cum, u, side="right")]
+        assert outcomes[j].tolist() == expected.tolist()
 
 
 THREE_QUBIT_WITH_Y = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n-0.2 ZXY\n0.6 XII\n"
@@ -729,8 +740,8 @@ CHAIN5_FIELDS = "1.0 ZIIII\n0.5 IZIII\n0.25 IIZII\n"
 GUIDE_EDGES = "".join(f"{1 / 256 + 1e-5!r} X\n{2 / 256 - 1e-5 - 1e-7!r} Z\n"
                       for _ in range(85)) + f"{1 / 256 + 85e-7!r} Z\n"
 ORACLE_CASES = {
-    # id: (H, observable text or None for a random one, state rank, T, step counts, row)
-    # N = 31 and 41 leave one Pauli step after the 6-step table products
+    # id: (H, observable text or None for a random one, state rank, T, step counts, row);
+    # the -table ids name d <= 4 cases, which once ran a table of step products
     "d2-table": ("0.6 X\n0.4 Z\n", "1.0 Z", 1, 1.0, [31], 0),
     "d4-table": (TWO_QUBIT_TEXT, None, 1, 1.0, [41], 0),
     "d8-pauli": (THREE_QUBIT_WITH_Y, None, 1, 1.5, [25], 0),
@@ -739,16 +750,16 @@ ORACLE_CASES = {
     "d32-strided": (HEISENBERG_CHAIN_5, CHAIN5_FIELDS, 1, 400 * 1.5 / 14.5, [400], 0),
     "rank3-d8": (THREE_QUBIT_WITH_Y, None, 3, 1.2, [20], 0),
     "guide-lifts": (GUIDE_EDGES, "1.0 Z", 1, 1.0, [20], 0),
-    # 2-step table products and one Pauli step at N = 9
     "row2-d4": (TWO_QUBIT_TEXT, None, 1, 1.0, [50, 20, 9], 2),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=list(ORACLE_CASES))
 def test_shot_counts_follow_the_exact_channel(case):
-    # The law of sample_shots' outcomes on every engine path: counts of each
-    # outcome against p_k = tr[Pi_k E^N(rho0)] from node_values_exact, Pi_k
-    # the measurer's eigenprojectors.  An exact binomial test for two
+    # The law of the trajectory engine's outcomes, run at every d although
+    # sample_shots runs it only above 4 qubits: counts of each outcome
+    # against p_k = tr[Pi_k E^N(rho0)] from node_values_exact, Pi_k the
+    # measurer's eigenprojectors.  An exact binomial test for two
     # outcomes, else chi-square; fixed seeds, and a Bonferroni threshold
     # over the cases, keep it deterministic.
     from scipy.stats import binomtest, chi2
@@ -769,7 +780,7 @@ def test_shot_counts_follow_the_exact_channel(case):
     p = np.array([node_values_exact(H, V @ V.conj().T, rho0, T, counts)[row]
                   for V in measurer._blocks])
     assert abs(p.sum() - 1.0) <= 1e-12 and p.min() * shots >= 5
-    outcomes = sample_shots(H, measurer, state, T, counts, shots, seed=seed)[row]
+    outcomes = trajectory_shots(H, measurer, state, T, counts, shots, seed)[row]
     hits = np.array([np.sum(outcomes == v) for v in measurer.values])
     assert hits.sum() == shots
     if p.size == 2:
@@ -809,22 +820,17 @@ def dyadic_rotations(H):
     return PauliRotations(cos=0.75, perm=quarter_turn.perm, coef=0.5 * quarter_turn.coef)
 
 
-@pytest.mark.parametrize("text, B, N, seed, group, digest", [
+@pytest.mark.parametrize("text, B, N, seed, digest", [
     # Pauli gates at d = 32, with the batch and step count of shot_heis5's
     # coarse node
-    (HEISENBERG_CHAIN_5, 176, 673, 11, 1,
+    (HEISENBERG_CHAIN_5, 176, 673, 11,
      "031adb85fc29fdc56abe1930765bbc0753a28ca7849c967e18aa7aab6f312b5a"),
-    # the product table of 6 steps at d = 4, and 1015 = 6 * 169 + 1 leaves
-    # one Pauli step
-    (TWO_QUBIT_TEXT, 256, 1015, 12, 6,
-     "2364d382c0014522a19774a7f49321871b23dfcf22bc39eff1cda2ed62931702"),
-], ids=["pauli-d32", "table-d4"])
-def test_pinned_engine_states(text, B, N, seed, group, digest):
+], ids=["pauli-d32"])
+def test_pinned_engine_states(text, B, N, seed, digest):
     # sha256 of the final states' bytes, from the sampler's term draws and
     # its broadcast initial state; the states also match the same gates'
     # dense products applied one step at a time
     H = parse_hamiltonian(text)
-    assert channel._auto_group(len(H), H.dim, N) == group
     indices = np.stack([H.sample_terms(substream(seed, 0, b), N) for b in range(B)])
     psi0 = np.eye(H.dim, dtype=complex)[0]
     gates = dyadic_rotations(H)
@@ -859,9 +865,9 @@ def test_tiles_give_the_same_outcomes(mixed, monkeypatch):
 @pytest.mark.parametrize("text, N", [(TWO_QUBIT_TEXT, 100), (HEISENBERG_CHAIN_5, 200)],
                          ids=["d4-table", "d32-pauli"])
 def test_slabs_give_the_same_outcomes(text, N, monkeypatch):
-    # 300 shots at two nodes from a mixed state, drawn in the default tiles
-    # and slabs, then in slabs of one row (tiles of 37 and 9 shots), then as
-    # one tile drawn as one slab
+    # 300 trajectory shots at two nodes from a mixed state, drawn in the
+    # default tiles and slabs, then in slabs of one row (tiles of 37 and 9
+    # shots), then as one tile drawn as one slab
     H = parse_hamiltonian(text)
     rho0, A = state_and_observable(H.dim, True, 8)
     measurer = ObservableMeasurer(A)
@@ -869,7 +875,7 @@ def test_slabs_give_the_same_outcomes(text, N, monkeypatch):
     outcomes = []
     for amplitudes in (channel.TILE_AMPLITUDES, 3 * N // 2, shots * (N + 2) * H.dim):
         monkeypatch.setattr(channel, "TILE_AMPLITUDES", amplitudes)
-        outcomes.append(sample_shots(H, measurer, rho0, 1.0, [N, N // 3], shots, seed=4))
+        outcomes.append(trajectory_shots(H, measurer, rho0, 1.0, [N, N // 3], shots, seed=4))
     assert 3 * N // 2 // (N + 2) == 1
     assert len(set(outcomes[0][0])) > 2
     assert outcomes[1].tobytes() == outcomes[0].tobytes() == outcomes[2].tobytes()
@@ -1050,11 +1056,11 @@ class TestDerivedTables:
 
     def test_shots_build_gate_gathers_once(self, two_qubit, monkeypatch):
         _, A, psi0 = two_qubit
-        fresh = sample_shots(parse_hamiltonian(TWO_QUBIT_TEXT), A, psi0, 0.7, [9, 4, 2], 5, seed=3)
+        fresh = trajectory_shots(parse_hamiltonian(TWO_QUBIT_TEXT), A, psi0, 0.7, [9, 4, 2], 5, 3)
         calls = _counted_builds(monkeypatch, hamiltonian, ["_term_gathers"])
         H = parse_hamiltonian(TWO_QUBIT_TEXT)
         for _ in range(2):
-            outcomes = sample_shots(H, A, psi0, 0.7, [9, 4, 2], 5, seed=3)
+            outcomes = trajectory_shots(H, A, psi0, 0.7, [9, 4, 2], 5, 3)
             assert outcomes.tolist() == fresh.tolist()
         exact_expectation(H, A, psi0, 0.7)
         assert calls == {"_term_gathers": 1}

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import re
 import sys
 import warnings
 import weakref
@@ -130,10 +131,11 @@ class TestQdrift:
         ]
 
     def test_pinned_shot_table(self, tmp_path, capsys):
-        # pinned under the shot layout the pipeline's nodes use
+        # pinned under the law path's draw: shot k reads uniform k of node
+        # 0's stream, through p(-1) = 0.6114 from the vec-basis superoperator
         code, out, _ = run_cli(self._three_qubit_argv(tmp_path, "0.8", 30, 24), capsys)
         assert code == 0
-        values = "-1 1 1 -1 -1 -1 -1 1 -1 -1 1 -1 -1 -1 -1 -1 1 1 -1 1 -1 -1 -1 -1".split()
+        values = "-1 1 -1 -1 -1 -1 -1 -1 -1 -1 -1 1 -1 -1 -1 -1 1 1 -1 -1 -1 -1 -1 -1".split()
         assert out == "shot,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values))
 
     @pytest.mark.parametrize("time,steps", [("0.8", 30), ("1.0", 49), ("0.1", 95)])
@@ -141,17 +143,17 @@ class TestQdrift:
                                           time, steps):
         # --steps is the step count N (time / steps once ran 50 steps for
         # 1.0 / 49 and 96 for 0.1 / 95), and the shots are sample_shots' node 0
-        evolved = []
-        engine = channel.evolve_indexed_batch
+        powered = []
+        powers = channel._pauli_powers
 
-        def spy(psis, gates, indices):
-            evolved.append(indices.shape[1])
-            return engine(psis, gates, indices)
+        def spy(H, v0, T, counts):
+            powered.append(counts)
+            return powers(H, v0, T, counts)
 
-        monkeypatch.setattr(channel, "evolve_indexed_batch", spy)
+        monkeypatch.setattr(channel, "_pauli_powers", spy)
         code, out, _ = run_cli(self._three_qubit_argv(tmp_path, time, steps, 24), capsys)
         assert code == 0
-        assert set(evolved) == {steps}
+        assert powered == [[steps]]
         values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
         psi0 = np.full(8, 1 / math.sqrt(8), dtype=complex)
         expected = sample_shots(parse_hamiltonian(THREE_QUBIT),
@@ -159,26 +161,50 @@ class TestQdrift:
                                 psi0, float(time), [steps], 24, seed=5)[0]
         assert values == expected.tolist()
 
+    def _five_qubit_files(self, tmp_path):
+        # past the 4-qubit cap, where each shot's circuit is simulated
+        ham = tmp_path / "h5.txt"
+        ham.write_text("0.5 XXIII\n0.5 IZZII\n")
+        obs = tmp_path / "o5.txt"
+        obs.write_text("1.0 ZIIII\n")
+        return str(ham), str(obs)
+
     @pytest.mark.parametrize("steps, shots, message", [
         (10, 2 ** 61, "largest array"),            # 2^64 bytes of outcomes
         (2 ** 63, 1, "largest array"),             # 2^63 bytes of term indices
         (2 ** 62, 1, "lower --shots or --steps"),  # 2^62 bytes, past any address space
     ])
-    def test_oversized_request_exits_3(self, ham_file, obs_file, capsys, steps, shots, message):
-        argv = self._argv(ham_file, obs_file)
+    def test_oversized_request_exits_3(self, tmp_path, capsys, steps, shots, message):
+        argv = self._argv(*self._five_qubit_files(tmp_path))
         argv[argv.index("--steps") + 1] = str(steps)
         argv[argv.index("--shots") + 1] = str(shots)
         code, _, err = run_cli(argv, capsys)
         assert code == 3
         assert message in err
 
-    def test_unmeasurable_states_exit_3(self, ham_file, obs_file, capsys, monkeypatch):
+    def test_unmeasurable_states_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(channel, "evolve_indexed_batch",
                             lambda psis, gates, indices: np.full(psis.shape, np.nan + 0j))
-        code, out, err = run_cli(self._argv(ham_file, obs_file), capsys)
+        code, out, err = run_cli(self._argv(*self._five_qubit_files(tmp_path)), capsys)
         assert code == 3
         assert out == ""
         assert "not finite and positive" in err
+
+    @pytest.mark.parametrize("scale, law", [
+        ([2.0, 2.0, 2.0, 2.0], r"least entry 0\.\d+ and sum 1\.99"),
+        ([1.0, 3.0, 1.0, 1.0], r"least entry -0\.\d+ and sum (1\.0|0\.99)"),
+        ([1.0, np.nan, 1.0, 1.0], "least entry nan and sum nan"),
+    ], ids=["sum", "negative", "nan"])
+    def test_bad_outcome_law_exits_3(self, ham_file, obs_file, capsys, monkeypatch, scale, law):
+        # the law of Z on one qubit from rho_N, with rho_N doubled, its Z
+        # coefficient tripled (<Z> = 0.56, so p(-1) < 0) or its Z coefficient NaN
+        powers = channel._pauli_powers
+        monkeypatch.setattr(channel, "_pauli_powers",
+                            lambda H, v0, T, counts: powers(H, v0, T, counts) * scale)
+        code, out, err = run_cli(self._argv(ham_file, obs_file), capsys)
+        assert code == 3
+        assert out == ""
+        assert re.search(f"outcome law at N = 20 has {law}\\d*: not a probability vector", err)
 
     def test_default_state_is_all_zeros(self, ham_file, obs_file, tmp_path, capsys):
         json_path = tmp_path / "q.json"

@@ -397,6 +397,13 @@ class TestGeneratorProbe:
         with pytest.raises(ValueError):
             generator_probe(H, 0.0, T=1.0)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_rejects_s_that_is_not_finite(self, one_qubit, s):
+        # NaN once passed the s <= 0 check and failed later, on the step angle
+        H, _, _ = one_qubit
+        with pytest.raises(ValueError, match=rf"s must be positive and finite, got {s!r}"):
+            generator_probe(H, s, T=1.0)
+
     @pytest.mark.parametrize("T", [-1.0, 0.0, float("nan"), float("inf")])
     def test_rejects_time_not_positive_and_finite(self, one_qubit, T):
         H, _, _ = one_qubit

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qflo import channel, linalg, pipeline
+from qflo.benchmarks import ONE_QUBIT_TEXT, TWO_QUBIT_TEXT
 from qflo.channel import exact_expectation, expectation_exact
 from qflo.hamiltonian import parse_hamiltonian
 from qflo.pipeline import (
@@ -342,7 +343,9 @@ class TestRunShotSampled:
         res = run(self._request(one_qubit))
         assert res.shots_per_node == 220
         assert [n.step_count for n in res.per_node] == [782, 125]
-        assert res.estimate == pytest.approx(0.8857202158572022, abs=1e-12)
+        # node means 204/220 and 206/220, drawn from each node's exact law
+        assert [n.mean for n in res.per_node] == [204 / 220, 206 / 220]
+        assert res.estimate == pytest.approx(0.9255431022554309, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["noiseless", "shot_sampled"])
     def test_non_finite_state_is_refused(self, one_qubit, mode):
@@ -493,3 +496,34 @@ class TestInputChecks:
         assert res.shots_per_node == 1
         assert res.estimate == 0.0
         assert all(n.mean == 0.0 and n.standard_error == 0.0 for n in res.per_node)
+
+
+CHAIN_4 = "".join(f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ") + \
+    "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
+GUARANTEE_CASES = {
+    # id: (H, observable, initial state, T, eps, delta)
+    "one-qubit": (ONE_QUBIT_TEXT, "1.0 Z", np.eye(2)[0], 0.4, 0.3, 0.3),
+    "two-qubit": (TWO_QUBIT_TEXT, "1.0 ZI", np.eye(4)[0], 1.0, 0.05, 0.1),
+    # <ZII> = 0 at every time from (|000><000| + |111><111|) / 2, where
+    # +-1 outcomes have the largest variance
+    "three-qubit-mixed": ("0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n", "1.0 ZII",
+                          np.diag([0.5, 0, 0, 0, 0, 0, 0, 0.5]), 1.0, 0.1, 0.1),
+    "chain-4": (CHAIN_4, "1.0 ZIII", np.eye(16)[0], 0.1, 0.3, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", GUARANTEE_CASES)
+def test_shot_runs_miss_by_eps_at_rate_delta(case):
+    # A shot-sampled run claims |estimate - <A>_T| <= eps |A| but with
+    # probability at most delta.  Over 500 seeds the misses must not be
+    # significantly more than delta: a one-sided binomial test at 1e-3.
+    from scipy.stats import binomtest
+
+    text, obs, state, T, eps, delta = GUARANTEE_CASES[case]
+    H, A = parse_hamiltonian(text), parse_hamiltonian(obs).dense()
+    exact = exact_expectation(H, A, state, T)
+    seeds = 500
+    misses = sum(abs(run(QfloRequest(H, state, A, T, eps, delta, seed, mode="shot_sampled"))
+                     .estimate - exact) > eps * np.abs(np.linalg.eigvalsh(A)).max()
+                 for seed in range(1, seeds + 1))
+    assert binomtest(misses, seeds, delta, alternative="greater").pvalue >= 1e-3
