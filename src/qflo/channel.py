@@ -43,14 +43,34 @@ is the only shot sampler, one call for all nodes: the CLI's ``qdrift``
 shots are its row 0, the pipeline's node 0.  Averaged over its random
 gates a run of N steps leaves E^N(rho0) (Campbell, PRL 123, 070503, 2019),
 and each shot draws its own gates, so a node's shots are i.i.d. with law
-p_k = tr[Pi_k E^N(rho0)], Pi_k the measurer's eigenprojectors.  Up to
-SUPEROP_QUBIT_CAP qubits they are drawn from it (``_law_shots``), at
-O(log N) block products per node, as in ``node_values_exact``, and one
-uniform per shot.  Above the cap the circuits are simulated
-(``_trajectory_shots``) on one engine,
-``evolve_indexed_batch``: a batch of states, each under its own sequence of
-term indices, advanced by O(d) Pauli gates (a gather and an axpy per step)
-whatever the number of terms.  Each gate is written
+p_k = tr[Pi_k E^N(rho0)], Pi_k the measurer's eigenprojectors.  The
+sampler draws them from it (``_law_shots``), with E^N(rho0) for every
+distinct N from one ``_pauli_powers`` call, as in ``node_values_exact``,
+and one uniform per shot, wherever ``_law_is_cheaper``: always up to
+SUPEROP_QUBIT_CAP qubits, where a node costs O(log N) block products;
+above it where the series' predicted work, sum over distinct N of
+pieces(N) min(27, n) L d^2, is no more than the trajectories',
+shots (sum of N) d.  Both sides count operations of about the same cost;
+single runs on Heisenberg chains with lam = 1 at T = 1 (Z on the first
+site; one BLAS thread on a shared 2-core x86-64 host), trajectories
+against the law, in seconds:
+
+    qubits   [4207, 673], 176 shots   [200], 50 shots
+      5         0.154 vs 0.021         0.003 vs 0.016
+      6         0.252 vs 0.038         0.004 vs 0.026
+      7         0.462 vs 0.117         0.005 vs 0.075
+      8         0.904 vs 0.456         0.009 vs 0.238
+      9         1.883 vs 2.881         0.026 vs 1.286
+     10        3.075 vs 14.782        0.083 vs 8.534
+
+The rule picks the faster path at each of these points.  Where the two
+counts are within a factor of 2 of each other its pick can be up to about
+2 times slower than the other path: the law's share per counted operation
+falls from about 2 times the trajectories' at 5 qubits to about half at 10.
+Elsewhere the circuits are simulated (``_trajectory_shots``) on one
+engine, ``evolve_indexed_batch``: a batch of states, each under its own
+sequence of term indices, advanced by O(d) Pauli gates (a gather and an
+axpy per step) whatever the number of terms.  Each gate is written
 cos (I + (coef / cos) P_j), so a step adds the tan-scaled gather to the
 state, and the factor cos goes back in as cos^k once at the end, or once
 per stride of k steps where |cos|^-N would pass 2^64.  The sampler builds
@@ -73,8 +93,8 @@ does not depend on how the others are tiled or drawn.  PCG64 jumps ahead
 in O(log n) (O'Neill, HMC-CS-2014-0905; ``PCG64.advance``), so a fresh
 stream advanced by k, or k (N + 2), replays shot k alone.  The trajectory
 sampler draws each tile's rows as slabs of at most TILE_AMPLITUDES
-uniforms, 128 KiB, and looks up a whole slab's terms in one call; a row
-longer than that is drawn alone.
+uniforms, 128 KiB, and looks up a whole slab's terms in one call, in
+place in the tile's index rows; a row longer than that is drawn alone.
 """
 
 from __future__ import annotations
@@ -431,6 +451,16 @@ def channel_superoperator(H: HamiltonianDecomposition, t: float) -> np.ndarray:
     return B @ R @ B.conj().T
 
 
+def _series_piece(H: HamiltonianDecomposition, T: float, N: int) -> tuple:
+    """(diag, off, n) for a node of N steps of time T/N above
+    SUPEROP_QUBIT_CAP: its ``_step_weights`` and the steps n of each piece
+    of ``_pauli_powers``' series, N where b N <= 2, else the most with
+    n b <= 2 and at least one, b the largest row sum of |Delta|."""
+    diag, off = _step_weights(H, T / N)
+    b = np.abs(off).sum() - diag.sum()   # sum_j p_j (2 sin^2 theta + |sin 2 theta|)
+    return diag, off, (N if b * N <= 2.0 else max(1, int(2.0 / b)))
+
+
 def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np.ndarray:
     """The rows (I + Delta_N)^N v0, Delta_N = ``channel_delta(H, T/N)``, for
     each N of ``counts`` (which must not increase), v0 a real Pauli vector.
@@ -440,7 +470,8 @@ def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np
     so each squaring is Delta <- 2 Delta + Delta^2 and each set bit of N one
     v <- v + Delta v; the nodes with bits left stay a prefix of the stack,
     which is cut to them before each squaring.  Above the cap each node
-    takes pieces of n steps, v <- sum_{k <= 27} C(n, k) Delta^k v: with n b
+    takes pieces of n steps (``_series_piece``, which the shot sampler's
+    cost rule reads too), v <- sum_{k <= 27} C(n, k) Delta^k v: with n b
     <= 2, b the largest row sum of |Delta|, term k is below 2^k / k!, so the
     tail is below 2^-64 (none for n <= 27), and a node takes about lam T
     pieces.  u[q ^ p_j] in Delta u is a flip of u, (2,) * 2n, over p_j's bits.
@@ -451,9 +482,7 @@ def _pauli_powers(H: HamiltonianDecomposition, v0, T: float, counts: list) -> np
         flips = [tuple(k for k in range(m) if p >> (m - 1 - k) & 1) for p in _term_masks(H)]
         out = []
         for N in counts:
-            diag, off = _step_weights(H, T / N)
-            b = np.abs(off).sum() - diag.sum()   # sum_j p_j (2 sin^2 theta + |sin 2 theta|)
-            n = N if b * N <= 2.0 else max(1, int(2.0 / b))
+            diag, off, n = _series_piece(H, T, N)
             dv = sum(d_j * (s != 0) for d_j, s in zip(diag, sign))
             v = v0.reshape(sign.shape[1:])
             for first in range(0, N, n):
@@ -702,7 +731,7 @@ def _draw_tile(H: HamiltonianDecomposition, rng, B: int, N: int, index_type):
     for first in range(0, B, rows):
         slab = rng.random((min(rows, B - first), N + 2))
         heads[first:first + len(slab)] = slab[:, :2]
-        indices[first:first + len(slab)] = H.lookup_terms(slab[:, 2:])
+        H.lookup_terms(slab[:, 2:], out=indices[first:first + len(slab)])
     return heads, indices
 
 
@@ -724,21 +753,43 @@ def sample_shots(H: HamiltonianDecomposition, A, initial_state, T: float, step_c
     T/N from ``initial_state`` (a unit vector or a density matrix).  A is a
     Hermitian matrix or its ``ObservableMeasurer``.  The measurer and the
     state's check and eigen-ensemble are built once per call.  Row j draws
-    from substream(seed, j): from the exact outcome law up to
-    SUPEROP_QUBIT_CAP qubits (``_law_shots``), else from simulated circuits
+    from substream(seed, j): from the exact outcome law (``_law_shots``)
+    where ``_law_is_cheaper``, else from simulated circuits
     (``_trajectory_shots``); a repeated N is drawn again on its own stream.
+    The outcomes, and on the trajectory path one shot's term indices, must
+    fit in numpy's largest array, or OverflowError is raised before any
+    work.
     """
     counts = _step_counts(step_counts)
     shots, seed = _integer(shots, name="shots"), _integer(seed, 0, "seed")
     _require_shapes(H, initial_state, A)
     measurer = A if isinstance(A, ObservableMeasurer) else ObservableMeasurer(A)
     ensemble = _ensemble(initial_state)
-    index_bytes = np.min_scalar_type(len(H) - 1).itemsize * max(counts)
+    law = _law_is_cheaper(H, T, counts, shots)
+    index_bytes = 0 if law else np.min_scalar_type(len(H) - 1).itemsize * max(counts)
     if max(8 * len(counts) * shots, index_bytes) > np.iinfo(np.intp).max:
         raise OverflowError(f"{shots} shots of up to {max(counts)} steps at {len(counts)} "
                             "nodes pass numpy's largest array")
-    sample = _law_shots if H.n_qubits <= SUPEROP_QUBIT_CAP else _trajectory_shots
+    sample = _law_shots if law else _trajectory_shots
     return sample(H, measurer, ensemble, T, counts, shots, seed)
+
+
+def _law_is_cheaper(H: HamiltonianDecomposition, T: float, counts: list, shots: int) -> bool:
+    """Whether ``sample_shots`` draws from the outcome law: always up to
+    SUPEROP_QUBIT_CAP qubits; above it where the law's predicted work,
+    sum over distinct N of pieces(N) min(27, n) L d^2 for the series of
+    ``_pauli_powers`` in pieces of n steps (``_series_piece``), is no more
+    than the trajectories', shots (sum of N) d gathered amplitudes.  Both
+    counts are exact integers of operations of about the same cost, so they
+    are compared at a ratio of 1 (timings in the module docstring).  Reads
+    only H, T, the counts and the shots."""
+    if H.n_qubits <= SUPEROP_QUBIT_CAP:
+        return True
+    law = 0
+    for N in set(counts):
+        n = _series_piece(H, T, N)[2]
+        law += -(-N // n) * min(27, n) * len(H) * H.dim ** 2
+    return law <= shots * sum(counts) * H.dim
 
 
 def _law_shots(H: HamiltonianDecomposition, measurer: ObservableMeasurer, ensemble,

@@ -205,23 +205,41 @@ class HamiltonianDecomposition:
         from one ``rng.random(count)``, through ``lookup_terms``."""
         return self.lookup_terms(rng.random(count))
 
-    def lookup_terms(self, u) -> np.ndarray:
+    def lookup_terms(self, u, out=None) -> np.ndarray:
         """The term index of each uniform in u, an array of any shape: the
         number of cumulative probabilities c_j <= u, exactly as
-        ``searchsorted(cdf, u, side="right")``.
+        ``searchsorted(cdf, u, side="right")``.  Written into ``out``, an
+        integer array of u's shape that holds 255 and L - 1, if given, else
+        into a new intp array; returns it.
 
         The guide-table method (Chen and Asau, AIIE Trans. 6, 1974; Devroye,
         Non-Uniform Random Variate Generation, 1986, III.2.4): bucket
         floor(256 u), exact because 256 is a power of two, starts each draw
         at the right answer or within a span of it, and a fixed sequence of
         branch-free lifts, at most bit_length(L) deep, closes the span.
+
+        The work is in place: ``out`` holds the draws as the lifts raise
+        them, one intp buffer each lift's cdf positions and then, viewed as
+        floats, the cdf values gathered there, and one bool buffer the
+        comparisons.  So a call's temporaries take 9 bytes per uniform,
+        besides numpy's ufunc buffers of fixed size.
         """
-        idx = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+        u = np.asarray(u)
+        if out is None:
+            out = np.empty(u.shape, dtype=np.intp)
+        np.multiply(u, GUIDE_BUCKETS, out=out, casting="unsafe")   # floor, as u >= 0
+        buf = out.astype(np.intp)
+        # a take reads position k before it writes entry k, so its output
+        # may be its own index array
+        np.copyto(out, self._guide.take(buf, out=buf, mode="clip"), casting="unsafe")
+        values, below = buf.view(float), np.empty(u.shape, dtype=bool)
         for step in self._lifts:
             # c[idx + step - 1] <= u: the step stays at or below the answer
-            below = self._cdf[step - 1:][idx] <= u
-            idx += below if step == 1 else below * step
-        return idx
+            np.copyto(buf, out)
+            self._cdf[step - 1:].take(buf, out=values, mode="clip")
+            np.less_equal(values, u, out=below)
+            np.add(out, step, out=out, where=below)
+        return out
 
     def serialize(self) -> str:
         lines = [

@@ -73,6 +73,7 @@ class QfloResult:
     max_depth: int
     theoretical_bound: float
     bound_convergent: bool
+    theoretical_bound_log10: float
     error_budget: ErrorBudget
     order: int
     ideal_one_norm: float
@@ -162,19 +163,38 @@ def richardson_error_bound(lam: float, T: float, s_m: float, m: int,
     Returns (bound, convergent); non-convergent (ratio >= 1) is reported,
     never summed, and a bound that is not finite raises OverflowError.
     """
-    q = 8.0 * lam * T * s_m
+    q, inner = _bound_factors(lam, T, s_m, m)
     if q >= 1.0:
         return math.inf, False
+    bound = norm_A * one_norm * inner * q ** m / (1.0 - q)
+    if not math.isfinite(bound):
+        raise OverflowError(f"error bound of order {m} at lambda T = {lam * T!r} is not finite")
+    return bound, True
+
+
+def _bound_factors(lam: float, T: float, s_m: float, m: int) -> tuple:
+    """(q, inner) of ``richardson_error_bound``: the ratio 8 lam T s_m and
+    sum_{l=1}^m (8 lam T)^l / l!."""
     x = 8.0 * lam * T
     inner = 0.0
     term = 1.0
     for l in range(1, m + 1):
         term *= x / l
         inner += term
-    bound = norm_A * one_norm * inner * q ** m / (1.0 - q)
-    if not math.isfinite(bound):
-        raise OverflowError(f"error bound of order {m} at lambda T = {lam * T!r} is not finite")
-    return bound, True
+    return x * s_m, inner
+
+
+def _log10_error_bound(lam: float, T: float, s_m: float, m: int,
+                       norm_A: float, one_norm: float) -> float:
+    """log10 of ``richardson_error_bound``'s bound, summed in log space,
+    log10 |A| + log10 |b|_1 + log10(inner) + m log10 q - log10(1 - q), so
+    that it stays finite where q^m, and with it the bound, underflows to 0;
+    inf where the series does not converge, -inf where a factor is 0."""
+    q, inner = _bound_factors(lam, T, s_m, m)
+    if q >= 1.0:
+        return math.inf
+    a, b, c, r = (math.log10(v) if v > 0 else -math.inf for v in (norm_A, one_norm, inner, q))
+    return a + b + c + m * r - math.log10(1.0 - q)
 
 
 def richardson_estimate_noiseless(H, initial_state, A, T: float, m: int, N_m: int):
@@ -214,8 +234,8 @@ def run(request: QfloRequest) -> QfloResult:
         norm_A = measurer.norm
         shots = shots_per_node(norm_A, budget.data, request.delta, m)
     gates = sum(counts.tolist()) * max(shots, 1)   # Python ints: exact past int64
-    bound, convergent = richardson_error_bound(H.lam, T, 1.0 / int(counts[-1]), m, norm_A,
-                                               weights.one_norm)
+    bound_inputs = (H.lam, T, 1.0 / int(counts[-1]), m, norm_A, weights.one_norm)
+    bound, convergent = richardson_error_bound(*bound_inputs)
 
     if request.mode == "noiseless":
         values = node_values_exact(H, A, request.initial_state, T, counts)
@@ -237,6 +257,7 @@ def run(request: QfloRequest) -> QfloResult:
         max_depth=int(counts.max()),
         theoretical_bound=bound,
         bound_convergent=convergent,
+        theoretical_bound_log10=_log10_error_bound(*bound_inputs),
         error_budget=budget,
         order=m,
         ideal_one_norm=ideal_weights.one_norm,

@@ -312,6 +312,13 @@ def trajectory_shots(H, A, state, T, counts, shots, seed):
                                      shots, seed)
 
 
+def five_qubit_pair():
+    """(H, A, psi0): two commuting terms on 5 qubits, lambda = 1, Z on the
+    first, |00000>."""
+    H = parse_hamiltonian("0.5 XXIII\n0.5 IZZII\n")
+    return H, parse_hamiltonian("1.0 ZIIII").dense(), np.eye(H.dim, dtype=complex)[0]
+
+
 def replayed_shot(H, measurer, psi0, T, N, seed, node, k):
     """Shot k of node j rebuilt alone: a fresh substream(seed, j) advanced by
     k (N + 2), then the measurement uniform, the initial-state uniform and
@@ -451,12 +458,23 @@ class TestTrajectories:
 
     @pytest.mark.parametrize("counts, shots", [([10], 2 ** 61), ([10, 5], 10 ** 20),
                                                ([2 ** 63], 1)])
-    def test_arrays_past_the_address_space_are_refused(self, two_qubit, counts, shots):
+    def test_arrays_past_the_address_space_are_refused(self, counts, shots):
         # 2^64 bytes of outcomes, or 2^63 bytes of one shot's term indices:
-        # past np.intp, so refused before any allocation
-        H, A, psi0 = two_qubit
+        # past np.intp, so refused before any allocation.  The outcomes are
+        # refused on either path; at T = 1e18 the cost rule sends the one
+        # shot of 2^63 steps to the trajectories, the only path with an
+        # index row
+        H, A, psi0 = five_qubit_pair()
+        assert channel._law_is_cheaper(H, 1e18, counts, shots) == (shots > 1)
         with pytest.raises(OverflowError, match="largest array"):
-            sample_shots(H, A, psi0, 1.0, counts, shots, seed=1)
+            sample_shots(H, A, psi0, 1e18, counts, shots, seed=1)
+
+    def test_the_law_path_keeps_no_index_row(self):
+        # at T = 1, 2^63 steps, whose index row would pass np.intp, are
+        # drawn from their law in one or two series pieces
+        H, A, psi0 = five_qubit_pair()
+        assert channel._law_is_cheaper(H, 1.0, [2 ** 63], 1)
+        assert sample_shots(H, A, psi0, 1.0, [2 ** 63], 1, seed=1).tolist() in ([[1.0]], [[-1.0]])
 
 
 @pytest.mark.parametrize("text", [TWO_QUBIT_TEXT, HEISENBERG_CHAIN_5], ids=["2q", "5q"])
@@ -732,6 +750,78 @@ def test_law_shot_k_reads_uniform_k(monkeypatch):
         assert outcomes[j].tolist() == expected.tolist()
 
 
+def unit_chain(n):
+    """``heisenberg_chain(n)`` divided by its lambda, the chain of the
+    shot_heis5 benchmark workload at n = 5."""
+    H = parse_hamiltonian(heisenberg_chain(n))
+    return parse_hamiltonian("".join(f"{float(w / H.lam)!r} {term.pauli.letters}\n"
+                                     for w, term in zip(H.weights, H.terms)))
+
+
+@pytest.mark.parametrize("H, T, counts, shots, law", [
+    # shot_heis5's plan: 1.9e6 series products against 2.7e7 gathers
+    (unit_chain(5), 1.0, [4207, 673], 176, True),
+    # a short run: 9.4e5 against 3.2e5
+    (unit_chain(5), 1.0, [200], 50, False),
+    # test_trajectories_run_only_above_the_cap's run: 3.3e5 against 1.4e4
+    (parse_hamiltonian(heisenberg_chain(5)), 0.5, [20, 7], 16, False),
+    # up to the cap the law runs whatever the counts
+    (parse_hamiltonian(heisenberg_chain(4)), 0.5, [20, 7], 16, True),
+], ids=["shot_heis5", "short", "above-the-cap-test", "4-qubits"])
+def test_cost_rule_picks_the_cheaper_path(H, T, counts, shots, law, monkeypatch):
+    assert channel._law_is_cheaper(H, T, counts, shots) is law
+    evolved = []
+    engine = channel.evolve_indexed_batch
+    monkeypatch.setattr(channel, "evolve_indexed_batch", lambda psis, gates, indices:
+                        evolved.append(indices.shape) or engine(psis, gates, indices))
+    A = parse_hamiltonian("1.0 Z" + "I" * (H.n_qubits - 1)).dense()
+    sample_shots(H, A, np.eye(H.dim)[0], T, counts, shots, seed=1)
+    assert evolved == ([] if law else [(shots, N) for N in counts])
+
+
+def test_cost_rule_counts_the_series_pieces(monkeypatch):
+    # the rule and _pauli_powers read one piece length per node: on
+    # shot_heis5's plan two pieces of n = N - 1 steps, each of 27 series
+    # terms, so 2 * 2 * 27 L d^2 products against shots (4207 + 673) d
+    H = unit_chain(5)
+    assert [channel._series_piece(H, 1.0, N)[2] for N in (4207, 673)] == [4206, 672]
+    law, trajectories = 2 * 2 * 27 * len(H) * H.dim ** 2, (4207 + 673) * H.dim
+    assert law // trajectories == 12   # so the law from 13 shots up
+    assert channel._law_is_cheaper(H, 1.0, [4207, 673], 13)
+    assert not channel._law_is_cheaper(H, 1.0, [4207, 673], 12)
+    read = []
+    piece = channel._series_piece
+    monkeypatch.setattr(channel, "_series_piece",
+                        lambda H, T, N: read.append(N) or piece(H, T, N))
+    channel._pauli_powers(H, np.eye(1, H.dim ** 2)[0], 1.0, [4207, 673])
+    channel._law_is_cheaper(H, 1.0, [4207, 673, 4207], 176)
+    assert sorted(read) == [673, 673, 4207, 4207]
+
+
+def test_law_shot_k_reads_uniform_k_above_the_cap(monkeypatch):
+    # the five-qubit twin of test_law_shot_k_reads_uniform_k: where the
+    # cost rule picks the law, shot k of node j is the outcome uniform k of
+    # substream(seed, j) picks from the node's cumulative law, in slabs of
+    # any size, and no circuit is simulated
+    H = parse_hamiltonian(HEISENBERG_CHAIN_5)
+    rho0, A = state_and_observable(H.dim, True, 12)
+    measurer = ObservableMeasurer(A)
+    T, counts, shots, seed = 0.05, [40, 12, 40], 300, 31
+    assert channel._law_is_cheaper(H, T, counts, shots)
+    law = np.array([node_values_exact(H, V @ V.conj().T, rho0, T, counts)
+                    for V in measurer._blocks]).T
+    monkeypatch.setattr(channel, "evolve_indexed_batch", None)
+    outcomes = sample_shots(H, measurer, rho0, T, counts, shots, seed)
+    monkeypatch.setattr(channel, "TILE_AMPLITUDES", 7)
+    assert sample_shots(H, measurer, rho0, T, counts, shots, seed).tobytes() == outcomes.tobytes()
+    assert measurer.values.size == H.dim and outcomes[0].tolist() != outcomes[2].tolist()
+    for j, cum in enumerate(np.cumsum(law, axis=1)):
+        u = substream(seed, j).random(shots)
+        assert np.abs(u[:, None] - cum).min() > 1e-9   # no uniform at an edge
+        expected = measurer.values[np.searchsorted(cum, u, side="right")]
+        assert outcomes[j].tolist() == expected.tolist()
+
+
 THREE_QUBIT_WITH_Y = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n-0.2 ZXY\n0.6 XII\n"
 CHAIN5_FIELDS = "1.0 ZIIII\n0.5 IZIII\n0.25 IIZII\n"
 # 171 terms whose cumulative probabilities fall alternately just above and
@@ -803,7 +893,7 @@ def test_pinned_chain_outcomes(mixed, digest):
     state = rho0 if mixed else np.eye(H.dim)[0]
     measurer = ObservableMeasurer(A)
     assert measurer.values.size == H.dim
-    outcomes = sample_shots(H, measurer, state, 1.0, [200], 5000, seed=7)[0]
+    outcomes = trajectory_shots(H, measurer, state, 1.0, [200], 5000, seed=7)[0]
     positions = np.searchsorted(measurer.values, outcomes).astype(np.uint8)
     assert np.array_equal(measurer.values[positions], outcomes)
     assert hashlib.sha256(positions.tobytes()).hexdigest() == digest
@@ -854,10 +944,10 @@ def test_tiles_give_the_same_outcomes(mixed, monkeypatch):
     state = rho0 if mixed else np.eye(H.dim)[0]
     measurer = ObservableMeasurer(A)
     assert channel.shot_chunk(len(H), 60, H.dim) == 256
-    tiled = sample_shots(H, measurer, state, 1.0, [60] * 3, 700, seed=3)[2]
+    tiled = trajectory_shots(H, measurer, state, 1.0, [60] * 3, 700, seed=3)[2]
     monkeypatch.setattr(channel, "TILE_AMPLITUDES", 700 * H.dim)
     assert channel.shot_chunk(len(H), 60, H.dim) == 700
-    whole = sample_shots(H, measurer, state, 1.0, [60] * 3, 700, seed=3)[2]
+    whole = trajectory_shots(H, measurer, state, 1.0, [60] * 3, 700, seed=3)[2]
     assert len(set(tiled)) > 10
     assert tiled.tobytes() == whole.tobytes()
 
@@ -879,6 +969,25 @@ def test_slabs_give_the_same_outcomes(text, N, monkeypatch):
     assert 3 * N // 2 // (N + 2) == 1
     assert len(set(outcomes[0][0])) > 2
     assert outcomes[1].tobytes() == outcomes[0].tobytes() == outcomes[2].tobytes()
+
+
+def test_tile_draw_peaks_near_its_slab():
+    # shot_heis5's finer tile, 176 shots of 4207 steps, drawn in slabs of
+    # 3 rows of uniforms: besides the tile's own arrays the draw holds one
+    # slab and the lookup's intp and bool buffers, 17 bytes per uniform;
+    # the lookup's full-size temporaries once took it to 3.1 slabs
+    H = parse_hamiltonian(HEISENBERG_CHAIN_5)
+    B, N = 176, 4207
+    slab = channel.TILE_AMPLITUDES // (N + 2) * (N + 2) * 8
+    rng = substream(1, 0)
+    tracemalloc.start()
+    try:
+        heads, indices = channel._draw_tile(H, rng, B, N, np.uint8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert indices.shape == (B, N) and indices.max() == len(H) - 1
+    assert peak - heads.nbytes - indices.nbytes <= 2.25 * slab
 
 
 class TestMeasurement:

@@ -29,6 +29,12 @@ CHAIN_4 = "".join(
     f"1.0 {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
 ) + "".join(f"0.5 {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
 
+# the 5-qubit chain of the shot_heis5 benchmark workload: couplings 1 and
+# fields 0.5, divided by lambda = 14.5
+CHAIN_5 = "".join(f"{1 / 14.5!r} {'I' * i}{p}{p}{'I' * (3 - i)}\n"
+                  for i in range(4) for p in "XYZ") + "".join(
+    f"{0.5 / 14.5!r} {'I' * i}X{'I' * (4 - i)}\n" for i in range(5))
+
 
 @pytest.fixture
 def ham_file(tmp_path):
@@ -162,7 +168,8 @@ class TestQdrift:
         assert values == expected.tolist()
 
     def _five_qubit_files(self, tmp_path):
-        # past the 4-qubit cap, where each shot's circuit is simulated
+        # past the 4-qubit cap; at the default --time, --steps and --shots
+        # the cost rule simulates each shot's circuit
         ham = tmp_path / "h5.txt"
         ham.write_text("0.5 XXIII\n0.5 IZZII\n")
         obs = tmp_path / "o5.txt"
@@ -175,12 +182,25 @@ class TestQdrift:
         (2 ** 62, 1, "lower --shots or --steps"),  # 2^62 bytes, past any address space
     ])
     def test_oversized_request_exits_3(self, tmp_path, capsys, steps, shots, message):
+        # at --time 1e18 the cost rule sends a long run to the trajectories,
+        # whose index row, not only the outcomes, must fit
         argv = self._argv(*self._five_qubit_files(tmp_path))
+        argv[argv.index("--time") + 1] = "1e18"
         argv[argv.index("--steps") + 1] = str(steps)
         argv[argv.index("--shots") + 1] = str(shots)
         code, _, err = run_cli(argv, capsys)
         assert code == 3
         assert message in err
+
+    def test_long_run_on_the_law_path_exits_0(self, tmp_path, capsys):
+        # 2^62 steps at --time 1 are one or two series pieces of the exact
+        # law, with no index row to allocate
+        argv = self._argv(*self._five_qubit_files(tmp_path))
+        argv[argv.index("--steps") + 1] = str(2 ** 62)
+        argv[argv.index("--shots") + 1] = "1"
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out in ("shot,value\n0,1\n", "shot,value\n0,-1\n")
 
     def test_unmeasurable_states_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(channel, "evolve_indexed_batch",
@@ -658,6 +678,45 @@ class TestQflo:
         outputs = json.loads(json_path.read_text())["outputs"]
         assert outputs["bound_convergent"] is True
         assert outputs["per_node"][-1]["step_count"] == 1
+
+    def test_bound_underflow_keeps_its_log10(self, tmp_path, capsys):
+        # at eps = 1e-300 (order 691) q^m underflows: the bound reads 0.0,
+        # its log10 about -1337
+        ham = tmp_path / "two_qubit.txt"
+        ham.write_text(TWO_QUBIT)
+        obs = tmp_path / "zi.txt"
+        obs.write_text("1.0 ZI\n")
+        json_path = tmp_path / "qflo.json"
+        argv = ["qflo", "--hamiltonian", str(ham), "--observable", str(obs), "--time", "1.0",
+                "--epsilon", "1e-300", "--delta", "0.1", "--seed", "1", "--mode", "noiseless",
+                "--json", str(json_path), "--out", str(tmp_path / "nodes.csv")]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        outputs = json.loads(json_path.read_text())["outputs"]
+        assert outputs["theoretical_bound"] == 0.0 and outputs["bound_convergent"] is True
+        assert -1400 < outputs["theoretical_bound_log10"] < -1300
+
+    def test_long_five_qubit_shot_run_meets_epsilon(self, tmp_path, capsys):
+        # lam T = 30 on the 5-qubit chain of the shot_heis5 workload: 15885
+        # shots at each of 3 nodes of up to 16110648 steps, about 3.1e11
+        # simulated gates; the cost rule draws them from their law
+        ham = tmp_path / "chain5.txt"
+        ham.write_text(CHAIN_5)
+        obs = tmp_path / "z5.txt"
+        obs.write_text("1.0 ZIIII\n")
+        json_path = tmp_path / "qflo.json"
+        argv = ["qflo", "--hamiltonian", str(ham), "--observable", str(obs), "--time", "30",
+                "--epsilon", "0.05", "--delta", "0.1", "--seed", "1", "--mode", "shot_sampled",
+                "--json", str(json_path), "--out", str(tmp_path / "nodes.csv")]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        outputs = json.loads(json_path.read_text())["outputs"]
+        assert outputs["shots_per_node"] == 15885
+        assert [n["step_count"] for n in outputs["per_node"]] == [16110648, 2338054, 913302]
+        H = parse_hamiltonian(CHAIN_5)
+        exact = channel.exact_expectation(H, parse_hamiltonian("1.0 ZIIII").dense(),
+                                          np.eye(H.dim)[0], 30.0)
+        assert abs(outputs["estimate"] - exact) <= 0.05
 
     def test_bad_epsilon_is_usage_error(self, ham_file, obs_file, capsys):
         argv = self._argv(ham_file, obs_file, **{"--epsilon": "2.0"})

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,37 @@ class TestErrorBound:
         b1, _ = richardson_error_bound(s_m=1e-3, **args)
         b2, _ = richardson_error_bound(s_m=5e-4, **args)
         assert b2 < b1
+
+    @pytest.mark.parametrize("args", [
+        dict(lam=1.0, T=1.0, s_m=1e-3, m=3, norm_A=1.0, one_norm=1.4),
+        dict(lam=1.0, T=1.0, s_m=0.0625, m=400, norm_A=1.0, one_norm=1.4),
+        dict(lam=2.5, T=0.3, s_m=0.01, m=7, norm_A=3.0, one_norm=12.0),
+        dict(lam=1.0, T=1.0, s_m=0.1245, m=2, norm_A=0.5, one_norm=1.4),
+        dict(lam=1.0, T=1.0, s_m=1 / 698, m=100, norm_A=1.0, one_norm=5.0),
+    ])
+    def test_log10_bound_agrees_where_the_bound_is_normal(self, args):
+        bound, convergent = richardson_error_bound(**args)
+        assert convergent and bound >= sys.float_info.min
+        assert pipeline._log10_error_bound(**args) == pytest.approx(math.log10(bound), abs=1e-12)
+
+    def test_log10_bound_at_its_edges(self):
+        # a non-convergent series reads inf, a zero observable -inf
+        args = dict(lam=1.0, T=1.0, m=3, one_norm=1.4)
+        assert pipeline._log10_error_bound(s_m=0.125, norm_A=1.0, **args) == math.inf
+        assert pipeline._log10_error_bound(s_m=1e-3, norm_A=0.0, **args) == -math.inf
+
+    def test_log10_bound_stays_finite_where_the_bound_underflows(self, two_qubit):
+        # eps = 1e-300: order 691 and q = 8 / 698, so q^691 underflows and
+        # the float bound reads 0
+        H, A, psi0 = two_qubit
+        res = run(QfloRequest(H, psi0, A, total_time=1.0, epsilon=1e-300, delta=0.1,
+                              master_seed=1))
+        assert res.order == 691 and res.bound_convergent and res.theoretical_bound == 0.0
+        m, q = 691, 8.0 / int(res.per_node[-1].step_count)
+        assert res.theoretical_bound_log10 == pytest.approx(
+            math.log10(res.realized_one_norm) + m * math.log10(q) - math.log10(1 - q)
+            + math.log10(sum(8.0 ** l / math.factorial(l) for l in range(1, 40))), abs=1e-9)
+        assert -1400 < res.theoretical_bound_log10 < -1300
 
     def test_scales_with_observable_norm(self):
         args = dict(lam=1.0, T=1.0, s_m=1e-3, m=3, one_norm=1.4)
@@ -357,8 +389,8 @@ class TestRunShotSampled:
             run(request)
 
     def test_five_qubit_fixture_regression(self):
-        # d = 32 runs Pauli gates only; it holds the draw layout of one
-        # stream per node fixed
+        # above the 4-qubit cap, on the law path the cost rule picks for
+        # this plan; it holds the law draw of one stream per node fixed
         H = parse_hamiltonian(
             "0.6 XXIII\n0.4 IYYII\n0.5 IIZZI\n0.3 IIIXY\n0.35 ZIIIZ\n0.25 YIXIZ\n"
         )
@@ -369,8 +401,8 @@ class TestRunShotSampled:
                               master_seed=2024, mode="shot_sampled"))
         assert res.shots_per_node == 124
         assert [n.step_count for n in res.per_node] == [6057, 969]
-        assert [n.mean for n in res.per_node] == [114 / 124, 106 / 124]
-        assert res.estimate == pytest.approx(0.9316418137553255, abs=1e-12)
+        assert [n.mean for n in res.per_node] == [114 / 124, 112 / 124]
+        assert res.estimate == pytest.approx(0.9224265824710893, abs=1e-12)
 
     def test_one_observable_decomposition_per_run(self, one_qubit, monkeypatch):
         calls = []
