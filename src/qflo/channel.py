@@ -50,23 +50,28 @@ and one uniform per shot, wherever ``_law_is_cheaper``: always up to
 SUPEROP_QUBIT_CAP qubits, where a node costs O(log N) block products;
 above it where the series' predicted work, sum over distinct N of
 pieces(N) min(27, n) L d^2, is no more than the trajectories',
-shots (sum of N) d.  Both sides count operations of about the same cost;
-single runs on Heisenberg chains with lam = 1 at T = 1 (Z on the first
-site; one BLAS thread on a shared 2-core x86-64 host), trajectories
-against the law, in seconds:
+shots (sum of N) d.  Medians of 3 interleaved runs on Heisenberg chains
+with lam = 1 at T = 1 (Z on the first site; one BLAS thread on a shared
+2-core x86-64 host), trajectories against the law, in seconds:
 
     qubits   [4207, 673], 176 shots   [200], 50 shots
-      5         0.154 vs 0.021         0.003 vs 0.016
-      6         0.252 vs 0.038         0.004 vs 0.026
-      7         0.462 vs 0.117         0.005 vs 0.075
-      8         0.904 vs 0.456         0.009 vs 0.238
-      9         1.883 vs 2.881         0.026 vs 1.286
-     10        3.075 vs 14.782        0.083 vs 8.534
+      5         0.140 vs 0.010         0.002 vs 0.007
+      6         0.240 vs 0.030         0.003 vs 0.013
+      7         0.363 vs 0.063         0.006 vs 0.037
+      8         0.668 vs 0.265         0.009 vs 0.142
+      9         1.452 vs 1.418         0.018 vs 0.648
+     10         2.984 vs 6.414         0.047 vs 2.990
 
-The rule picks the faster path at each of these points.  Where the two
-counts are within a factor of 2 of each other its pick can be up to about
-2 times slower than the other path: the law's share per counted operation
-falls from about 2 times the trajectories' at 5 qubits to about half at 10.
+The rule picks the faster path at 11 of these points and trajectories at
+the tie at 9 qubits.  The counts are compared at a ratio of 1, but a
+counted series product costs about as much as a trajectory gather at 5
+qubits and about a third of one at 10, and the trajectories also measure
+each shot's state, O(d^2), which neither count holds.  So at 10 qubits
+the rule keeps trajectories where the law is faster: [200] with 10000
+shots took 9.0 s against 3.1 s, and [10] with 40000 shots 13.2 s against
+1.6 s.  At the fewest shots for which it picks the law on [200], medians
+of 5, the law took 6.9 ms against 5.1 ms at 5 qubits (147 shots) and was
+faster at 6, 7 and 8 qubits.
 Elsewhere the circuits are simulated (``_trajectory_shots``) on one
 engine, ``evolve_indexed_batch``: a batch of states, each under its own
 sequence of term indices, advanced by O(d) Pauli gates (a gather and an
@@ -779,10 +784,19 @@ def _law_is_cheaper(H: HamiltonianDecomposition, T: float, counts: list, shots: 
     SUPEROP_QUBIT_CAP qubits; above it where the law's predicted work,
     sum over distinct N of pieces(N) min(27, n) L d^2 for the series of
     ``_pauli_powers`` in pieces of n steps (``_series_piece``), is no more
-    than the trajectories', shots (sum of N) d gathered amplitudes.  Both
-    counts are exact integers of operations of about the same cost, so they
-    are compared at a ratio of 1 (timings in the module docstring).  Reads
-    only H, T, the counts and the shots."""
+    than the trajectories', shots (sum of N) d gathered amplitudes.  The
+    exact integer counts are compared at a ratio of 1, though a counted
+    product cost from about one gather at 5 qubits to a third of one at 10
+    (timings in the module docstring).  So near the boundary its pick of
+    the law was up to 1.35 times slower at 5 qubits, and at 10 it keeps
+    trajectories up to about 3 times slower than the law, 8 times where
+    measuring each shot's state dominates.  The law's work that does not
+    grow with N, its O(d^3) transforms of the initial state and of each
+    node's, is left out: at 10 qubits it took about 0.4 s a plan and 0.4 s
+    a node, but there every measured wrong pick already keeps trajectories,
+    so counting it would only move the rule further from the faster path;
+    at 5 qubits it took under a millisecond.  Reads only H, T, the counts
+    and the shots."""
     if H.n_qubits <= SUPEROP_QUBIT_CAP:
         return True
     law = 0
@@ -805,7 +819,7 @@ def _law_shots(H: HamiltonianDecomposition, measurer: ObservableMeasurer, ensemb
     v0 = _pauli_coefficients((basis * pops) @ basis.conj().T).real
     distinct = sorted(set(counts), reverse=True)
     rhos = _pauli_operator(_pauli_powers(H, v0, T, distinct))
-    law = np.stack([np.einsum("ai,nab,bi->n", V.conj(), rhos, V).real
+    law = np.stack([np.sum((rhos @ V) * V.conj(), axis=(1, 2)).real
                     for V in measurer._blocks], axis=1)
     cum = np.cumsum(law, axis=1)
     for N, p, total in zip(distinct, law, cum[:, -1]):

@@ -222,23 +222,35 @@ class HamiltonianDecomposition:
         them, one intp buffer each lift's cdf positions and then, viewed as
         floats, the cdf values gathered there, and one bool buffer the
         comparisons.  So a call's temporaries take 9 bytes per uniform,
-        besides numpy's ufunc buffers of fixed size.
+        besides numpy's ufunc buffers of fixed size.  The uniforms must lie
+        in [0, 1); outside it the asserts, not an IndexError, refuse them.
         """
         u = np.asarray(u)
+        assert u.size == 0 or (u.min() >= 0.0 and u.max() < 1.0), "uniforms outside [0, 1)"
         if out is None:
             out = np.empty(u.shape, dtype=np.intp)
         np.multiply(u, GUIDE_BUCKETS, out=out, casting="unsafe")   # floor, as u >= 0
         buf = out.astype(np.intp)
-        # a take reads position k before it writes entry k, so its output
-        # may be its own index array
+        # The takes write into the memory that holds their indices.  numpy
+        # copies a take's output only where it overlaps the source array,
+        # not the index array, and its loop reads index k before it writes
+        # entry k; this is how numpy's take has worked, but numpy does not
+        # promise it.  mode="clip" spares the copy that "raise" makes; every
+        # position is in range, as the assert after the lifts confirms.
         np.copyto(out, self._guide.take(buf, out=buf, mode="clip"), casting="unsafe")
-        values, below = buf.view(float), np.empty(u.shape, dtype=bool)
+        # the cdf values share buf's bytes where an intp is a float's size
+        values = buf.view(np.float64) if buf.itemsize == 8 else np.empty(u.shape)
+        below = np.empty(u.shape, dtype=bool)
         for step in self._lifts:
             # c[idx + step - 1] <= u: the step stays at or below the answer
             np.copyto(buf, out)
             self._cdf[step - 1:].take(buf, out=values, mode="clip")
             np.less_equal(values, u, out=below)
             np.add(out, step, out=out, where=below)
+        # the draws only rise and a lift reads step - 1 past its draw, while
+        # the cdf's padding runs span >= the largest step past L - 1: so
+        # draws below L mean that no position was clipped
+        assert out.size == 0 or out.max() < len(self.terms), "a lift passed the last term"
         return out
 
     def serialize(self) -> str:

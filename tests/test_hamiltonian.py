@@ -207,6 +207,20 @@ def test_sampler_matches_binary_search(kind, L, seed):
     assert len(H._lifts) <= L.bit_length()
 
 
+@pytest.mark.skipif(not __debug__, reason="the range checks are asserts")
+def test_lookup_positions_are_checked_not_clipped():
+    # the lookup's takes clip their positions, so asserts refuse uniforms
+    # outside [0, 1) and draws past the last term, which a clipped position
+    # would otherwise hide
+    H = parse_hamiltonian(heisenberg_chain(3))
+    for u in (1.0, -1e-300, np.nan):
+        with pytest.raises(AssertionError, match=r"outside \[0, 1\)"):
+            H.lookup_terms(np.array([0.5, u]))
+    H._guide = H._guide + len(H)   # a guide table off by L
+    with pytest.raises(AssertionError, match="last term"):
+        H.lookup_terms(np.array([0.5]))
+
+
 class TestInvariants:
     def test_lambda_bounds_spectral_norm(self, rng):
         for _ in range(100):
