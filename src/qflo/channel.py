@@ -50,28 +50,8 @@ and one uniform per shot, wherever ``_law_is_cheaper``: always up to
 SUPEROP_QUBIT_CAP qubits, where a node costs O(log N) block products;
 above it where the series' predicted work, sum over distinct N of
 pieces(N) min(27, n) L d^2, is no more than the trajectories',
-shots (sum of N) d.  Medians of 3 interleaved runs on Heisenberg chains
-with lam = 1 at T = 1 (Z on the first site; one BLAS thread on a shared
-2-core x86-64 host), trajectories against the law, in seconds:
-
-    qubits   [4207, 673], 176 shots   [200], 50 shots
-      5         0.140 vs 0.010         0.002 vs 0.007
-      6         0.240 vs 0.030         0.003 vs 0.013
-      7         0.363 vs 0.063         0.006 vs 0.037
-      8         0.668 vs 0.265         0.009 vs 0.142
-      9         1.452 vs 1.418         0.018 vs 0.648
-     10         2.984 vs 6.414         0.047 vs 2.990
-
-The rule picks the faster path at 11 of these points and trajectories at
-the tie at 9 qubits.  The counts are compared at a ratio of 1, but a
-counted series product costs about as much as a trajectory gather at 5
-qubits and about a third of one at 10, and the trajectories also measure
-each shot's state, O(d^2), which neither count holds.  So at 10 qubits
-the rule keeps trajectories where the law is faster: [200] with 10000
-shots took 9.0 s against 3.1 s, and [10] with 40000 shots 13.2 s against
-1.6 s.  At the fewest shots for which it picks the law on [200], medians
-of 5, the law took 6.9 ms against 5.1 ms at 5 qubits (147 shots) and was
-faster at 6, 7 and 8 qubits.
+shots (sum of N) d.  The README's "Shot sampler and trajectory engine"
+holds the timings of both paths against this rule and where it errs.
 Elsewhere the circuits are simulated (``_trajectory_shots``) on one
 engine, ``evolve_indexed_batch``: a batch of states, each under its own
 sequence of term indices, advanced by O(d) Pauli gates (a gather and an
@@ -80,14 +60,8 @@ cos (I + (coef / cos) P_j), so a step adds the tan-scaled gather to the
 state, and the factor cos goes back in as cos^k once at the end, or once
 per stride of k steps where |cos|^-N would pass 2^64.  The sampler builds
 the gates once per node and passes the engine tiles of at most 2^14 / d
-states, so that a step's arrays stay in cache.  Measured on a shared 2-core
-x86-64 host with one BLAS thread, on one tile of states copied from one
-broadcast vector in C order, with 4-8 terms at d <= 8 (N = 300 and 3000)
-and 17 at d >= 16 (there also on 176 states), in ns/gate, interleaved
-medians of 7:
-
-    d          4        8        16        32         64
-    Pauli    22-35    45-46     69-83    121-136    231-252
+states, so that a step's arrays stay in cache; the same README section
+holds its measured cost per gate.
 
 Randomness is organized as counter-based substreams: every (seed, path)
 pair maps to an independent PCG64 stream through numpy's SeedSequence
@@ -281,8 +255,9 @@ def _qubit_involutions(H: HamiltonianDecomposition) -> tuple:
     coefficients = list(zip(H.weights.tolist(), H.signs.tolist()))
     terms = sorted(zip(masks.tolist(), coefficients))
     basis = _gf2_basis(masks)
-    q = np.arange(H.dim ** 2)
-    labels = _reduce(q, basis)
+    # pi is linear on Pauli bits, so it keeps every coset where each one-bit
+    # Pauli e has pi(e) ^ e in the span
+    one_bit = 1 << np.arange(2 * n)
     radical = _radical(H)
     identity = tuple(range(n))
     chosen, group = [], {identity}
@@ -292,7 +267,7 @@ def _qubit_involutions(H: HamiltonianDecomposition) -> tuple:
             continue
         image = _permute_qubits(masks, perm, n).tolist()
         if (sorted(zip(image, coefficients)) == terms
-                and np.array_equal(_reduce(_permute_qubits(q, perm, n), basis), labels)
+                and not _reduce(_permute_qubits(one_bit, perm, n) ^ one_bit, basis).any()
                 and all(_permute_qubits(s, perm, n) == s for s in radical)):
             chosen.append(perm)
             group |= {_compose(g, perm) for g in group}
@@ -707,9 +682,9 @@ class ObservableMeasurer:
 
     def _pick(self, cum, uniforms) -> np.ndarray:
         """The outcome each uniform picks from cumulative probabilities cum,
-        (B, K) or (K,) for all: the first whose share of the total passes it."""
-        idx = np.sum(cum / cum[..., -1:] <= uniforms[:, None], axis=1)
-        return self.values[np.minimum(idx, self.values.size - 1)]
+        (B, K) or (K,) for all: the first whose share of the total passes it.
+        The last share is x / x = 1 exactly, above every uniform in [0, 1)."""
+        return self.values[np.sum(cum / cum[..., -1:] <= uniforms[:, None], axis=1)]
 
 
 def shot_chunk(L: int, N: int, d: int) -> int:
@@ -786,16 +761,13 @@ def _law_is_cheaper(H: HamiltonianDecomposition, T: float, counts: list, shots: 
     ``_pauli_powers`` in pieces of n steps (``_series_piece``), is no more
     than the trajectories', shots (sum of N) d gathered amplitudes.  The
     exact integer counts are compared at a ratio of 1, though a counted
-    product cost from about one gather at 5 qubits to a third of one at 10
-    (timings in the module docstring).  So near the boundary its pick of
-    the law was up to 1.35 times slower at 5 qubits, and at 10 it keeps
-    trajectories up to about 3 times slower than the law, 8 times where
-    measuring each shot's state dominates.  The law's work that does not
+    product costs less than a gather above 5 qubits, so near the boundary
+    the rule can pick the slower path; the README's "Shot sampler and
+    trajectory engine" holds the timings.  The law's work that does not
     grow with N, its O(d^3) transforms of the initial state and of each
-    node's, is left out: at 10 qubits it took about 0.4 s a plan and 0.4 s
-    a node, but there every measured wrong pick already keeps trajectories,
-    so counting it would only move the rule further from the faster path;
-    at 5 qubits it took under a millisecond.  Reads only H, T, the counts
+    node's, is left out: where it is large, at 10 qubits, every measured
+    wrong pick already keeps trajectories, so counting it would only move
+    the rule further from the faster path.  Reads only H, T, the counts
     and the shots."""
     if H.n_qubits <= SUPEROP_QUBIT_CAP:
         return True

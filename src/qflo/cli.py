@@ -110,11 +110,8 @@ def _require_positive(value, flag):
 
 
 def parse_state(spec, n_qubits: int) -> np.ndarray:
-    """Computational basis labels ('0...0', '01', ...) or 'plus' / 'plus^n';
-    None is the all-zeros basis state."""
+    """Computational basis labels ('0...0', '01', ...) or 'plus' / 'plus^n'."""
     dim = 2 ** n_qubits
-    if spec is None:
-        spec = "0" * n_qubits
     if set(spec) <= {"0", "1"} and spec:
         if len(spec) != n_qubits:
             raise UsageError(

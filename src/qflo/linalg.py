@@ -213,15 +213,11 @@ def matrix_log_principal(S) -> np.ndarray:
 
 
 def choi_matrix(S) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij E_ij (x) S(E_ij)."""
+    """Unnormalized Choi matrix sum_ij E_ij (x) S(E_ij), the realignment of
+    S: entry (a, b) of block (i, j) is S(E_ij)[a, b] = S[a + b d, i + j d]."""
+    S = _as_square(S)
     d = superoperator_dim(S)
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            C[i * d:(i + 1) * d, j * d:(j + 1) * d] = apply_superoperator(S, E)
-    return C
+    return S.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def cptp_check(S) -> dict:

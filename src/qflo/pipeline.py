@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ObservableMeasurer, node_values_exact, sample_shots
+from .channel import ObservableMeasurer, _integer, node_values_exact, sample_shots
 from .hamiltonian import HamiltonianDecomposition
 from .linalg import hermitian_eig
 from .richardson import (
@@ -40,8 +40,9 @@ class QfloRequest:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.total_time > 0:
-            raise ValueError(f"total_time must be > 0, got {self.total_time}")
+        if not 0 < self.total_time < math.inf:
+            raise ValueError(f"total_time must be positive and finite, got {self.total_time!r}")
+        _integer(self.master_seed, 0, "master_seed")
         if self.mode not in ("noiseless", "shot_sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.order_policy not in ("log", "loglog"):

@@ -729,25 +729,44 @@ def test_trajectories_run_only_above_the_cap(n, monkeypatch):
     assert evolved == ([(16, 20), (16, 7)] if n > channel.SUPEROP_QUBIT_CAP else [])
 
 
-def test_law_shot_k_reads_uniform_k(monkeypatch):
+@pytest.mark.parametrize("text, T, counts, shots", [
+    (TWO_QUBIT_TEXT, 0.7, [9, 4, 9], 40),
+    # above the cap, where the cost rule picks the law
+    (HEISENBERG_CHAIN_5, 0.05, [40, 12, 40], 300),
+], ids=["two-qubit", "above-the-cap"])
+def test_law_shot_k_reads_uniform_k(text, T, counts, shots, monkeypatch):
     # shot k of node j is the outcome that uniform k of substream(seed, j)
     # picks from the node's cumulative law, also when the uniforms are
-    # drawn in slabs of 7; a repeated N is drawn again on its own stream
-    H = parse_hamiltonian(TWO_QUBIT_TEXT)
+    # drawn in slabs of 7, and no circuit is simulated; a repeated N is
+    # drawn again on its own stream
+    H = parse_hamiltonian(text)
     rho0, A = state_and_observable(H.dim, True, 12)
     measurer = ObservableMeasurer(A)
-    T, counts, shots, seed = 0.7, [9, 4, 9], 40, 31
+    seed = 31
+    assert channel._law_is_cheaper(H, T, counts, shots)
     law = np.array([node_values_exact(H, V @ V.conj().T, rho0, T, counts)
                     for V in measurer._blocks]).T
+    monkeypatch.setattr(channel, "evolve_indexed_batch", None)
     outcomes = sample_shots(H, measurer, rho0, T, counts, shots, seed)
     monkeypatch.setattr(channel, "TILE_AMPLITUDES", 7)
     assert sample_shots(H, measurer, rho0, T, counts, shots, seed).tobytes() == outcomes.tobytes()
-    assert measurer.values.size == 4 and outcomes[0].tolist() != outcomes[2].tolist()
+    assert measurer.values.size == H.dim and outcomes[0].tolist() != outcomes[2].tolist()
     for j, cum in enumerate(np.cumsum(law, axis=1)):
         u = substream(seed, j).random(shots)
         assert np.abs(u[:, None] - cum).min() > 1e-9   # no uniform at an edge
         expected = measurer.values[np.searchsorted(cum, u, side="right")]
         assert outcomes[j].tolist() == expected.tolist()
+
+
+def test_pick_returns_the_last_outcome_below_one():
+    # the last share of the total is x / x = 1 exactly, so the largest
+    # uniform below 1 picks the last outcome, on a total that is not 1
+    measurer = ObservableMeasurer(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    cum = np.cumsum([[0.1, 0.2, 0.3], [0.7, 0.2, 0.1]], axis=1)
+    assert cum[0, -1] != 0.6
+    u = 1.0 - 2.0 ** -53
+    assert measurer._pick(cum[0], np.array([u])).tolist() == [3.0]
+    assert measurer._pick(cum, np.array([u, u])).tolist() == [3.0, 3.0]
 
 
 def unit_chain(n):
@@ -796,30 +815,6 @@ def test_cost_rule_counts_the_series_pieces(monkeypatch):
     channel._pauli_powers(H, np.eye(1, H.dim ** 2)[0], 1.0, [4207, 673])
     channel._law_is_cheaper(H, 1.0, [4207, 673, 4207], 176)
     assert sorted(read) == [673, 673, 4207, 4207]
-
-
-def test_law_shot_k_reads_uniform_k_above_the_cap(monkeypatch):
-    # the five-qubit twin of test_law_shot_k_reads_uniform_k: where the
-    # cost rule picks the law, shot k of node j is the outcome uniform k of
-    # substream(seed, j) picks from the node's cumulative law, in slabs of
-    # any size, and no circuit is simulated
-    H = parse_hamiltonian(HEISENBERG_CHAIN_5)
-    rho0, A = state_and_observable(H.dim, True, 12)
-    measurer = ObservableMeasurer(A)
-    T, counts, shots, seed = 0.05, [40, 12, 40], 300, 31
-    assert channel._law_is_cheaper(H, T, counts, shots)
-    law = np.array([node_values_exact(H, V @ V.conj().T, rho0, T, counts)
-                    for V in measurer._blocks]).T
-    monkeypatch.setattr(channel, "evolve_indexed_batch", None)
-    outcomes = sample_shots(H, measurer, rho0, T, counts, shots, seed)
-    monkeypatch.setattr(channel, "TILE_AMPLITUDES", 7)
-    assert sample_shots(H, measurer, rho0, T, counts, shots, seed).tobytes() == outcomes.tobytes()
-    assert measurer.values.size == H.dim and outcomes[0].tolist() != outcomes[2].tolist()
-    for j, cum in enumerate(np.cumsum(law, axis=1)):
-        u = substream(seed, j).random(shots)
-        assert np.abs(u[:, None] - cum).min() > 1e-9   # no uniform at an edge
-        expected = measurer.values[np.searchsorted(cum, u, side="right")]
-        assert outcomes[j].tolist() == expected.tolist()
 
 
 THREE_QUBIT_WITH_Y = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n-0.2 ZXY\n0.6 XII\n"

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from qflo.benchmarks import ONE_QUBIT_TEXT
 from qflo.channel import (
+    _compose,
     _gf2_basis,
+    _permute_qubits,
     _product_phase,
     _qubit_involutions,
+    _radical,
     _reduce,
     _term_masks,
     channel_delta,
@@ -235,6 +238,45 @@ def test_involution_sectors_match_vec_basis_oracle(H, theta):
     # terms that it fixes, whose sectors it splits where it keeps the
     # cosets and fixes the radical
     _check_against_vec_basis_oracle(H, theta)
+
+
+def _qubit_involutions_by_labels(H) -> tuple:
+    """``_qubit_involutions`` with its coset test on all d^2 Pauli indices:
+    pi keeps every coset where it leaves each index's ``_reduce`` label
+    unchanged.  The reference for its test on the 2n one-bit Paulis."""
+    n = H.n_qubits
+    masks = _term_masks(H)
+    coefficients = list(zip(H.weights.tolist(), H.signs.tolist()))
+    terms = sorted(zip(masks.tolist(), coefficients))
+    basis = _gf2_basis(masks)
+    q = np.arange(H.dim ** 2)
+    labels = _reduce(q, basis)
+    radical = _radical(H)
+    identity = tuple(range(n))
+    chosen, group = [], {identity}
+    for perm in itertools.permutations(range(n)):
+        if (perm in group or _compose(perm, perm) != identity
+                or any(_compose(perm, p) != _compose(p, perm) for p in chosen)):
+            continue
+        image = _permute_qubits(masks, perm, n).tolist()
+        if (sorted(zip(image, coefficients)) == terms
+                and np.array_equal(_reduce(_permute_qubits(q, perm, n), basis), labels)
+                and all(_permute_qubits(s, perm, n) == s for s in radical)):
+            chosen.append(perm)
+            group |= {_compose(g, perm) for g in group}
+    return tuple(chosen)
+
+
+@given(H=involution_closed_sums())
+@example(H=parse_hamiltonian(HEISENBERG_CHAIN_4))
+@example(H=parse_hamiltonian(HEISENBERG_RING_4))
+@example(H=parse_hamiltonian("0.5 II\n"))
+@settings(max_examples=100, deadline=None)
+def test_one_bit_coset_test_picks_the_label_test_involutions(H):
+    # pi is linear on Pauli bits, so testing pi(e) ^ e against the span on
+    # the one-bit Paulis e decides as relabelling every Pauli index does;
+    # on 0.5 II, whose span is {0}, the coset test alone refuses the swap
+    assert _qubit_involutions(H) == _qubit_involutions_by_labels(H)
 
 
 def _radical_sectors(H) -> list:

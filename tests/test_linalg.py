@@ -285,6 +285,14 @@ class TestCptpCheck:
         assert abs(report["choi_min_eig"] - (-1.0)) <= 1e-12
         assert abs(report["choi_min_eig"] - oracle) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_choi_matrix_is_the_sum_over_matrix_units(self, d, rng):
+        # the realignment of S, to the bit, against sum_ij E_ij (x) S(E_ij)
+        S = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        units = np.eye(d * d).reshape(d * d, d, d)   # E_ij at i d + j
+        expected = sum(np.kron(E, apply_superoperator(S, E)) for E in units)
+        assert np.array_equal(choi_matrix(S), expected)
+
 
 class TestNorms:
     def test_pauli_x(self):

@@ -273,6 +273,21 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             self._request(one_qubit, total_time=-1.0)
 
+    @pytest.mark.parametrize("mode", ["noiseless", "shot_sampled"])
+    @pytest.mark.parametrize("field, value", [
+        ("total_time", math.inf), ("master_seed", -1), ("master_seed", 1.5),
+    ])
+    def test_infinite_time_and_bad_seed_are_refused(self, one_qubit, mode, field, value):
+        # refused when the request is made, not by the step count's int64
+        # check or the shot sampler, and in noiseless mode too
+        with pytest.raises(ValueError, match=field):
+            self._request(one_qubit, mode=mode, **{field: value})
+
+    @pytest.mark.parametrize("mode", ["noiseless", "shot_sampled"])
+    def test_finite_time_whose_step_count_overflows(self, one_qubit, mode):
+        with pytest.raises(OverflowError):
+            run(self._request(one_qubit, mode=mode, total_time=1e200))
+
     def test_bad_mode_and_policy(self, one_qubit):
         with pytest.raises(ValueError):
             self._request(one_qubit, mode="exactish")
