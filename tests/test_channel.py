@@ -817,6 +817,90 @@ def test_cost_rule_counts_the_series_pieces(monkeypatch):
     assert sorted(read) == [673, 673, 4207, 4207]
 
 
+def series_by_flips(H, v0, T, counts):
+    """The series branch of ``_pauli_powers`` with Delta u summed term by
+    term, u[q ^ p_j] a flip of u, (2,) * 2n, over p_j's bits: three numpy
+    calls per term.  The reference for its gathers, to the bit."""
+    m = 2 * H.n_qubits
+    sign = channel._pauli_action(H).reshape((len(H),) + (2,) * m)
+    flips = [tuple(k for k in range(m) if p >> (m - 1 - k) & 1)
+             for p in H.x_masks * H.dim + H.z_masks]
+    out = []
+    for N in counts:
+        diag, off, n = channel._series_piece(H, T, N)
+        dv = sum(d_j * (s != 0) for d_j, s in zip(diag, sign))
+        v = v0.reshape(sign.shape[1:])
+        for first in range(0, N, n):
+            piece = min(n, N - first)
+            term, v = v, v.copy()
+            for k in range(1, min(27, piece) + 1):
+                term = dv * term - sum(w * s * np.flip(term, axes)
+                                       for w, s, axes in zip(off, sign, flips))
+                term *= (piece - k + 1) / k
+                v += term
+        out.append(v.reshape(-1))
+    return np.array(out)
+
+
+def random_series_case(n, seed):
+    """A random n-qubit H with Y terms, terms that share a z-mask (YY and ZZ
+    on one pair), a Z-only term and negative coefficients, and the real
+    Pauli vector of a random mixed state."""
+    rng = np.random.default_rng(seed)
+    strings = ["YY" + "I" * (n - 2), "ZZ" + "I" * (n - 2), "I" * (n - 1) + "Z"]
+    strings += ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3 * n)]
+    H = parse_hamiltonian("".join(f"{float(rng.choice([-1, 1]) * rng.uniform(0.1, 1))!r} {p}\n"
+                                  for p in strings))
+    rho0, _ = state_and_observable(H.dim, True, seed)
+    return H, channel._pauli_coefficients(rho0).real
+
+
+@pytest.mark.parametrize("case", ["shot_heis5", "random-5", "random-6", "chain-8"])
+def test_series_gathers_match_the_flips_to_the_bit(case):
+    if case == "shot_heis5":   # the workload's plan: 2 pieces of 27 terms per node
+        H, T, counts = unit_chain(5), 1.0, [4207, 673]
+        v0 = channel._pauli_coefficients(np.diag(np.eye(H.dim)[0]).astype(complex)).real
+    elif case == "chain-8":   # bands of 8 of the 256 x rows
+        H, T, counts = unit_chain(8), 1.0, [3]
+        v0 = np.random.default_rng(8).normal(size=H.dim ** 2)
+        assert 4 * channel.TILE_AMPLITUDES // (len(H) * H.dim) < H.dim
+    else:
+        H, v0 = random_series_case(int(case[-1]), int(case[-1]))
+        T, counts = 3.0, [400, 25, 2]
+    assert H.n_qubits > channel.SUPEROP_QUBIT_CAP
+    assert np.array_equal(channel._pauli_powers(H, v0, T, counts),
+                          series_by_flips(H, v0, T, counts))
+
+
+@pytest.mark.parametrize("masks_per_chunk", [1, 2, 5])
+def test_series_chunks_of_terms_keep_the_bits(masks_per_chunk, monkeypatch):
+    # chunks of the terms whose distinct z-masks' copies of the term fit in
+    # CHUNK_INDEX_BYTES: the running sum carries into the next chunk, so
+    # the terms still add in order
+    H, v0 = random_series_case(5, 11)
+    assert len(set(H.z_masks.tolist())) > 2 * masks_per_chunk
+    monkeypatch.setattr(channel, "CHUNK_INDEX_BYTES", masks_per_chunk * 8 * H.dim ** 2)
+    assert np.array_equal(channel._pauli_powers(H, v0, 3.0, [400, 25, 2]),
+                          series_by_flips(H, v0, 3.0, [400, 25, 2]))
+
+
+def test_series_scratch_stays_within_the_chunk_budget():
+    # one 8-qubit chain node of 3 steps, its term action built before: the
+    # flips peaked at 3225816 bytes (3.08 MiB), the gathers at 7455904
+    # (7.11 MiB), 4 MiB of it the copies of the term for the chain's 8
+    # distinct z-masks
+    H = parse_hamiltonian(heisenberg_chain(8))
+    H.derived(channel._pauli_action)
+    tracemalloc.start()
+    try:
+        channel._pauli_powers(H, np.eye(1, H.dim ** 2)[0], 1.0, [3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3225816 + channel.CHUNK_INDEX_BYTES
+    assert peak <= 3225816 + 8 * H.dim ** 2 * 8 + 2 ** 20
+
+
 THREE_QUBIT_WITH_Y = "0.5 XYI\n0.3 IZZ\n0.4 YIX\n-0.2 ZXY\n0.6 XII\n"
 CHAIN5_FIELDS = "1.0 ZIIII\n0.5 IZIII\n0.25 IIZII\n"
 # 171 terms whose cumulative probabilities fall alternately just above and
