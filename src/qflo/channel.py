@@ -17,11 +17,14 @@ Delta is block diagonal over the cosets of the GF(2) span of the term masks
 within each coset over the symmetry sectors of ``pauli_sectors``: the joint
 eigenspaces of left multiplication by the radical, the Paulis of that span
 that commute with every term (4 sectors of 64 on the chain, split by XXXX),
-and of the relabellings by the qubit involutions that map H to itself (the
-chain's reflection splits them into blocks of 40, 24 and 32).  The
-generator analysis eigensolves per sector, 6 blocks of at most 40 on the
-chain; the powering below stays on the cosets.  None of these tables
-depends on the step time: each Hamiltonian builds its term action
+of the relabellings by the qubit involutions that map H to itself (the
+chain's reflection splits them into blocks of 40, 24 and 32), and of the
+conjugation by a single-qubit Clifford on every qubit that maps H to
+itself, a signed permutation of the Paulis of order 2 or 4 (the chain's
+rotation X -> X, Y -> Z, Z -> -Y splits those into blocks of 24, 16 and
+8).  The generator analysis eigensolves per sector, 12 blocks of at most
+24 on the chain; the powering below stays on the cosets.  None of these
+tables depends on the step time: each Hamiltonian builds its term action
 (``_pauli_action``), its cosets and its gate gathers once, on first use,
 and keeps them read-only while it lives
 (``HamiltonianDecomposition.derived``).  The term action, (L, d^2) int8
@@ -81,6 +84,7 @@ place in the tile's index rows; a row longer than that is drawn alone.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -213,19 +217,19 @@ class PauliSector(NamedTuple):
         ``pauli_term_matrix`` does: M V lies in the sector, so its
         coefficients are read off at the representatives, as (M V)[pos[0]]
         times each row's column norm.  One gather for all rows of pos."""
-        B = sum(M[self.pos[0][:, None], self.pos[:, None, :]] * self.phase[:, None, :])
+        B = (M[self.pos[0][:, None], self.pos[:, None, :]] * self.phase[:, None, :]).sum(axis=0)
         width = np.count_nonzero(self.phase, axis=0)
         if width.min() < width.max():   # the column norms differ
             B = B * np.sqrt(width[:, None] / width)
         return B
 
 
-def _radical(H: HamiltonianDecomposition) -> list:
+def _radical(H: HamiltonianDecomposition) -> tuple:
     """Echelon generators of the radical: the Paulis of the span of the term
-    masks that commute with every term."""
+    masks that commute with every term.  Read through ``H.derived``."""
     span = H.derived(pauli_cosets)[0]   # the coset of 0
     central = (_product_phase(_term_masks(H)[:, None], span, H.n_qubits) & 1 == 0).all(axis=0)
-    return _gf2_basis(span[central])
+    return tuple(_gf2_basis(span[central]))
 
 
 def _permute_qubits(q, perm, n: int):
@@ -243,6 +247,28 @@ def _compose(p, q) -> tuple:
     return tuple(p[i] for i in q)
 
 
+def _signed_terms(H: HamiltonianDecomposition, masks, signs) -> list:
+    """H's terms with the given masks and signs, as a sorted list of
+    (mask, (weight, sign)): two lists are equal where their terms agree as
+    multisets, so duplicate terms count."""
+    return sorted(zip(masks.tolist(), zip(H.weights.tolist(), signs.tolist())))
+
+
+@functools.cache
+def _involution_tables(n: int) -> tuple:
+    """(perms, image): the qubit involutions on n qubits, as permutation
+    tuples in lexicographic order, and image[k, q], the Pauli index q
+    relabelled by perms[k], over all 4^n of them.  Built once per n, and
+    read-only."""
+    identity = tuple(range(n))
+    perms = tuple(p for p in itertools.permutations(range(n))
+                  if p != identity and _compose(p, p) == identity)
+    q = np.arange(4 ** n)
+    image = np.array([_permute_qubits(q, p, n) for p in perms], dtype=int).reshape(len(perms), q.size)
+    image.setflags(write=False)
+    return perms, image
+
+
 def _qubit_involutions(H: HamiltonianDecomposition) -> tuple:
     """The qubit involutions that split ``pauli_sectors``, as permutation
     tuples: a maximal commuting set, chosen greedily in lexicographic order
@@ -253,54 +279,141 @@ def _qubit_involutions(H: HamiltonianDecomposition) -> tuple:
     that are not involutions, such as 3-cycles and ring translations, are
     not used: their characters are not real."""
     n = H.n_qubits
+    perms, image = _involution_tables(n)
     masks = _term_masks(H)
-    coefficients = list(zip(H.weights.tolist(), H.signs.tolist()))
-    terms = sorted(zip(masks.tolist(), coefficients))
-    basis = _gf2_basis(masks)
+    terms = _signed_terms(H, masks, H.signs)
     # pi is linear on Pauli bits, so it keeps every coset where each one-bit
-    # Pauli e has pi(e) ^ e in the span
+    # Pauli e has pi(e) ^ e in the span; all candidates at once
     one_bit = 1 << np.arange(2 * n)
-    radical = _radical(H)
-    identity = tuple(range(n))
-    chosen, group = [], {identity}
-    for perm in itertools.permutations(range(n)):
-        if (perm in group or _compose(perm, perm) != identity
-                or any(_compose(perm, p) != _compose(p, perm) for p in chosen)):
+    radical = np.array(H.derived(_radical), dtype=int)
+    keeps = (~_reduce(image[:, one_bit] ^ one_bit, _gf2_basis(masks)).any(axis=1)
+             & (image[:, radical] == radical).all(axis=1))
+    chosen, group = [], {tuple(range(n))}
+    for k in np.flatnonzero(keeps):
+        perm = perms[k]
+        if (perm in group or any(_compose(perm, p) != _compose(p, perm) for p in chosen)
+                or _signed_terms(H, image[k, masks], H.signs) != terms):
             continue
-        image = _permute_qubits(masks, perm, n).tolist()
-        if (sorted(zip(image, coefficients)) == terms
-                and not _reduce(_permute_qubits(one_bit, perm, n) ^ one_bit, basis).any()
-                and all(_permute_qubits(s, perm, n) == s for s in radical)):
-            chosen.append(perm)
-            group |= {_compose(g, perm) for g in group}
+        chosen.append(perm)
+        group |= {_compose(g, perm) for g in group}
     return tuple(chosen)
 
 
-def _split(sector: PauliSector, perm, n: int) -> list:
-    """The +1 and -1 eigenspaces, those not empty, of the relabelling S of
-    the qubit involution ``perm`` in ``sector``, as ``PauliSector`` s.  S
-    keeps the sector and maps its column v_a to c v_b, |c| = 1, with b the
-    column that holds pi(pos[0, a]): a pair of columns a < b becomes
-    (v_a +- S v_a) / sqrt(2), and a column with b = a stays in the
-    eigenspace of c = +-1, its phase at pi(pos[0, a])."""
+def _single_qubit_cliffords() -> tuple:
+    """(labels, code, sign, square) of the single-qubit Cliffords of order 2
+    and 4.  Each is a rotation R of the Pauli axes, a signed permutation of
+    X, Y, Z with determinant 1, labelled by its signed images of X, Y and Z
+    ('+X+Z-Y' for X -> X, Y -> Z, Z -> -Y), and listed in the order of
+    (axis permutation, signs), lexicographic with + before -.  Of the 24,
+    the 4 Pauli conjugations (R diagonal) are left out, as each acts on a
+    sector as a sign, and so are the 8 of order 3, whose characters are not
+    real.  On letter codes c = 2 x + z (I, Z, X, Y = 0, 1, 2, 3) a Clifford
+    maps c to code[k, c] with sign[k, c], and its square, a Pauli
+    conjugation, to c with square[k, c]."""
+    axis_code = [2, 3, 1]   # X, Y, Z
+    labels, code, sign, square = [], [], [], []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            R = np.zeros((3, 3), dtype=int)
+            R[perm, range(3)] = signs
+            if (np.prod(signs) != (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                    or perm == (0, 1, 2) or (R @ R @ R == np.eye(3)).all()):
+                continue
+            labels.append("".join("+-"[s < 0] + "XYZ"[p] for p, s in zip(perm, signs)))
+            c, g = np.arange(4), np.ones(4, dtype=int)
+            c[axis_code] = np.array(axis_code)[list(perm)]
+            g[axis_code] = signs
+            code.append(c)
+            sign.append(g)
+            square.append(np.r_[1, np.diag(R @ R)[[2, 0, 1]]])
+    return tuple(labels), np.array(code), np.array(sign), np.array(square)
+
+
+@functools.cache
+def _clifford_tables(n: int) -> tuple:
+    """(labels, image, sign, square) of the K ``_single_qubit_cliffords`` on
+    every one of n qubits, the last three (K, 4^n) over the Pauli indices q:
+    Clifford k maps sigma_q to sign[k, q] sigma_{image[k, q]}, and its
+    square maps sigma_q to square[k, q] sigma_q.  Built per qubit from the
+    letter codes, once per n, and read-only."""
+    labels, code, sign, square = _single_qubit_cliffords()
+    q = np.arange(4 ** n)
+    tables = [0, 1, 1]
+    for shift in range(n):   # qubit n - 1 - shift
+        letter = 2 * ((q >> (n + shift)) & 1) + ((q >> shift) & 1)
+        new = code[:, letter]
+        tables[0] = tables[0] | (new >> 1) << (n + shift) | (new & 1) << shift
+        tables[1] = tables[1] * sign[:, letter]
+        tables[2] = tables[2] * square[:, letter]
+    for table in tables:
+        table.setflags(write=False)
+    return (labels, *tables)
+
+
+def _clifford_symmetries(H: HamiltonianDecomposition) -> tuple:
+    """The uniform single-qubit Cliffords, by label, that split
+    ``pauli_sectors`` after the qubit involutions: the first of
+    ``_single_qubit_cliffords`` that maps each term to a term with a
+    bit-identical signed coefficient (as multisets), keeps every coset of
+    ``pauli_cosets``, fixes every radical Pauli with sign +1, and whose
+    square maps every term to itself with sign +1, so that it is a sign on
+    each coset.  A uniform Clifford commutes with every qubit relabelling,
+    so with the involutions.  Of these rotations of the cube only the powers
+    of one and their products with Paulis commute with it, and those split
+    none of its eigenspaces further, so there is at most one."""
+    n = H.n_qubits
+    labels, image, sign, square = _clifford_tables(n)
+    masks = _term_masks(H)
+    one_bit = 1 << np.arange(2 * n)
+    radical = np.array(H.derived(_radical), dtype=int)
+    # each is linear on Pauli bits, as pi is above; all candidates at once
+    keeps_cosets = ~_reduce(image[:, one_bit] ^ one_bit, _gf2_basis(masks)).any(axis=1)
+    fixes_radical = ((image[:, radical] == radical) & (sign[:, radical] == 1)).all(axis=1)
+    squares_to_one = (square[:, masks] == 1).all(axis=1)
+    terms = _signed_terms(H, masks, H.signs)
+    for k in np.flatnonzero(keeps_cosets & fixes_radical & squares_to_one):
+        if _signed_terms(H, image[k, masks], H.signs * sign[k, masks]) == terms:
+            return (labels[k],)
+    return ()
+
+
+def _split(sector: PauliSector, symmetry) -> list:
+    """The eigenspaces, those not empty, in ``sector`` of a symmetry S given
+    as (image, sign) over all Pauli indices, S e_q = sign[q] e_image[q],
+    that keeps the sector and squares to kappa = +-1 on it.  For kappa = 1
+    they are the +1 and -1 eigenspaces; for kappa = -1 the +i and -i ones,
+    of which a sector that is its own conjugate lists only +i, as paired,
+    as the -i one is its conjugate.  S maps the column v_a to c v_b,
+    |c| = 1, with b the column that holds image[pos[0, a]]: a pair of
+    columns a < b becomes (v_a + conj(lam) S v_a) / sqrt(2) in the
+    eigenspace of lam, and a column with b = a stays in the eigenspace of
+    c, the sign at pos[0, a] over its phase at image[pos[0, a]]."""
+    image_of, sign_of = symmetry
     pos, phase = sector.pos, sector.phase
     cols = np.arange(pos.shape[1])
-    filled = phase != 0
-    owner = np.zeros(1 << 2 * n, dtype=int)
-    owner[pos[filled]] = np.broadcast_to(cols, pos.shape)[filled]
-    image = _permute_qubits(pos, perm, n)
+    row_at, col_at = np.nonzero(phase)
+    held = pos[row_at, col_at]
+    owner, row = np.empty((2, len(image_of)), dtype=int)   # read only at the sector's Paulis
+    owner[held], row[held] = col_at, row_at
+    image, sign = image_of[pos], sign_of[pos]
+    kappa = sign[0, 0] * sign_of[image[0, 0]]
     partner = owner[image[0]]
     pair = partner > cols
-    c = phase[((pos == image[0]) & filled).argmax(axis=0), cols].real
+    c = sign[0] * phase[row[image[0]], cols].conj()
     both = np.concatenate([pos, np.where(pair, image, pos[0])])
+    if kappa == 1:
+        eigenvalues = (1, -1)
+    else:
+        eigenvalues = (1j, -1j) if sector.paired else (1j,)
     sectors = []
-    for eps in (1, -1):
-        keep = pair | ((partner == cols) & (eps * c > 0))
-        v = np.concatenate([phase, np.where(pair, eps * phase, 0)])[:, keep]
-        rows = (v != 0).any(axis=1)
+    for lam in eigenvalues:
+        keep = pair | ((partner == cols) & (c == lam))
         if keep.any():
-            p = both[rows][:, keep]
-            sectors.append(PauliSector(np.where(v[rows] != 0, p, p[0]), v[rows], sector.paired))
+            v = np.concatenate([phase, np.where(pair, np.conj(lam) * sign * phase, 0)])[:, keep]
+            rows = (v != 0).any(axis=1)
+            p, v = both[rows][:, keep], v[rows]
+            sectors.append(PauliSector(np.where(v != 0, p, p[0]), v,
+                                       bool(sector.paired or kappa == -1)))
     return sectors
 
 
@@ -323,21 +436,28 @@ def pauli_sectors(H: HamiltonianDecomposition) -> list:
     of each pair is listed.  With a trivial radical the sectors are the
     cosets, with phase 1.
 
-    Each sector is then split, in turn, into the +1 and -1 eigenspaces of
-    the relabelling S of each of H's ``_qubit_involutions``: S maps H to
-    itself, so it commutes with ad_H and every Delta, and it fixes the
-    radical, so it keeps each sector.  Its characters are real, so real
-    sectors stay real and a paired sector's split pairs with its
-    conjugate's.  The 4-qubit chain's reflection i <-> 3 - i splits its
-    three sectors of 64 into 40 + 24, 32 + 32 and a pair of 32 + 32.  With
-    no such involution the sectors are the radical's alone.
+    Each sector is then split, in turn, into the eigenspaces of each of H's
+    symmetries S: the relabellings by its ``_qubit_involutions``, then the
+    signed Pauli permutation of its ``_clifford_symmetries``, conjugation
+    by one single-qubit Clifford on every qubit.  S maps H to itself, so it
+    commutes with ad_H and every Delta, and it fixes the radical, so it
+    keeps each sector.  An involution, or a Clifford of order 2, squares to
+    I: its eigenvalues are +-1, and real sectors stay real.  A Clifford of
+    order 4 squares to a Pauli conjugation that is +1 or -1 on each sector;
+    where it is -1 the eigenvalues are +-i, and a real sector splits into a
+    complex-conjugate pair, listed once.  The 4-qubit chain's reflection
+    i <-> 3 - i splits its three sectors of 64 into 40 + 24, 32 + 32 and a
+    pair of 32 + 32; its rotation X -> X, Y -> Z, Z -> -Y, of order 4 and
+    square XXXX's conjugation, then splits the first four into 24 + 16,
+    16 + 8, 16 + 16 and 16 + 16 and each paired 32 into 16 + 16.  With no
+    such symmetry the sectors are the radical's alone.
     """
     n = H.n_qubits
     if n > SUPEROP_QUBIT_CAP:
         raise DimensionCapError(
             f"symmetry sectors capped at {SUPEROP_QUBIT_CAP} qubits, got {n}")
     cosets = H.derived(pauli_cosets)
-    radical = _radical(H)
+    radical = H.derived(_radical)
     pos = cosets[_reduce(cosets, radical) == cosets].reshape(len(cosets), 1, -1)
     phase = np.ones(pos.shape, dtype=complex)
     signs = np.ones((1, 1))   # eps^g over sector labels eps and elements g
@@ -354,8 +474,13 @@ def pauli_sectors(H: HamiltonianDecomposition) -> list:
         for eps in labels[labels <= labels ^ anti[c]]:
             v = signs[eps][:, None] * phase[c]
             sectors.append(PauliSector(pos[c], v if anti[c] else v.real, bool(anti[c])))
-    for perm in _qubit_involutions(H):
-        sectors = [part for sector in sectors for part in _split(sector, perm, n)]
+    perms, relabel = _involution_tables(n)
+    names, image, sign, _ = _clifford_tables(n)
+    symmetries = [(relabel[perms.index(perm)], np.ones(H.dim ** 2, dtype=int))
+                  for perm in _qubit_involutions(H)]
+    symmetries += [(image[k], sign[k]) for k in map(names.index, _clifford_symmetries(H))]
+    for symmetry in symmetries:
+        sectors = [part for sector in sectors for part in _split(sector, symmetry)]
     return sectors
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -297,7 +298,10 @@ def _add_common(p):
     p.add_argument("--json", help="JSON summary output path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qflo`` argument parser, built once per process: parsing reads
+    it and keeps nothing in it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="qflo",
         description="Randomized-compilation time evolution with Richardson extrapolation",

@@ -6,25 +6,31 @@ Everything here works in the normalized Pauli basis, where E_t is the real
 matrix I + Delta built by ``channel.channel_delta`` in O(L d^2).  Delta,
 and ad_H with it, is block diagonal over the symmetry sectors of
 ``channel.pauli_sectors``: the cosets of the GF(2) span of the term masks,
-each split into the joint +-1 eigenspaces of left multiplication by the
-radical, the Paulis of that span that commute with every term, and of the
-qubit-permutation involutions that map H to itself.  On the 4-qubit
-Heisenberg chain the radical is {I, XXXX}, and the 2 cosets of 128 become 4
-sectors of 64: two real, and a complex-conjugate pair of which only one is
-solved.  The chain's reflection i <-> 3 - i splits each of the 3 solved
-sectors in two, into blocks of 40 and 24, 32 and 32, and a paired 32 and
-32.  Neither the sectors nor ad_H depends on s, so each Hamiltonian's
-sectors and ad_H's block on each are built once, on its first probe, and
-kept read-only while it lives, as is the term action that every Delta is
-filled from (``HamiltonianDecomposition.derived``).  Each probed step builds
-Delta once and takes one ``eig`` per listed sector (6 of at most 40 on the
-chain): the eigenvalues of E_s are 1 + mu, and the minimum eigenvalue
-modulus, the logarithm log1p(mu), the eigenvector conditioning guard and
-the deviation from ad_H are all taken sector by sector.  A probe on the
-chain makes 18 LAPACK calls: 6 ``eig``, 6 ``inv`` of the eigenvectors,
-which the logarithm and the guard's Frobenius bound share, and 6 SVDs, one
-per sector's spectral norm; the guard takes SVDs of its own only when that
-bound exceeds sqrt(LOG_COND_CAP) (``linalg._log_from_eig``).
+each split into the joint eigenspaces of left multiplication by the
+radical, the Paulis of that span that commute with every term, of the
+qubit-permutation involutions that map H to itself, and of a single-qubit
+Clifford on every qubit that maps H to itself.  On the 4-qubit Heisenberg
+chain the radical is {I, XXXX}, and the 2 cosets of 128 become 4 sectors of
+64: two real, and a complex-conjugate pair of which only one is solved.
+The chain's reflection i <-> 3 - i splits each of the 3 solved sectors in
+two, into 40 and 24, 32 and 32, and a paired 32 and 32; its rotation
+X -> X, Y -> Z, Z -> -Y, whose square is XXXX's conjugation, splits each
+of those in two again, into 24 and 16, 16 and 8, and 16 and 16 for the
+rest, the paired ones into their +i and -i eigenspaces.  Neither the
+sectors nor ad_H depends on s, so each Hamiltonian's sectors, grouped by
+block shape and dtype, and ad_H's blocks on them are built once, on its
+first probe, and kept read-only while it lives, as is the term action that
+every Delta is filled from (``HamiltonianDecomposition.derived``).  Each
+probed step builds Delta once and takes one ``eig`` per group of sector
+blocks, on their stack (on the chain 4 groups: 24 real, 6 of 16 real, 8
+real, 4 of 16 complex): the eigenvalues of E_s are 1 + mu, and the minimum
+eigenvalue modulus, the logarithm log1p(mu), the eigenvector conditioning
+guard and the deviation from ad_H are all taken sector by sector.  A probe
+on the chain makes 12 LAPACK calls: 4 stacked ``eig``, 4 ``inv`` of the
+eigenvectors, which the logarithm and the guard's Frobenius bound share,
+and 4 SVDs for the sectors' spectral norms; the guard takes SVDs of its own
+only when that bound exceeds sqrt(LOG_COND_CAP) (``linalg._log_from_eig``).
+A stacked LAPACK call solves each block as a call of its own would.
 Working on mu keeps the digits that 1 + mu would round away: on the
 4-qubit chain at s = 2^-12 the deviation's relative error against an 80-bit
 extended-precision series for log(I + Delta) is 1.7e-14, where the
@@ -90,26 +96,34 @@ def pauli_adjoint(H: HamiltonianDecomposition) -> np.ndarray:
 
 class _SectorStructure(NamedTuple):
     sectors: tuple    # ``pauli_sectors(H)``
-    ad_blocks: tuple  # ad_H on each sector, in order
+    groups: tuple     # the sector indices of each block shape and dtype, as first met
+    ad_stacks: tuple  # ad_H's blocks on each group's sectors, stacked
 
 
 def _sector_structure(H: HamiltonianDecomposition) -> _SectorStructure:
-    """H's symmetry sectors and ad_H's block on each.  Neither depends on
-    the step time: it is read through ``H.derived``, so built on H's first
-    probe and shared, read-only, by every later one."""
+    """H's symmetry sectors, grouped by block shape and dtype so that a
+    probe takes one LAPACK call per group, and ad_H's blocks on them.  None
+    of these depends on the step time: it is read through ``H.derived``, so
+    built on H's first probe and shared, read-only, by every later one."""
     sectors = tuple(pauli_sectors(H))
+    groups = {}
+    for i, sector in enumerate(sectors):
+        groups.setdefault((sector.pos.shape[1], sector.phase.dtype.kind), []).append(i)
+    groups = tuple(tuple(group) for group in groups.values())
     ad_H = pauli_adjoint(H)
-    return _SectorStructure(sectors, tuple(sector.block(ad_H) for sector in sectors))
+    ad_stacks = tuple(np.stack([sectors[i].block(ad_H) for i in group]) for group in groups)
+    return _SectorStructure(sectors, groups, ad_stacks)
 
 
 def _channel_spectrum(H: HamiltonianDecomposition, t: float):
-    """H's kept ``_sector_structure``, the eigenpairs (mu, V) of each sector
-    block of Delta = E_t - I, and E_t's minimum eigenvalue modulus.  A
-    paired sector's conjugate has the conjugate eigenpairs, so it takes no
-    eigensolve of its own."""
+    """H's kept ``_sector_structure``, the eigenpairs (mu, V) of the sector
+    blocks of Delta = E_t - I, stacked by group, from one ``eig`` per group,
+    and E_t's minimum eigenvalue modulus.  A paired sector's conjugate has
+    the conjugate eigenpairs, so it takes no eigensolve of its own."""
     delta = channel_delta(H, t)
     structure = H.derived(_sector_structure)
-    spectra = [np.linalg.eig(sector.block(delta)) for sector in structure.sectors]
+    spectra = [np.linalg.eig(np.stack([structure.sectors[i].block(delta) for i in group]))
+               for group in structure.groups]
     min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
     return structure, spectra, min_mod
 
@@ -140,10 +154,14 @@ def generator_probe(H: HamiltonianDecomposition, s: float, T: float) -> Generato
         raise ArithmeticError(
             f"step time t = s T = {t!r} is subnormal or 0 at s = {s!r}, T = {T!r}")
     structure, spectra, min_mod = _channel_spectrum(H, t)
-    blocks = tuple(log_block / (-1j * t) - ad_block
-                   for ad_block, log_block in zip(structure.ad_blocks, _log_from_eig(spectra)))
-    deviation = max(spectral_norm(block) for block in blocks)
-    return GeneratorProbe(s=s, t=t, blocks=blocks, deviation=deviation, min_eig_modulus=min_mod)
+    stacks = [log / (-1j * t) - ad for ad, log in zip(structure.ad_stacks, _log_from_eig(spectra))]
+    blocks = [None] * len(structure.sectors)
+    for group, stack in zip(structure.groups, stacks):
+        for i, block in zip(group, stack):
+            blocks[i] = block
+    deviation = max(spectral_norm(stack) for stack in stacks)
+    return GeneratorProbe(s=s, t=t, blocks=tuple(blocks), deviation=deviation,
+                          min_eig_modulus=min_mod)
 
 
 def series_probe(s_values, f_values, f_zero: float, max_order: int) -> SeriesProbeResult:
@@ -211,9 +229,9 @@ def ek_bound_probe(H: HamiltonianDecomposition, T: float, k: int) -> dict:
                    for blocks in zip(*(p.blocks for p in probes))) / T ** (k - 1)
     bound = (4.0 * H.lam) ** k
     # Rounding in the matrix log is amplified by h^-(k-1) in the difference table.
-    ad_blocks = H.derived(_sector_structure).ad_blocks
+    ad_stacks = H.derived(_sector_structure).ad_stacks
     input_scale = max(max(p.deviation for p in probes),
-                      max(spectral_norm(block) for block in ad_blocks))
+                      max(spectral_norm(stack) for stack in ad_stacks))
     noise_floor = 1e-13 * input_scale / (h ** (k - 1) * math.factorial(k - 1)) / T ** (k - 1)
     if noise_floor > max(estimate, 0.05 * bound):
         raise ConditioningError(

@@ -156,7 +156,9 @@ def _log1p(mu) -> np.ndarray:
 
 
 def _log_from_eig(spectra) -> list:
-    """V diag(log(1 + mu)) V^-1 for each block's eigenpairs (mu, V) of S - I.
+    """V diag(log(1 + mu)) V^-1 for each entry (mu, V) of ``spectra``: the
+    eigenpairs of S - I for one block, (m,) and (m, m), or for a stack of
+    blocks, (k, m) and (k, m, m), each stack taking one ``inv``.
 
     ``matrix_log_principal``'s checks run over all blocks at once, as on the
     block-diagonal matrix they make up: the smallest |1 + mu| against
@@ -167,7 +169,7 @@ def _log_from_eig(spectra) -> list:
     the inverses' residual is of order n u times it, about 7e-11 at n = 64,
     so the true ratio lies within that of the bound, far below the cap, and
     no SVD is taken.  Where the bound is larger or not finite, or an inverse
-    fails, the SVDs of the blocks decide.
+    fails, the SVDs of the blocks decide, one per entry.
     """
     min_mod = min(float(np.abs(1.0 + mu).min()) for mu, _ in spectra)
     if min_mod <= LOG_EIG_TOL:
@@ -179,22 +181,22 @@ def _log_from_eig(spectra) -> list:
     if inverses is None or not _frobenius_bound(spectra, inverses) <= math.sqrt(LOG_COND_CAP):
         sv = [np.linalg.svd(V, compute_uv=False) for _, V in spectra]
         with np.errstate(divide="ignore"):
-            cond = float(max(s[0] for s in sv) / min(s[-1] for s in sv))
+            cond = float(max(s[..., 0].max() for s in sv) / min(s[..., -1].min() for s in sv))
         if cond > LOG_COND_CAP:
             raise NearDefectiveError(
                 f"near-defective superoperator: eigenvector condition number {cond:.3e} > {LOG_COND_CAP:.1e}"
             )
         if inverses is None:
             inverses = [np.linalg.inv(V) for _, V in spectra]
-    return [(V * _log1p(mu)) @ V_inv for (mu, V), V_inv in zip(spectra, inverses)]
+    return [(V * _log1p(mu)[..., None, :]) @ V_inv for (mu, V), V_inv in zip(spectra, inverses)]
 
 
 def _frobenius_bound(spectra, inverses) -> float:
     """max ||V_b||_F times max ||V_b^-1||_F over the blocks: NaN where any
     norm is, inf where one overflows, and no warning either way."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max([np.linalg.norm(V) for _, V in spectra])
-                     * np.max([np.linalg.norm(V_inv) for V_inv in inverses]))
+        return float(np.max([np.linalg.norm(V, axis=(-2, -1)).max() for _, V in spectra])
+                     * np.max([np.linalg.norm(V_inv, axis=(-2, -1)).max() for V_inv in inverses]))
 
 
 def matrix_log_principal(S) -> np.ndarray:
@@ -233,8 +235,9 @@ def cptp_check(S) -> dict:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value."""
+    """Largest singular value of a matrix, or of a stack of them (..., m, n),
+    from one SVD call."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(M, 2, axis=(-2, -1)).max())

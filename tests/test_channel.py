@@ -1259,8 +1259,8 @@ class TestDerivedTables:
         probe = generator_probe(H, 0.125, 1.0)
         node_values_exact(H, A, psi0, 1.0, [7, 3])
         gates = H.pauli_rotations(0.3)
-        # term action, cosets, sectors, gate gathers
-        assert len(H._derived) == 4
+        # term action, cosets, radical, sectors, gate gathers
+        assert len(H._derived) == 5
         arrays = [a for table in H._derived.values() for a in _arrays(table)]
         assert len(arrays) > 4 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):

@@ -353,8 +353,8 @@ class TestGenerator:
 
     def _spy_generator(self, text, s_list, tmp_path, monkeypatch, capsys):
         """Runs ``qflo generator`` on ``text``; returns the number of channel
-        builds and the (shape, dtype kind) of every ``eig`` call, and fails
-        on any ``eigvals`` call."""
+        builds and the (shape, dtype kind) of every ``eig`` call, each on a
+        stack of sector blocks, and fails on any ``eigvals`` call."""
         path = tmp_path / "ham.txt"
         path.write_text(text)
         builds, eigs = [], []
@@ -385,26 +385,31 @@ class TestGenerator:
     def test_one_build_and_three_sector_eigs_per_step(self, tmp_path, monkeypatch, capsys):
         # the two-qubit terms span 8 of the 16 Paulis, and XX = XI.IX
         # commutes with every term: each coset of 8 splits in two sectors of
-        # 4, and the complex pair of one coset takes a single eig
+        # 4, and the complex pair of one coset takes a single eig.  The two
+        # real sectors share one stacked eig
         builds, eigs = self._spy_generator(
             TWO_QUBIT, "0.125,0.0625,0.03125", tmp_path, monkeypatch, capsys)
         assert builds == 3
-        assert eigs == 3 * [((4, 4), "f"), ((4, 4), "f"), ((4, 4), "c")]
+        assert eigs == 3 * [((2, 4, 4), "f"), ((1, 4, 4), "c")]
 
-    def test_chain_probes_six_symmetry_sectors(self, tmp_path, monkeypatch, capsys):
+    def test_chain_probes_twelve_symmetry_sectors(self, tmp_path, monkeypatch, capsys):
         # the 4-qubit Heisenberg chain's two cosets of 128 split by XXXX into
-        # two real sectors and one complex-conjugate pair, all 64 wide, and
-        # the reflection i <-> 3 - i splits each of those in two
+        # two real sectors and one complex-conjugate pair, all 64 wide; the
+        # reflection i <-> 3 - i splits each of those in two, and the
+        # rotation X -> X, Y -> Z, Z -> -Y each of those six in two again:
+        # 24, 16, 16, 8 and 16 four times real, and four paired 16s.  Each
+        # probe takes one eig per block shape and dtype
         builds, eigs = self._spy_generator(
             CHAIN_4, "0.125,0.03125,0.0078125,0.001953125", tmp_path, monkeypatch, capsys)
         assert builds == 4
-        assert eigs == 4 * [((40, 40), "f"), ((24, 24), "f"), ((32, 32), "f"),
-                            ((32, 32), "f"), ((32, 32), "c"), ((32, 32), "c")]
+        assert eigs == 4 * [((1, 24, 24), "f"), ((6, 16, 16), "f"), ((1, 8, 8), "f"),
+                            ((4, 16, 16), "c")]
 
     def test_chain_probes_take_svds_only_for_spectral_norms(self, tmp_path, monkeypatch, capsys):
-        # the conditioning guard reads its Frobenius bound (40 to 52 here)
+        # the conditioning guard reads its Frobenius bound (24 to 34 here)
         # from the inverses the logarithm keeps, so each probe's only SVDs
-        # are the six of its deviation's spectral norms
+        # are the four stacked ones of its deviation's spectral norms, one
+        # per block shape and dtype
         svds, svd = [], np.linalg.svd
         norm_code = linalg.spectral_norm.__code__
 
@@ -420,7 +425,7 @@ class TestGenerator:
         monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", recording_svd)
         self._spy_generator(
             CHAIN_4, "0.125,0.03125,0.0078125,0.001953125", tmp_path, monkeypatch, capsys)
-        assert svds == 24 * [True]
+        assert svds == 16 * [True]
 
     @staticmethod
     def _count_structure_builds(monkeypatch):
@@ -499,13 +504,13 @@ class TestGenerator:
         structure = H.derived(generator._sector_structure)
         assert H.derived(generator._sector_structure) is structure
         arrays = [a for sector in structure.sectors for a in (sector.pos, sector.phase)]
-        arrays += structure.ad_blocks
-        assert len(arrays) == 18 and not any(a.flags.writeable for a in arrays)
+        arrays += structure.ad_stacks
+        assert len(arrays) == 28 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
-            structure.ad_blocks[0][0, 0] = 0.0
+            structure.ad_stacks[0][0, 0, 0] = 0.0
         assert all(block.flags.writeable for block in probe.blocks)
         alive = weakref.ref(H)
-        kept = weakref.ref(structure.ad_blocks[0])
+        kept = weakref.ref(structure.ad_stacks[0])
         del H, structure, arrays
         gc.collect()
         assert alive() is None and kept() is None
@@ -580,10 +585,13 @@ class TestGenerator:
 
     def test_pinned_chain_table(self, tmp_path, capsys):
         # The 4-qubit Heisenberg chain: the only pinned run through sectors
-        # split by a qubit involution, complex-conjugate pairs among them.
-        # Against 40-digit mpmath references from the same Delta, the
-        # deviations' relative errors are 2e-14 at s = 0.125 and below 1e-15
-        # at the others, and the moduli are within 7.1e-16.
+        # split by a qubit involution and by a single-qubit Clifford,
+        # complex-conjugate pairs among them.  Against 40-digit mpmath
+        # references from the same Delta, solved sector by sector with the
+        # principal logarithm of each eigenvalue, the deviations' relative
+        # errors are 7.4e-14 at s = 0.125, where the smallest eigenvalue
+        # modulus is 0.016, and 2.8e-16, 7.6e-16 and 3.2e-15 at the others,
+        # and the moduli are within 4.7e-16.
         path = tmp_path / "chain4.txt"
         path.write_text(CHAIN_4)
         code, out, _ = run_cli(
@@ -594,11 +602,34 @@ class TestGenerator:
         assert code == 0
         assert out == (
             "s,t,min_eig_modulus,log_exists,deviation\n"
-            "0.125,0.125,0.016428676096594104,true,105.81095752721767\n"
-            "0.03125,0.03125,0.85932237440865888,true,5.4370636631958336\n"
-            "0.0078125,0.0078125,0.9908677062906176,true,1.3035434831304491\n"
-            "0.001953125,0.001953125,0.99942788524874027,true,0.32507742658757216\n"
+            "0.125,0.125,0.016428676096594343,true,105.81095752720771\n"
+            "0.03125,0.03125,0.859322374408659,true,5.4370636631958345\n"
+            "0.0078125,0.0078125,0.9908677062906176,true,1.3035434831304471\n"
+            "0.001953125,0.001953125,0.99942788524874027,true,0.32507742658757111\n"
         )
+
+
+class TestParser:
+    def test_two_in_process_calls_write_identical_outputs(self, tmp_path, capsys):
+        # one parser serves every main call in a process: a call, a usage
+        # error and a call of another subcommand leave nothing in it that
+        # changes the next call's outputs
+        path = tmp_path / "chain4.txt"
+        path.write_text(CHAIN_4)
+        assert cli.build_parser() is cli.build_parser()
+
+        def generator_run(name):
+            argv = ["generator", "--hamiltonian", str(path), "--time", "1.0",
+                    "--s-list", "0.125,0.03125,0.0078125,0.001953125",
+                    "--out", str(tmp_path / f"{name}.csv"), "--json", str(tmp_path / f"{name}.json")]
+            assert run_cli(argv, capsys)[0] == 0
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+        first = generator_run("first")
+        with pytest.raises(SystemExit):
+            main(["generator", "--hamiltonian", str(path), "--s-list", "0.1", "--json", "x.json"])
+        assert run_cli(["nodes", "--m", "3", "--json", str(tmp_path / "nodes.json")], capsys)[0] == 0
+        assert generator_run("second") == first
 
 
 class TestQflo:

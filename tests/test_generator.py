@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qflo.benchmarks import ONE_QUBIT_TEXT
 from qflo.channel import (
+    _clifford_symmetries,
     _compose,
     _gf2_basis,
     _permute_qubits,
@@ -98,25 +99,33 @@ class TestPauliBasis:
         # XXXX (XX) lies in the span of the terms and commutes with each: the
         # coset that commutes with it splits into two real sectors, the other
         # into a complex-conjugate pair, listed once.  The chain's reflection
-        # i <-> 3 - i then splits each of the three in two: its columns pair
-        # an orbit of 2 Paulis with its mirror image, or keep a mirror
-        # symmetric orbit alone, padded with phase 0
+        # i <-> 3 - i then splits each of the three in two (40 + 24, 32 + 32
+        # and a paired 32 + 32): its columns pair an orbit of 2 Paulis with
+        # its mirror image, or keep a mirror symmetric orbit alone, padded
+        # with phase 0.  Its rotation X -> X, Y -> Z, Z -> -Y squares to
+        # XXXX's conjugation, +1 on the real sectors, which split into its
+        # +1 and -1 eigenspaces, and -1 on the paired ones, which split into
+        # its +i and -i eigenspaces; its pairs of columns cover 8 Paulis
         sectors = pauli_sectors(parse_hamiltonian(text))
         expected = [((2, width), "f", False), ((2, width), "f", False), ((2, width), "c", True)]
         if text == HEISENBERG_CHAIN_4:
-            expected = [((4, 40), "f", False), ((4, 24), "f", False), ((4, 32), "f", False),
-                        ((4, 32), "f", False), ((4, 32), "c", True), ((4, 32), "c", True)]
+            expected = ([((8, m), "f", False) for m in (24, 16, 16, 8, 16, 16, 16, 16)]
+                        + 4 * [((8, 16), "c", True)])
         assert [(s.pos.shape, s.phase.dtype.kind, s.paired) for s in sectors] == expected
 
     def test_ring_splits_by_two_commuting_reflections(self):
         # the 4-site ring's involutions, in lexicographic order: (1 3) is
         # taken; (0 1)(2 3) does not commute with it; (0 2) does and is
         # taken; (0 2)(1 3) is their product.  So each of its three
-        # radical sectors of 64 splits four ways
+        # radical sectors of 64 splits four ways, into 28, 12, 12, 12 and
+        # 24, 16, 16, 8 twice; the chain's rotation about X then splits
+        # each of those twelve in two
         H = parse_hamiltonian(HEISENBERG_RING_4)
         assert _qubit_involutions(H) == ((0, 3, 2, 1), (2, 1, 0, 3))
+        assert _clifford_symmetries(H) == ("+X+Z-Y",)
         widths = [s.pos.shape[1] for s in pauli_sectors(H)]
-        assert widths == [28, 12, 12, 12, 24, 16, 16, 8, 24, 16, 16, 8]
+        assert widths == [16, 12, 8, 4, 8, 4, 8, 4, 12, 12, 8, 8, 8, 8, 4, 4,
+                          12, 12, 8, 8, 8, 8, 4, 4]
 
     def test_swap_that_moves_the_radical_is_not_used(self):
         # XY <-> YX maps H to itself but moves the radical Pauli XY, so it
@@ -314,15 +323,221 @@ def _maps_to_itself(H, perm) -> bool:
     return sorted((t.weight, t.sign, _relabel(t.pauli.letters, perm)) for t in H.terms) == terms
 
 
+PAULI_MATRICES = {
+    "I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1]),
+}
+
+
+def _rotation(U) -> np.ndarray:
+    """R[a, b] = tr(P_a U P_b U^dag) / 2 over P = X, Y, Z: U P_b U^dag is
+    R[a, b] P_a for the one a where it is not 0."""
+    P = [PAULI_MATRICES[p] for p in "XYZ"]
+    return np.array([[round(np.trace(a @ U @ b @ U.conj().T).real / 2) for b in P] for a in P])
+
+
+def _cliffords_by_conjugation() -> list:
+    """The 24 single-qubit Cliffords up to phase, each as its rotation R of
+    the Pauli axes: the closure of the Hadamard and phase gates under
+    products, told apart by R."""
+    gates = [np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.diag([1, 1j])]
+    found, frontier = {}, [np.eye(2)]
+    while frontier:
+        U = frontier.pop()
+        R = _rotation(U)
+        if R.tobytes() not in found:
+            found[R.tobytes()] = R
+            frontier += [g @ U for g in gates]
+    assert len(found) == 24
+    return list(found.values())
+
+
+def _image_letters(R, letters: str) -> tuple:
+    """(sign, letters) of the Pauli string conjugated by R on every qubit."""
+    sign, out = 1, ""
+    for p in letters:
+        if p == "I":
+            out += p
+        else:
+            column = R[:, "XYZ".index(p)]
+            a = int(np.flatnonzero(column)[0])
+            sign, out = sign * column[a], out + "XYZ"[a]
+    return sign, out
+
+
+def _maps_to_itself_by_clifford(H, R) -> bool:
+    """Whether conjugating every qubit by R permutes H's signed terms."""
+    terms = sorted((t.weight, t.sign, t.pauli.letters) for t in H.terms)
+    image = []
+    for t in H.terms:
+        sign, letters = _image_letters(R, t.pauli.letters)
+        image.append((t.weight, t.sign * sign, letters))
+    return sorted(image) == terms
+
+
+def _splitting_cliffords() -> list:
+    """The rotations of order 2 and 4 that are not Pauli conjugations,
+    sorted by (axis permutation, signs) with + before -."""
+    def key(R):
+        perm = tuple(int(np.flatnonzero(R[:, b])[0]) for b in range(3))
+        return perm, tuple(bool(R[perm[b], b] < 0) for b in range(3))
+    return sorted((R for R in _cliffords_by_conjugation()
+                   if np.count_nonzero(R - np.diag(np.diag(R)))
+                   and not (np.linalg.matrix_power(R, 3) == np.eye(3)).all()), key=key)
+
+
+def _label(R) -> str:
+    """The signed images of X, Y and Z, as ``_clifford_symmetries`` names R."""
+    return "".join("+-"[int(R[:, b].sum() < 0)] + "XYZ"[np.flatnonzero(R[:, b])[0]]
+                   for b in range(3))
+
+
+def _letters(q: int, n: int) -> str:
+    x, z = q >> n, q & ((1 << n) - 1)
+    return "".join("IZXY"[2 * (x >> (n - 1 - i) & 1) + (z >> (n - 1 - i) & 1)] for i in range(n))
+
+
+def _index(letters: str) -> int:
+    n, q = len(letters), 0
+    for i, p in enumerate(letters):
+        x, z = p in "XY", p in "ZY"
+        q |= x << (2 * n - 1 - i) | z << (n - 1 - i)
+    return q
+
+
+def _clifford_symmetries_by_labels(H) -> tuple:
+    """``_clifford_symmetries`` by brute force over all 24 Cliffords, found
+    by conjugating matrices: the greedy choice, in its order, of those that
+    are neither Pauli conjugations nor of order 3, that commute with those
+    already chosen and are not products of them and Paulis, that map H's
+    signed terms to themselves, keep every ``_reduce`` label of all d^2
+    Pauli indices, fix the radical with sign +1, and whose square is one
+    sign on each coset."""
+    n = H.n_qubits
+    q = np.arange(H.dim ** 2)
+    labels = _reduce(q, _gf2_basis(_term_masks(H)))
+    radical = _radical(H)
+    group = {R.tobytes(): R for R in _cliffords_by_conjugation() if not np.count_nonzero(R - np.diag(np.diag(R)))}
+    chosen = []
+    for R in _splitting_cliffords():
+        if R.tobytes() in group or any((R @ C != C @ R).any() for C in chosen):
+            continue
+        image = [_image_letters(R, _letters(int(p), n)) for p in q]
+        index = np.array([_index(letters) for _, letters in image])
+        sign = np.array([s for s, _ in image])
+        square = sign * sign[index]
+        if (_maps_to_itself_by_clifford(H, R)
+                and np.array_equal(labels[index], labels)
+                and all(index[r] == r and sign[r] == 1 for r in radical)
+                and all(np.unique(square[labels == c]).size == 1 for c in np.unique(labels))):
+            chosen.append(R)
+            while True:
+                grown = {**group, **{(g @ C).tobytes(): g @ C for g in group.values() for C in chosen}}
+                if len(grown) == len(group):
+                    break
+                group = grown
+    return tuple(_label(R) for R in chosen)
+
+
+@st.composite
+def clifford_closed_sums(draw):
+    """A Pauli sum on 1-4 qubits that a drawn single-qubit Clifford, on
+    every qubit, maps to itself: the rotation by 90 degrees about an axis
+    A, or by 180 degrees about the diagonal B + e C of the other two axes
+    (A -> -A, B -> e C, C -> e B).  XXZ-type couplings a AA + b (BB + CC)
+    on drawn pairs of qubits, with f (BC + CB) for the second kind, and
+    fields along the fixed axis: c A for the first kind, c (B + e C) for
+    the second."""
+    n = draw(st.integers(1, 4))
+    A = draw(st.sampled_from("XYZ"))
+    B, C = [p for p in "XYZ" if p != A]
+    e = draw(st.sampled_from([0, 1, -1]))   # 0: the rotation about A
+
+    def coeff():
+        return draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1]))
+
+    def place(letters: dict) -> str:
+        return "".join(letters.get(i, "I") for i in range(n))
+
+    lines = []
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []:
+        a, b, f = coeff(), coeff(), coeff()
+        lines += [f"{a!r} {place({i: A, j: A})}", f"{b!r} {place({i: B, j: B})}",
+                  f"{b!r} {place({i: C, j: C})}"]
+        if e and draw(st.booleans()):
+            lines += [f"{f!r} {place({i: B, j: C})}", f"{f!r} {place({i: C, j: B})}"]
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)):
+        c = coeff()
+        lines += ([f"{c!r} {place({i: A})}"] if e == 0
+                  else [f"{c!r} {place({i: B})}", f"{e * c!r} {place({i: C})}"])
+    return parse_hamiltonian("\n".join(lines))
+
+
+# X -> X, Y -> Z, Z -> -Y maps these terms to themselves
+PLUS_MINUS_YZ = "0.5 Y\n-0.5 Y\n0.5 Z\n-0.5 Z\n0.3 X\n"
+XXZ_CHAIN_4 = "".join(f"{c} {'I' * i}{p}{p}{'I' * (2 - i)}\n"
+                      for i in range(3) for p, c in zip("XYZ", (1.0, 1.0, 0.5)))
+
+
+@given(H=st.one_of(clifford_closed_sums(), involution_closed_sums(), symmetric_pauli_sums()))
+@example(H=parse_hamiltonian(HEISENBERG_CHAIN_4))
+@example(H=parse_hamiltonian(HEISENBERG_RING_4))
+@example(H=parse_hamiltonian(XXZ_CHAIN_4))
+@example(H=parse_hamiltonian(ONE_QUBIT_TEXT))
+@example(H=parse_hamiltonian(TWO_QUBIT))
+@example(H=parse_hamiltonian("0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n"))
+@example(H=parse_hamiltonian(PLUS_MINUS_YZ))
+@settings(max_examples=100, deadline=None)
+def test_clifford_search_matches_brute_force(H):
+    # the search reads prebuilt tables and tests the one-bit Paulis and
+    # the terms; the reference conjugates matrices and tests every Pauli
+    # index, with the whole greedy rule.  On the XXZ chain the rotation
+    # X -> Y moves the radical Pauli XXXX to YYYY, so none is used; on
+    # PLUS_MINUS_YZ the rotation about X maps the terms to themselves but
+    # its square, X's conjugation, flips Y and Z, so it is not one sign on
+    # the coset
+    assert _clifford_symmetries(H) == _clifford_symmetries_by_labels(H)
+
+
+@given(H=clifford_closed_sums(), theta=st.floats(0.02, 0.45))
+@example(H=parse_hamiltonian(ONE_QUBIT_TEXT), theta=0.3)
+@example(H=parse_hamiltonian(PLUS_MINUS_YZ), theta=0.3)
+@example(H=parse_hamiltonian("0.7 XX\n0.4 YY\n0.4 ZZ\n-0.3 XI\n0.2 IX\n"), theta=0.2)
+@example(H=parse_hamiltonian("0.5 XYI\n0.5 YXI\n0.3 IXX\n0.3 IYY\n-0.2 IIZ\n0.6 XIX\n0.6 YIY\n"),
+         theta=0.4)
+@settings(max_examples=60, deadline=None)
+def test_clifford_sectors_match_vec_basis_oracle(H, theta):
+    # Sums that a Clifford of order 2 or 4 on every qubit maps to itself:
+    # where it keeps the cosets and fixes the radical it splits each
+    # sector into its +-1 or, where it squares to -1, +-i eigenspaces
+    _check_against_vec_basis_oracle(H, theta)
+
+
+@pytest.mark.parametrize("text", [TWO_QUBIT, "0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n"])
+def test_two_qubit_and_depolarizing_keep_the_radical_sectors(text):
+    # no Clifford of order 2 or 4 maps either to itself; the depolarizing
+    # sum's cycle X -> Y -> Z, of order 3, does, and is not used
+    H = parse_hamiltonian(text)
+    assert _clifford_symmetries(H) == () and _qubit_involutions(H) == ()
+    sectors = pauli_sectors(H)
+    reference = _radical_sectors(H)
+    assert len(sectors) == len(reference)
+    for sector, (pos, phase, paired) in zip(sectors, reference):
+        assert sector.paired == paired and sector.phase.dtype == phase.dtype
+        assert np.array_equal(sector.pos, pos) and np.array_equal(sector.phase, phase)
+
+
 @given(H=symmetric_pauli_sums())
 @example(H=parse_hamiltonian(TWO_QUBIT))
 @example(H=parse_hamiltonian("0.5 XYI\n0.3 IZZ\n0.4 YIX\n0.2 ZXY\n"))
 @example(H=parse_hamiltonian("0.25 I\n0.25 X\n0.25 Y\n0.25 Z\n"))
 @settings(max_examples=60, deadline=None)
 def test_sectors_without_involution_are_the_radical_sectors(H):
-    # no qubit involution maps H to itself: the sectors are the radical's,
-    # array for array
+    # no qubit involution and no Clifford of order 2 or 4 on every qubit
+    # maps H to itself: the sectors are the radical's, array for array
     assume(not any(_maps_to_itself(H, perm) for perm in _involutions(H.n_qubits)))
+    assume(not any(_maps_to_itself_by_clifford(H, R) for R in _splitting_cliffords()))
     sectors = pauli_sectors(H)
     reference = _radical_sectors(H)
     assert len(sectors) == len(reference)

@@ -259,6 +259,27 @@ def test_conditioning_guard_matches_svd_first_guard(case):
     expected = _guard_outcome(_svd_first_log_from_eig, case())
     assert _guard_outcome(linalg._log_from_eig, case()) == expected
 
+
+def _stacked(spectra) -> list:
+    """The eigenpairs stacked by block shape, as the generator passes them."""
+    groups = {}
+    for mu, V in spectra:
+        groups.setdefault(V.shape, []).append((mu, V))
+    return [(np.stack([mu for mu, _ in g]), np.stack([V for _, V in g])) for g in groups.values()]
+
+
+@pytest.mark.parametrize("case", GUARD_CASES.values(), ids=GUARD_CASES.keys())
+def test_stacked_blocks_match_svd_first_guard_block_by_block(case):
+    # one inv (and, where the guard needs them, one SVD) per stack of equal
+    # shapes gives each block's logarithm to the bit, or the same error;
+    # in every case blocks of one shape are adjacent, so the order holds
+    expected = _guard_outcome(_svd_first_log_from_eig, case())
+
+    def log_from_stacks(spectra):
+        return [block for stack in linalg._log_from_eig(_stacked(spectra)) for block in stack]
+
+    assert _guard_outcome(log_from_stacks, case()) == expected
+
 class TestCptpCheck:
     def test_unitary_channel(self, rng):
         S = conjugation_superoperator(random_unitary(rng, 4))
@@ -304,3 +325,7 @@ class TestNorms:
     def test_diagonal(self):
         M = np.diag([3.0, -4.0])
         assert spectral_norm(M) == pytest.approx(4.0)
+
+    def test_stack_is_its_largest_block(self, rng):
+        blocks = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        assert spectral_norm(blocks) == max(spectral_norm(b) for b in blocks)
