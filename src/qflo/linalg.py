@@ -18,6 +18,7 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 LOG_EIG_TOL = 1e-10
 LOG_COND_CAP = 1e8
+_LOG_SERIES_RADIUS = 0.1   # |mu| up to which log1p(mu) - mu is summed as its series
 
 
 class NonHermitianError(ValueError):
@@ -155,10 +156,37 @@ def _log1p(mu) -> np.ndarray:
     return log_mod + 1j * np.angle(w)
 
 
-def _log_from_eig(spectra) -> list:
-    """V diag(log(1 + mu)) V^-1 for each entry (mu, V) of ``spectra``: the
+def _log1pmx(mu) -> np.ndarray:
+    """log(1 + mu) - mu for complex mu, principal, to full relative precision
+    where |mu| <= _LOG_SERIES_RADIUS: there as its series -mu^2/2 + mu^3/3 -
+    ..., by Horner, to as many terms as the largest such |mu| needs.  Past
+    the radius ``_log1p(mu) - mu`` loses at most log2(4 / |mu|) bits."""
+    size = np.abs(mu)
+    small = size <= _LOG_SERIES_RADIUS
+    if small.all():
+        return _log1pmx_series(mu, float(size.max()))
+    out = _log1p(mu) - mu
+    if small.any():
+        out[small] = _log1pmx_series(mu[small], float(size[small].max()))
+    return out
+
+
+def _log1pmx_series(mu, radius: float) -> np.ndarray:
+    """sum_{k=2}^{K} (-1)^(k+1) mu^k / k for |mu| <= radius < 1, with K
+    such that radius^(K - 1) <= 2^-53: the first term left out is then
+    below 2^-53 relative to mu^2 / 2."""
+    terms = 1 if radius < 2.0 ** -53 else math.ceil(53 * math.log(2) / -math.log(radius))
+    acc = (-1.0) ** terms / (terms + 1)
+    for k in range(terms, 1, -1):
+        acc = acc * mu + (-1.0) ** (k + 1) / k
+    return acc * mu * mu
+
+
+def _log_from_eig(spectra, f=_log1p) -> list:
+    """V diag(f(mu)) V^-1 for each entry (mu, V) of ``spectra``: the
     eigenpairs of S - I for one block, (m,) and (m, m), or for a stack of
-    blocks, (k, m) and (k, m, m), each stack taking one ``inv``.
+    blocks, (k, m) and (k, m, m), each stack taking one ``inv``.  f is
+    log(1 + mu) unless given, as ``_log1pmx`` for log(S) - (S - I).
 
     ``matrix_log_principal``'s checks run over all blocks at once, as on the
     block-diagonal matrix they make up: the smallest |1 + mu| against
@@ -188,7 +216,12 @@ def _log_from_eig(spectra) -> list:
             )
         if inverses is None:
             inverses = [np.linalg.inv(V) for _, V in spectra]
-    return [(V * _log1p(mu)[..., None, :]) @ V_inv for (mu, V), V_inv in zip(spectra, inverses)]
+    # one call of f for every entry's mu: on blocks this small its cost is
+    # per numpy call, not per eigenvalue
+    values = f(np.concatenate([mu.ravel() for mu, _ in spectra]))
+    values = np.split(values, np.cumsum([mu.size for mu, _ in spectra])[:-1])
+    return [(V * value.reshape(mu.shape)[..., None, :]) @ V_inv
+            for (mu, V), value, V_inv in zip(spectra, values, inverses)]
 
 
 def _frobenius_bound(spectra, inverses) -> float:
@@ -240,4 +273,4 @@ def spectral_norm(M) -> float:
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2, axis=(-2, -1)).max())
+    return float(np.linalg.svd(M, compute_uv=False)[..., 0].max())

@@ -16,6 +16,7 @@ from qflo.channel import (
     _qubit_involutions,
     _radical,
     _reduce,
+    _step_angle,
     _term_masks,
     channel_delta,
     exact_expectation,
@@ -26,7 +27,10 @@ from qflo.channel import (
 )
 from qflo.generator import (
     ConditioningError,
+    _channel_spectrum,
+    _delta_stacks,
     _divided_difference,
+    _sector_structure,
     channel_superoperator,
     ek_bound_probe,
     generator_probe,
@@ -36,6 +40,7 @@ from qflo.generator import (
 )
 from qflo.hamiltonian import DimensionCapError, parse_hamiltonian
 from qflo.linalg import (
+    _log_from_eig,
     adjoint_superoperator,
     apply_superoperator,
     matrix_log_principal,
@@ -601,6 +606,132 @@ def test_chain_deviation_matches_extended_precision_series():
         residual[np.ix_(b, b)] = (log - t * P[np.ix_(b, b)].astype(np.longdouble)).astype(float)
     reference = spectral_norm(residual) / t
     assert generator_probe(H, t, 1.0).deviation == pytest.approx(reference, rel=1e-12)
+
+
+# The lambda = 1 4-qubit Heisenberg chain of the generator_scan benchmark
+# workload: couplings 1 and fields 0.5, divided by lambda = 11
+UNIT_CHAIN_4 = "".join(
+    f"{1 / 11!r} {'I' * i}{p}{p}{'I' * (2 - i)}\n" for i in range(3) for p in "XYZ"
+) + "".join(f"{0.5 / 11!r} {'I' * i}X{'I' * (3 - i)}\n" for i in range(4))
+
+# ||G(s) - ad_H|| at T = 1 from 40-digit arithmetic, to 20 digits
+DEVIATION_REFERENCES = {
+    UNIT_CHAIN_4: [
+        (2e-3, 0.0027506183133746144831),
+        (5e-4, 0.00068765365630574606868),
+        (1e-4, 0.00013753071945909227241),
+        (5e-5, 0.000068765359545139023840),
+    ],
+    TWO_QUBIT: [
+        (2e-3, 0.0029719304801250349865),
+        (5e-4, 0.00074298146883790977214),
+        (1e-4, 0.00014859627903234772047),
+        (5e-5, 0.000074298139285935864646),
+    ],
+}
+
+
+@pytest.mark.parametrize("text", list(DEVIATION_REFERENCES), ids=["unit_chain_4", "two_qubit"])
+def test_deviation_keeps_its_digits_at_small_steps(text):
+    """The deviation in split form against 40-digit references, to 1e-14.
+    Formed as log(I + Delta) / (-i t) - ad_H it lost about log10(1 / (s lam))
+    digits, up to 4e-13 relative at these steps.  The references come from
+    this script (mpmath, not a test dependency), with Delta and ad_H exact on
+    each sector's exact orthonormal basis and log(I + Delta) as its series,
+    which converges here as ||Delta|| < 0.01::
+
+        import mpmath as mp
+        import numpy as np
+        from qflo.channel import _pauli_action, _term_masks, pauli_sectors
+        from qflo.hamiltonian import parse_hamiltonian
+
+        def reference(text, s, dps=40):
+            mp.mp.dps = dps
+            H = parse_hamiltonian(text)
+            h = [mp.mpf(float(w)) for w in H.weights]
+            lam, t = mp.fsum(h), mp.mpf(s)
+            sign, masks = H.derived(_pauli_action), _term_masks(H)
+            deviation = 0
+            for sector in pauli_sectors(H):
+                pos, phase = sector.pos, sector.phase
+                m, width = pos.shape[1], np.count_nonzero(phase, axis=0)
+                cover = {int(pos[g, a]): (g, a) for g, a in zip(*np.nonzero(phase))}
+                delta, ad = mp.zeros(m, m), mp.zeros(m, m)
+                for g, a in zip(*np.nonzero(phase)):
+                    q = int(pos[g, a])
+                    for j in np.nonzero(sign[:, q])[0]:
+                        p, r = h[j] / lam, q ^ int(masks[j])
+                        for M, row, v in ((delta, q, -2 * p * mp.sin(lam * t) ** 2),
+                                          (delta, r, p * mp.sin(2 * lam * t) * int(sign[j, q])),
+                                          (ad, r, 2j * h[j] * int(sign[j, q]))):
+                            if row in cover:
+                                g2, a2 = cover[row]
+                                M[a2, a] += v * complex(np.conj(phase[g2, a2]) * phase[g, a]) / (
+                                    mp.sqrt(int(width[a] * width[a2])))
+                log, power, k = mp.zeros(m, m), mp.eye(m), 1
+                while k < 3 or mp.mnorm(power, 1) > mp.mpf(10) ** -(dps + 5):
+                    power = power * delta
+                    log += power * (mp.mpf((-1) ** (k + 1)) / k)
+                    k += 1
+                deviation = max(deviation, max(mp.svd_c(log / (-1j * t) - ad, compute_uv=False)))
+            return mp.nstr(deviation, 20)
+    """
+    H = parse_hamiltonian(text)
+    for s, reference in DEVIATION_REFERENCES[text]:
+        assert generator_probe(H, s, 1.0).deviation == pytest.approx(reference, rel=1e-14, abs=0)
+
+
+@st.composite
+def pauli_sums(draw):
+    """A random Pauli sum on 1-4 qubits: one term or several, of any letters,
+    with coefficients of either sign, and optionally one term's letters
+    again at a coefficient of its own."""
+    n = draw(st.integers(1, 4))
+    paulis = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        paulis.append(draw(st.sampled_from(paulis)))
+    coeffs = [draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1, -1])) for _ in paulis]
+    return parse_hamiltonian("".join(f"{c!r} {p}\n" for c, p in zip(coeffs, paulis)))
+
+
+@given(H=pauli_sums(), theta=st.floats(0.0, np.pi, allow_subnormal=False))
+@example(H=parse_hamiltonian(HEISENBERG_CHAIN_4), theta=2.0)
+@example(H=parse_hamiltonian(TWO_QUBIT), theta=np.pi - 1e-9)
+@example(H=parse_hamiltonian("-0.7 Y"), theta=1.7)
+@example(H=parse_hamiltonian("0.3 XY\n-0.5 XY\n0.2 ZZ\n0.4 YX\n"), theta=0.9)
+@settings(max_examples=100, deadline=None)
+def test_stacked_delta_blocks_match_sector_blocks(H, theta):
+    # -2 sin^2(theta) diag(D) + sin(2 theta) K on each group, against the
+    # blocks of the whole Delta, past theta = pi / 2, where sin(2 theta) < 0,
+    # up to pi, on single terms, repeated masks and negative coefficients.
+    # Where repeated masks cancel, Delta keeps the rounding of its terms
+    # p_j sin(2 theta), so the scale is the larger of them and max |Delta|
+    structure = H.derived(_sector_structure)
+    t = theta / H.lam
+    delta = channel_delta(H, t)
+    stacks = _delta_stacks(structure, float(_step_angle(H, t)))
+    term = abs(np.sin(2.0 * H.lam * t)) * H.probabilities.max()
+    tol = 1e-15 * max(np.abs(delta).max(), term)
+    for group, stack in zip(structure.groups, stacks):
+        assert stack.shape[0] == len(group)
+        for i, block in zip(group, stack):
+            assert np.abs(block - structure.sectors[i].block(delta)).max() <= tol
+
+
+@given(H=pauli_sums(), theta=st.floats(0.01, 0.5))
+@example(H=parse_hamiltonian(HEISENBERG_CHAIN_4), theta=0.1)
+@example(H=parse_hamiltonian("0.3 XY\n-0.5 XY\n0.2 ZZ\n0.4 YX\n"), theta=0.4)
+@settings(max_examples=100, deadline=None)
+def test_split_deviation_matches_log_minus_ad(H, theta):
+    # at moderate steps log(I + Delta) / (-i t) - ad_H, from the same
+    # eigenpairs, loses few digits, and the split form must agree with it
+    t = theta / H.lam
+    probe = generator_probe(H, t, 1.0)
+    structure, spectra, _ = _channel_spectrum(H, float(_step_angle(H, t)))
+    for group, log, ad in zip(structure.groups, _log_from_eig(spectra), structure.ad_stacks):
+        tol = 1e-13 * max(1.0, spectral_norm(ad))
+        for i, block in zip(group, log / (-1j * t) - ad):
+            assert np.abs(probe.blocks[i] - block).max() <= tol
 
 
 class TestLogExistence:
